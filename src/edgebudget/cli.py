@@ -51,10 +51,10 @@ def _witness_csv(n: int, strategy: str, w: witness.Witness | None) -> str:
 def _cmd_f_exact(args) -> int:
     value, w = witness.f_exact(args.n)
     if args.format == "json":
-        doc = {"n": args.n, "value": value}
-        doc["witness"] = None if w is None else {
-            "k": w.k, "p": w.p, "q": w.q, "r": w.r, "score": w.score, "strategy": "exact",
-        }
+        doc = {"n": args.n, "value": value, "witness": None}
+        if w is not None:
+            doc["witness"] = witness.witness_json(args.n, w, "exact")
+            del doc["witness"]["n"]
         _write(_json_dumps(doc) + "\n", args.output)
     else:
         _write(_witness_csv(args.n, "exact", w), args.output)
@@ -152,7 +152,7 @@ def _cmd_discrepancy(args) -> int:
 
 def _cmd_bv_sum(args) -> int:
     value = dirichlet.bv_sum(args.z, args.B, workers=args.threads)
-    cutoff = math.floor(math.sqrt(args.z) / math.log(args.z) ** args.B)
+    cutoff = dirichlet.bv_cutoff(args.z, args.B)
     if args.format == "json":
         doc = {"z": args.z, "B": args.B, "cutoff": cutoff, "sum": round9(value)}
         _write(_json_dumps(doc) + "\n", args.output)
@@ -212,11 +212,15 @@ def _cmd_verify(args) -> int:
     fields = [inner.get(key) for key in ("k", "p", "q", "r")]
     if n is None or any(v is None for v in fields):
         raise ValueError("witness object must carry n, k, p, q, r")
-    k, p, q, r = (int(v) for v in fields)
     stored = inner.get("score")
-    w = witness.Witness(k, p, q, r, int(stored) if stored is not None else min(p * p * k, p * k * r, q * r))
-    ok = witness.validate(int(n), w)
-    _write(_json_dumps({"n": int(n), "valid": ok}) + "\n", args.output)
+    values = [n, *fields] + ([] if stored is None else [stored])
+    # only JSON integers certify: bool is an int subclass, and floats and strings would coerce
+    if any(type(v) is not int for v in values):
+        raise ValueError("n, k, p, q, r and score must be JSON integers")
+    k, p, q, r = fields
+    w = witness.Witness(k, p, q, r, stored if stored is not None else min(p * p * k, p * k * r, q * r))
+    ok = witness.validate(n, w)
+    _write(_json_dumps({"n": n, "valid": ok}) + "\n", args.output)
     return EXIT_OK if ok else EXIT_NO_WITNESS
 
 

@@ -139,10 +139,15 @@ def _sup_for_modulus(args: tuple[float, int]) -> float:
     return max_discrepancy(z, m).sup_value
 
 
+def bv_cutoff(z: float, B: float) -> int:
+    """The largest modulus ``bv_sum`` averages over: floor(sqrt(z) / (log z)**B)."""
+    return math.floor(math.sqrt(z) / math.log(z) ** B)
+
+
 def bv_sum(z: float, B: float, workers: int = 1) -> float:
     """Sum of per-modulus worst-case discrepancies for m up to the cutoff.
 
-    The cutoff is floor(sqrt(z) / (log z)**B); when it falls below 1 the sum
+    The cutoff is ``bv_cutoff(z, B)``; when it falls below 1 the sum
     is empty and 0 is returned. Moduli may be evaluated in parallel; the
     reduction is always performed in ascending m with compensated summation,
     so the result does not depend on the worker count.
@@ -154,7 +159,7 @@ def bv_sum(z: float, B: float, workers: int = 1) -> float:
         raise ValueError("bv_sum requires z >= 3")
     if B < 0:
         raise ValueError("B must be nonnegative")
-    cutoff = math.floor(math.sqrt(z) / math.log(z) ** B)
+    cutoff = bv_cutoff(z, B)
     if cutoff < 1:
         return 0.0
     sups = pmap(_sup_for_modulus, [(z, m) for m in range(1, cutoff + 1)], workers)

@@ -85,12 +85,12 @@ def _pollard_rho(n: int) -> int:
             return g
 
 
-def _largest_of_rough(m: int) -> int:
-    """Largest prime factor of m when every prime factor exceeds TRIAL_LIMIT."""
+def _rough_prime_factors(m: int) -> set[int]:
+    """Distinct prime factors of m > 1 when every prime factor exceeds TRIAL_LIMIT."""
     if sieve.is_prime(m):
-        return m
+        return {m}
     d = _pollard_rho(m)
-    return max(_largest_of_rough(d), _largest_of_rough(m // d))
+    return _rough_prime_factors(d) | _rough_prime_factors(m // d)
 
 
 def largest_prime_factor(k: int) -> int:
@@ -114,7 +114,7 @@ def largest_prime_factor(k: int) -> int:
                 m //= p
     if m > 1:
         # m is prime, or composite with every prime factor above TRIAL_LIMIT
-        return max(best, _largest_of_rough(m))
+        return max(best, *_rough_prime_factors(m))
     return best
 
 
@@ -132,16 +132,9 @@ def euler_phi(m: int) -> int:
             while n % p == 0:
                 n //= p
     if n > 1:
-        for p in _distinct_rough_factors(n):
+        for p in _rough_prime_factors(n):
             result -= result // p
     return result
-
-
-def _distinct_rough_factors(m: int) -> set[int]:
-    if sieve.is_prime(m):
-        return {m}
-    d = _pollard_rho(m)
-    return _distinct_rough_factors(d) | _distinct_rough_factors(m // d)
 
 
 def lpf_table(lo: int, hi: int, segment_length: int = sieve.DEFAULT_SEGMENT_LENGTH) -> FactorTable:

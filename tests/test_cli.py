@@ -72,6 +72,11 @@ def test_verify_rejects_corrupted_witness(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--input", str(path))
     assert code == EXIT_NO_WITNESS
     assert json.loads(out) == {"n": 10000, "valid": False}
+    # p beyond the 2**64 primality range cannot be certified
+    path.write_text(json.dumps({"n": 2**64 + 16, "k": 1, "p": 2**64 + 13, "q": 2, "r": 3, "score": 6}))
+    code, out, _ = run(capsys, "verify", "--input", str(path))
+    assert code == EXIT_NO_WITNESS
+    assert json.loads(out) == {"n": 2**64 + 16, "valid": False}
 
 
 def test_verify_accepts_nested_f_exact_document(capsys, tmp_path):
@@ -84,9 +89,15 @@ def test_verify_accepts_nested_f_exact_document(capsys, tmp_path):
 
 def test_verify_malformed_input_exits_1(capsys, tmp_path):
     path = tmp_path / "junk.json"
-    path.write_text('{"n": 3}')
-    code, _, err = run(capsys, "verify", "--input", str(path))
-    assert code == EXIT_ERROR and "error" in err
+    for text in (
+        '{"n": 3}',
+        '{"n":10,"k":1,"p":5.5,"q":2,"r":5}',  # only JSON integers certify
+        '{"n":10,"k":1,"p":"5","q":2,"r":5}',
+        '{"n":10,"k":true,"p":5,"q":2,"r":5}',
+    ):
+        path.write_text(text)
+        code, out, err = run(capsys, "verify", "--input", str(path))
+        assert code == EXIT_ERROR and "error" in err and out == "", text
 
 
 def test_witness_csv_format(capsys):

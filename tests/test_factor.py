@@ -92,6 +92,7 @@ def test_phi_examples():
     assert euler_phi(1) == 1
     assert euler_phi(12) == 4
     assert euler_phi(97) == 96
+    assert euler_phi(10007 * 10009) == 10006 * 10008  # rough cofactor: Pollard rho
     with pytest.raises(ValueError):
         euler_phi(0)
 

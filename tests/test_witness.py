@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from edgebudget import (
@@ -53,6 +55,20 @@ def naive_edge_budget(n, flags, divs):
     return best, best_quad
 
 
+def naive_first_maximizer(n, value, flags, divs):
+    """The first (p, k), ascending, whose score with q = P(r-1) equals value."""
+    for p in range(2, n - 2):
+        if not flags[p]:
+            continue
+        for kp in range(p, n - 2, p):
+            r = n - kp
+            if flags[r]:
+                q = divs[r - 1][-1]
+                if min(p * kp, kp * r, q * r) == value:
+                    return Witness(kp // p, p, q, r, value)
+    return None
+
+
 def test_score_examples():
     assert score(1, 5, 2, 5) == 10
     assert score(2, 2, 2, 5) == 8
@@ -80,6 +96,8 @@ def test_validate_examples():
     assert validate(11, Witness(1, 5, 2, 5, 10)) is False  # n mismatch
     assert validate(10, Witness(1.5, 5, 2, 2.5, 10)) is False  # non-integral
     assert validate(10, Witness(1.0, 5.0, 2.0, 5.0, 10.0)) is True  # exact floats coerce
+    # p beyond is_prime's 2**64 range: not certifiable, and validate never raises
+    assert validate(2**64 + 16, Witness(1, 2**64 + 13, 2, 3, 6)) is False
 
 
 def test_f_exact_small_values():
@@ -91,16 +109,20 @@ def test_f_exact_small_values():
     assert value == 10 and w == Witness(1, 5, 2, 5, 10)
     with pytest.raises(ValueError):
         f_exact(0)
+    with pytest.raises(ValueError):
+        f_exact(3_037_000_500)  # n**2 would overflow int64
 
 
 def test_f_exact_matches_naive_all_q_enumeration():
-    limit = 400
+    limit = 100_000
     flags = simple_sieve(limit)
     divs = prime_divisor_lists(limit, flags)
-    for n in range(1, limit + 1):
+    rng = random.Random(2)
+    for n in [*range(1, 401), *(rng.randrange(10_000, limit) for _ in range(3))]:
         value, w = f_exact(n)
         expected, _ = naive_edge_budget(n, flags, divs)
         assert value == expected, n
+        assert w == naive_first_maximizer(n, value, flags, divs), n
         if value:
             assert validate(n, w), n
 
