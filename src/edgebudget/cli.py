@@ -14,7 +14,7 @@ import random
 import sys
 
 from . import dirichlet, survey, witness
-from .util import THREADS_ENV, default_workers, fmt9, round9
+from .util import fmt9, round9
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -78,8 +78,10 @@ def _cmd_witness_bv(args) -> int:
 
 
 def _cmd_witness_smooth(args) -> int:
-    rset = witness.build_rset(max(1, math.ceil(args.c0 * args.n)), args.n // 4, args.alpha)
-    return _emit_witness(args, "smooth", witness.strategy_smooth(args.n, rset, args.gamma))
+    config = survey.SurveyConfig(alpha=args.alpha, gamma=args.gamma, c0=args.c0)
+    config.check()
+    w = witness.strategy_smooth(args.n, config.rset(args.n), args.gamma)
+    return _emit_witness(args, "smooth", w)
 
 
 def _survey_config(args) -> survey.SurveyConfig:
@@ -108,7 +110,7 @@ def _survey_config(args) -> survey.SurveyConfig:
 
 
 def _cmd_survey(args) -> int:
-    report = survey.survey_range(args.x, _survey_config(args), workers=args.threads)
+    report = survey.survey_range(args.x, _survey_config(args))
     text = report.to_json() + "\n" if args.format == "json" else report.to_csv()
     _write(text, args.output)
     return EXIT_OK
@@ -151,7 +153,7 @@ def _cmd_discrepancy(args) -> int:
 
 
 def _cmd_bv_sum(args) -> int:
-    value = dirichlet.bv_sum(args.z, args.B, workers=args.threads)
+    value = dirichlet.bv_sum(args.z, args.B)
     cutoff = dirichlet.bv_cutoff(args.z, args.B)
     if args.format == "json":
         doc = {"z": args.z, "B": args.B, "cutoff": cutoff, "sum": round9(value)}
@@ -232,13 +234,8 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None, help="report path (default: stdout)")
 
-    def threads(p):
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=default_workers(),
-            help=f"worker processes (default: ${THREADS_ENV} or 1); never changes emitted values",
-        )
+    def threads(p):  # kept for compatibility: every subcommand runs in one process
+        p.add_argument("--threads", type=int, help="accepted and ignored")
 
     p = sub.add_parser("f-exact", help="exact edge budget f(n) with a maximizing witness")
     p.add_argument("--n", type=int, required=True)

@@ -8,16 +8,30 @@ candidate set. ``bv_sum`` averages the per-modulus suprema over
 m <= sqrt(z)/(log z)**B, the empirical form of the Bombieri-Vinogradov
 average.
 
-All accumulation is double precision with compensated (Neumaier) summation
-in a fixed order, so reported values are bit-reproducible.
+Every psi value is an exact sum rounded once to a double. Each weight
+``math.log(p)`` is a double of at least log 2 > 1/2, hence a multiple of
+2**-53, so the sums are taken exactly in fixed point (two int64 limbs) and
+rounded at the end; ``bv_sum`` adds the suprema with ``math.fsum``. Reported
+values are therefore bit-reproducible. The limbs stay exact for
+z <= MAX_Z = 2**31: fewer than 2**31 jumps keep the low-limb sums below
+2**63, and psi(z) < 2**32 (psi(z) < 1.04 z) keeps the rounded high part
+below 2**53.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import factor, sieve
-from .util import RunningSum, fmt9, neumaier_sum, pmap
+from .util import fmt9
+
+MAX_Z = 2**31
+_SCALE = 2.0**53  # log p * _SCALE is an integer below 2**58
+_LIMB = 32
+_MASK = (1 << _LIMB) - 1
+
 
 DISCREPANCY_CSV_HEADER = "m,worst_a,worst_y,sup_value,is_left_limit"
 
@@ -48,23 +62,42 @@ class DiscrepancyRecord:
 
 
 @lru_cache(maxsize=4)
-def _jumps_upto(top: int) -> tuple[tuple[int, float], ...]:
-    if top < 2:
-        return ()
-    out = []
-    for p in sieve.primes_in(2, top):
-        lg = math.log(p)
-        j = p
-        while j <= top:
-            out.append((j, lg))
-            j *= p
-    out.sort()
-    return tuple(out)
+def _jumps_upto(top: int) -> np.ndarray:
+    primes = sieve.primes_in(2, top).primes if top >= 2 else np.zeros(0, dtype=np.int64)
+    logs = np.fromiter(map(math.log, primes.tolist()), dtype=np.float64, count=primes.size)
+    powers = [primes]  # powers[k][i] == primes[i] ** (k + 1), while that is <= top
+    while powers[-1].size:
+        prev = powers[-1]
+        n = np.count_nonzero(prev <= top // primes[: prev.size])  # a prefix, as primes ascend
+        powers.append(prev[:n] * primes[:n])
+    j = np.concatenate(powers)
+    order = np.argsort(j)
+    jumps = np.empty(j.size, dtype=[("j", np.int64), ("log_p", np.float64)])
+    jumps["j"] = j[order]
+    jumps["log_p"] = np.concatenate([logs[: part.size] for part in powers])[order]
+    return jumps
 
 
-def prime_power_jumps(z: float) -> tuple[tuple[int, float], ...]:
-    """All (prime power j <= z, log p) pairs, ascending in j."""
+def prime_power_jumps(z: float) -> np.ndarray:
+    """All prime powers j <= z, ascending, as a structured array with fields
+    ``j`` (int64) and ``log_p`` (float64, ``math.log`` of the prime under j)."""
     return _jumps_upto(math.floor(z))
+
+
+def _check_z(z: float) -> None:
+    if z > MAX_Z:
+        raise ValueError(f"z must be at most {MAX_Z} for exact fixed-point sums")
+
+
+def _fixed_to_float(hi, lo):
+    """round((hi * 2**32 + lo) * 2**-53) for int64 limb sums hi, lo >= 0.
+
+    Carrying lo into hi leaves hi < 2**53 and lo < 2**32 (see MAX_Z), both
+    exact as doubles, so the one addition is the only rounding.
+    """
+    hi = hi + (lo >> _LIMB)
+    lo = lo & _MASK
+    return (hi.astype(np.float64) * 2.0**_LIMB + lo) / _SCALE
 
 
 def psi(y: float, m: int, a: int) -> float:
@@ -74,7 +107,7 @@ def psi(y: float, m: int, a: int) -> float:
     psi(y) is returned.
 
     Raises:
-        ValueError: if m < 1, y <= 0, or a is outside [0, m).
+        ValueError: if m < 1, y <= 0, y > MAX_Z, or a is outside [0, m).
     """
     if m < 1:
         raise ValueError("modulus must be positive")
@@ -82,61 +115,68 @@ def psi(y: float, m: int, a: int) -> float:
         raise ValueError("y must be positive")
     if a < 0 or a >= m:
         raise ValueError("residue must satisfy 0 <= a < m")
-    acc = RunningSum()
-    for j, lg in prime_power_jumps(y):
-        if j % m == a:
-            acc.add(lg)
-    return acc.value
+    _check_z(y)
+    jumps = prime_power_jumps(y)
+    # every j <= MAX_Z, so a larger modulus leaves j as it is and need not fit in int64
+    fixed = (jumps["log_p"][jumps["j"] % min(m, MAX_Z + 1) == a] * _SCALE).astype(np.int64)
+    return float(_fixed_to_float(np.sum(fixed >> _LIMB), np.sum(fixed & _MASK)))
 
 
 def max_discrepancy(z: float, m: int) -> DiscrepancyRecord:
     """Exact supremum of |psi(y;m,a) - y/phi(m)| over real y in (0, z].
 
-    One pass over the prime powers up to z per coprime residue class:
-    each class jump contributes its left limit and its post-jump value, and
-    the endpoint y = z closes the final piece. Classes are visited in
-    increasing a and candidates in increasing y; the first strict maximum
-    wins, so the record is deterministic.
+    Stable-sorts the jumps by residue class and takes each coprime class's
+    exact prefix sums: each class jump contributes its left limit and its
+    post-jump value, and the endpoint y = z closes the final piece. The
+    record is the first maximal candidate in the order classes ascending,
+    then candidates in increasing y, left limit before post-jump value, the
+    endpoint last; so it is deterministic.
 
     Raises:
-        ValueError: if m < 1 or z < 1.
+        ValueError: if m < 1, z < 1, or z > MAX_Z.
     """
     if m < 1:
         raise ValueError("modulus must be positive")
     if z < 1:
         raise ValueError("z must be at least 1")
+    _check_z(z)
     inv_phi = 1.0 / factor.euler_phi(m)
-    residues = [0] if m == 1 else [a for a in range(1, m) if math.gcd(a, m) == 1]
-    by_class: dict[int, list[tuple[int, float]]] = {a: [] for a in residues}
-    for j, lg in prime_power_jumps(z):
-        c = j % m
-        if c in by_class:
-            by_class[c].append((j, lg))
+    jumps = prime_power_jumps(z)
+    coprime = np.gcd(np.arange(m), m) == 1  # only class 0 when m = 1
+    residues = np.flatnonzero(coprime)
+    cls = jumps["j"] % m
+    keep = np.flatnonzero(coprime[cls])
+    order = keep[np.argsort(cls[keep].astype(np.min_scalar_type(m - 1)), kind="stable")]
+    j, fixed = jumps["j"][order], (jumps["log_p"][order] * _SCALE).astype(np.int64)
+    counts = np.bincount(cls[order], minlength=m)[residues]
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    rank = np.repeat(np.arange(residues.size), counts)  # class rank of each jump
+    hi = np.concatenate(([0], np.cumsum(fixed >> _LIMB)))
+    lo = np.concatenate(([0], np.cumsum(fixed & _MASK)))
 
-    sup = -1.0
-    worst_a = residues[0]
-    worst_y = float(z)
-    left = False
-    for a in residues:
-        acc = RunningSum()
-        for j, lg in by_class[a]:
-            target = j * inv_phi
-            v = abs(acc.value - target)
-            if v > sup:
-                sup, worst_a, worst_y, left = v, a, float(j), True
-            acc.add(lg)
-            v = abs(acc.value - target)
-            if v > sup:
-                sup, worst_a, worst_y, left = v, a, float(j), False
-        v = abs(acc.value - z * inv_phi)
-        if v > sup:
-            sup, worst_a, worst_y, left = v, a, float(z), False
-    return DiscrepancyRecord(m, worst_a, worst_y, sup, left)
+    def psi_between(upto, since):
+        return _fixed_to_float(hi[upto] - hi[since], lo[upto] - lo[since])
 
+    first = starts[rank]
+    left = psi_between(np.arange(j.size), first)
+    post = psi_between(np.arange(1, j.size + 1), first)
+    totals = psi_between(ends, starts)
 
-def _sup_for_modulus(args: tuple[float, int]) -> float:
-    z, m = args
-    return max_discrepancy(z, m).sup_value
+    target = j * inv_phi
+    v_left = np.abs(left - target)
+    v_post = np.abs(post - target)
+    v_end = np.abs(totals - z * inv_phi)
+    sup = max(v_left.max(initial=0.0), v_post.max(initial=0.0), v_end.max())
+    # visit position: 2 per earlier jump, 1 per earlier endpoint
+    picks = []
+    for values, is_left, offset in ((v_left, True, 0), (v_post, False, 1)):
+        for i in np.flatnonzero(values == sup)[:1].tolist():
+            picks.append((2 * i + offset + int(rank[i]), int(residues[rank[i]]), float(j[i]), is_left))
+    for c in np.flatnonzero(v_end == sup)[:1].tolist():
+        picks.append((2 * int(ends[c]) + c, int(residues[c]), float(z), False))
+    _, worst_a, worst_y, is_left = min(picks)
+    return DiscrepancyRecord(m, worst_a, worst_y, float(sup), is_left)
 
 
 def bv_cutoff(z: float, B: float) -> int:
@@ -144,23 +184,20 @@ def bv_cutoff(z: float, B: float) -> int:
     return math.floor(math.sqrt(z) / math.log(z) ** B)
 
 
-def bv_sum(z: float, B: float, workers: int = 1) -> float:
+def bv_sum(z: float, B: float) -> float:
     """Sum of per-modulus worst-case discrepancies for m up to the cutoff.
 
     The cutoff is ``bv_cutoff(z, B)``; when it falls below 1 the sum
-    is empty and 0 is returned. Moduli may be evaluated in parallel; the
-    reduction is always performed in ascending m with compensated summation,
-    so the result does not depend on the worker count.
+    is empty and 0 is returned. The suprema are added with ``math.fsum``,
+    the correctly rounded sum, so the result is independent of their order.
 
     Raises:
-        ValueError: if z < 3 or B < 0.
+        ValueError: if z < 3, z > MAX_Z, or B < 0.
     """
     if z < 3:
         raise ValueError("bv_sum requires z >= 3")
     if B < 0:
         raise ValueError("B must be nonnegative")
+    _check_z(z)
     cutoff = bv_cutoff(z, B)
-    if cutoff < 1:
-        return 0.0
-    sups = pmap(_sup_for_modulus, [(z, m) for m in range(1, cutoff + 1)], workers)
-    return neumaier_sum(sups)
+    return math.fsum(max_discrepancy(z, m).sup_value for m in range(1, cutoff + 1))

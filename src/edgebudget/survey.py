@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import factor
-from .util import fmt9, pmap, round9
-from .witness import RSet, Witness, build_rset, strategy_bv, strategy_smooth
+from .util import compare_power, fmt9, round9
+from .witness import RSet, Witness, build_rset, strategy_bv
 
 SURVEY_CSV_HEADER = "n,strategy,k,p,q,r,score,beta,exceptional"
 
@@ -44,6 +44,11 @@ class SurveyConfig:
             raise ValueError("eps must lie in [0, 1/4)")
         if not (self.use_smooth or self.use_bv):
             raise ValueError("at least one strategy must be enabled")
+
+    def rset(self, x: int) -> RSet:
+        """The RSet over [ceil(c0 x), floor(x/4)]; empty when that interval is."""
+        lo, hi = max(1, math.ceil(self.c0 * x)), x // 4
+        return build_rset(lo, hi, self.alpha) if lo <= hi else RSet(self.alpha, (lo, hi), [])
 
     @property
     def strategies(self) -> tuple[str, ...]:
@@ -150,33 +155,49 @@ class SurveyReport:
         return "\n".join(lines) + "\n"
 
 
-def _examine(n: int, rset: RSet, config: SurveyConfig, lpf: factor.FactorTable | None) -> SurveyRecord:
-    w = None
-    tag = None
-    if config.use_smooth:
-        w = strategy_smooth(n, rset, config.gamma, lpf=lpf)
-        if w is not None:
-            tag = "smooth"
-    if w is None and config.use_bv:
-        w = strategy_bv(n, config.eps)
-        if w is not None:
-            tag = "bv"
-    beta = math.log(w.score) / math.log(n) if w is not None else None
-    return SurveyRecord(n, tag, w, beta)
+def _smooth_scan(n_lo: int, n_hi: int, rset: RSet, gamma: float) -> list[Witness | None]:
+    """``strategy_smooth`` for every n in [n_lo, n_hi] at once.
+
+    Walks the members in increasing order and tests only the n still
+    unresolved, reading P(n - r) from one table covering every difference;
+    each n keeps the first member r with P(n - r) >= n**gamma, exactly as the
+    per-n scan would.
+    """
+    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+    out: list[Witness | None] = [None] * ns.size
+    if not rset.members:
+        return out
+    table = factor.lpf_table(max(1, n_lo - rset.members[-1]), n_hi - rset.members[0])
+    hit = np.full(ns.size, -1, dtype=np.int64)
+    pending = np.arange(ns.size)
+    for i, r in enumerate(rset.members):
+        n = ns[pending]
+        ok = compare_power(table.lpf[n - r - table.lo], n, gamma) >= 0
+        hit[pending[ok]] = i
+        pending = pending[~ok]
+        if not pending.size:
+            break
+    found = np.flatnonzero(hit >= 0)
+    which = hit[found]
+    r = np.asarray(rset.members, dtype=np.int64)[which]
+    q = np.asarray(rset.q, dtype=np.int64)[which]
+    d = ns[found] - r
+    p = table.lpf[d - table.lo]
+    s = np.minimum(np.minimum(p * d, d * r), q * r)
+    # r and q come from the RSet's own lists, so witnesses share those ints
+    for i, h, k, pp, ss in zip(found.tolist(), which.tolist(), (d // p).tolist(), p.tolist(), s.tolist()):
+        out[i] = Witness(k, pp, rset.q[h], rset.members[h], ss)
+    return out
 
 
-def _survey_chunk(args) -> list[SurveyRecord]:
-    n_lo, n_hi, rset, config, lpf = args
-    return [_examine(n, rset, config, lpf) for n in range(n_lo, n_hi + 1)]
-
-
-def survey_range(x: int, config: SurveyConfig | None = None, workers: int = 1) -> SurveyReport:
+def survey_range(x: int, config: SurveyConfig | None = None) -> SurveyReport:
     """Survey every n in [ceil(x/2), x] with the configured strategies.
 
-    Builds the RSet over [ceil(c0 x), floor(x/4)] once, a largest-prime-
-    factor table covering every difference n - r once, and then examines
-    each n. Deterministic for a given config; the worker count only shards
-    the n-range and never changes the report.
+    Builds the RSet over [ceil(c0 x), floor(x/4)] once (empty when that
+    interval is, so every n is smooth-exceptional), finds each n's first
+    smooth witness in one masked scan over the members, and hands the n left
+    over to ``strategy_bv`` when enabled. Runs in one process; deterministic
+    for a given config.
 
     Raises:
         ValueError: if x < 8 or the config is out of range.
@@ -187,26 +208,19 @@ def survey_range(x: int, config: SurveyConfig | None = None, workers: int = 1) -
         config = SurveyConfig()
     config.check()
 
-    r_lo = max(1, math.ceil(config.c0 * x))
-    r_hi = x // 4
-    rset = build_rset(r_lo, r_hi, config.alpha)
     n_lo = -(-x // 2)
-    n_hi = x
-    lpf = None
-    if config.use_smooth and rset.members:
-        lpf = factor.lpf_table(max(1, n_lo - rset.members[-1]), n_hi - rset.members[0])
-
-    if workers > 1:
-        span = n_hi - n_lo + 1
-        step = -(-span // workers)
-        chunks = [
-            (lo, min(lo + step - 1, n_hi), rset, config, lpf)
-            for lo in range(n_lo, n_hi + 1, step)
-        ]
-        parts = pmap(_survey_chunk, chunks, workers)
-        records = [rec for part in parts for rec in part]
+    if config.use_smooth:
+        found = _smooth_scan(n_lo, x, config.rset(x), config.gamma)
     else:
-        records = _survey_chunk((n_lo, n_hi, rset, config, lpf))
+        found = [None] * (x - n_lo + 1)
+    records = []
+    for n, w in zip(range(n_lo, x + 1), found):
+        tag = "smooth" if w is not None else None
+        if w is None and config.use_bv:
+            w = strategy_bv(n, config.eps)
+            tag = "bv" if w is not None else None
+        beta = math.log(w.score) / math.log(n) if w is not None else None
+        records.append(SurveyRecord(n, tag, w, beta))
     return SurveyReport(x, config, records)
 
 

@@ -1,65 +1,40 @@
-"""Shared numeric plumbing: compensated summation, guarded real-exponent
-comparisons, 9-significant-digit serialization, and a fork-based map."""
+"""Shared numeric plumbing: guarded real-exponent comparisons and
+9-significant-digit serialization."""
 
-import math
-import multiprocessing
-import os
 from fractions import Fraction
 
-THREADS_ENV = "EDGEBUDGET_THREADS"
+import numpy as np
 
 
-class RunningSum:
-    """Neumaier-compensated accumulator for double-precision sums."""
-
-    __slots__ = ("_total", "_comp")
-
-    def __init__(self):
-        self._total = 0.0
-        self._comp = 0.0
-
-    def add(self, x: float) -> None:
-        t = self._total + x
-        if abs(self._total) >= abs(x):
-            self._comp += (self._total - t) + x
-        else:
-            self._comp += (x - t) + self._total
-        self._total = t
-
-    @property
-    def value(self) -> float:
-        return self._total + self._comp
-
-
-def neumaier_sum(values) -> float:
-    """Compensated sum of an iterable of floats, in iteration order."""
-    acc = RunningSum()
-    for x in values:
-        acc.add(x)
-    return acc.value
-
-
-def compare_power(value: int, base: int, exponent: float, guard: float = 1e-12) -> int:
+def compare_power(value, base, exponent: float, guard: float = 1e-12):
     """Sign of ``value - base**exponent`` for integers value >= 0, base >= 1.
 
-    Compares logarithms in double precision; when the two sides land inside a
-    relative guard band the comparison is settled exactly with integer powers,
+    Works elementwise: value and base may be integers or integer arrays
+    (broadcast together). Two scalars give an int, anything else a 1-d int8
+    array of signs.
+
+    Compares logarithms in double precision; entries whose two sides land
+    inside a relative guard band are settled exactly with integer powers,
     treating the exponent as a small-denominator fraction. This keeps
     threshold tests like P(r-1) > r**alpha stable at boundary values.
     """
-    if value <= 0:
-        return -1
-    lhs = math.log(value)
-    rhs = exponent * math.log(base)
-    band = guard * max(1.0, abs(rhs))
-    if lhs < rhs - band:
-        return -1
-    if lhs > rhs + band:
-        return 1
-    frac = Fraction(exponent).limit_denominator(1_000_000)
-    left = value ** frac.denominator
-    right = base ** frac.numerator
-    return (left > right) - (left < right)
+    values, bases = np.broadcast_arrays(np.atleast_1d(value), np.atleast_1d(base))
+    fvalues = values.astype(np.float64)
+    lhs = np.log(np.maximum(fvalues, 1.0))  # value <= 0 is decided below, without log(0)
+    rhs = exponent * np.log(bases.astype(np.float64))
+    band = guard * np.maximum(1.0, np.abs(rhs))
+    sign = (lhs > rhs + band).astype(np.int8) - (lhs < rhs - band)
+    sign[fvalues <= 0] = -1
+    inside = np.flatnonzero(sign == 0)
+    if inside.size:
+        frac = Fraction(exponent).limit_denominator(1_000_000)
+        for i in inside.tolist():
+            left = int(values[i]) ** frac.denominator
+            right = int(bases[i]) ** frac.numerator
+            sign[i] = (left > right) - (left < right)
+    if np.ndim(value) == 0 and np.ndim(base) == 0:
+        return int(sign[0])
+    return sign
 
 
 def round9(x: float) -> float:
@@ -70,26 +45,3 @@ def round9(x: float) -> float:
 def fmt9(x: float) -> str:
     """Render a float with 9 significant digits."""
     return f"{x:.9g}"
-
-
-def default_workers() -> int:
-    """Worker count from the environment, defaulting to 1 (sequential)."""
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def pmap(fn, items, workers: int = 1) -> list:
-    """Map preserving input order; uses a process pool when workers > 1.
-
-    Results are identical to the sequential path: parallelism only shards the
-    work, the reduction order stays fixed.
-    """
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with multiprocessing.Pool(processes=min(workers, len(items))) as pool:
-        return pool.map(fn, items)

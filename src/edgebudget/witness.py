@@ -44,12 +44,18 @@ class RSet:
     """Primes r in an interval whose shifted value r - 1 is rough.
 
     Members are exactly the primes r in [lo, hi] with P(r-1) > r**alpha,
-    in increasing order.
+    in increasing order; ``q[i]`` is P(members[i] - 1). When q is not given
+    it is factored from the members.
     """
 
     alpha: float
     interval: tuple[int, int]
     members: list[int]
+    q: list[int] | None = None
+
+    def __post_init__(self):
+        if self.q is None:
+            object.__setattr__(self, "q", [factor.largest_prime_factor(r - 1) for r in self.members])
 
     def __len__(self) -> int:
         return len(self.members)
@@ -243,8 +249,8 @@ def strategy_bv(n: int, eps: float = 0.05) -> Witness | None:
 def build_rset(lo: int, hi: int, alpha: float) -> RSet:
     """The complete RSet over [lo, hi]: primes r with P(r-1) > r**alpha.
 
-    The threshold test compares logarithms with a relative guard band of
-    1e-12, falling back to exact integer power comparison inside the band.
+    One largest-prime-factor table over the shifted primes supplies every
+    P(r-1); the threshold test is ``compare_power`` over the whole array.
 
     Raises:
         ValueError: if lo > hi, lo < 1, or alpha is outside (0, 1].
@@ -255,45 +261,34 @@ def build_rset(lo: int, hi: int, alpha: float) -> RSet:
         raise ValueError(f"empty interval: lo={lo} > hi={hi}")
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
-    primes = sieve.primes_in(lo, hi).primes.tolist()
-    members: list[int] = []
-    if primes:
-        shifted = factor.lpf_table(max(1, primes[0] - 1), primes[-1] - 1)
-        for r in primes:
-            if compare_power(shifted[r - 1], r, alpha) > 0:
-                members.append(r)
-    return RSet(alpha, (lo, hi), members)
+    primes = sieve.primes_in(lo, hi).primes
+    shifted = factor.lpf_table(max(1, lo - 1), max(1, hi - 1))
+    q = shifted.lpf[primes - 1 - shifted.lo]
+    keep = compare_power(q, primes, alpha) > 0
+    return RSet(alpha, (lo, hi), primes[keep].tolist(), q[keep].tolist())
 
 
-def strategy_smooth(
-    n: int,
-    rset: RSet,
-    gamma: float,
-    lpf: factor.FactorTable | None = None,
-) -> Witness | None:
+def strategy_smooth(n: int, rset: RSet, gamma: float) -> Witness | None:
     """Witness search through rough shifted primes.
 
     Scans the RSet in increasing order for the first member r with
-    P(n - r) >= n**gamma (same guarded comparison as ``build_rset``). On a
-    hit, p = P(n-r), q = P(r-1) and k = (n-r)/p form a witness that always
-    validates. Returns None when no member qualifies: n is exceptional for
-    this rset and gamma.
-
-    An optional FactorTable covering the differences n - r avoids pointwise
-    factoring in bulk runs.
+    P(n - r) >= n**gamma (the guarded ``compare_power`` test). On a hit,
+    p = P(n-r), q = P(r-1) (stored in the RSet) and k = (n-r)/p form a
+    witness that always validates. Returns None when no member qualifies:
+    n is exceptional for this rset and gamma.
 
     Raises:
-        ValueError: if gamma is outside (0, 1] or some member is >= n.
+        ValueError: if n < 1, gamma is outside (0, 1] or some member is >= n.
     """
+    if n < 1:
+        raise ValueError("strategy_smooth requires n >= 1")
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")
     if rset.members and rset.members[-1] >= n:
         raise ValueError("every rset member must lie below n")
-    for r in rset.members:
+    for r, q in zip(rset.members, rset.q):
         d = n - r
-        p = lpf[d] if lpf is not None else factor.largest_prime_factor(d)
-        if p and compare_power(p, n, gamma) >= 0:
-            q = factor.largest_prime_factor(r - 1)
-            s = min(p * d, d * r, q * r)
-            return Witness(d // p, p, q, r, s)
+        p = factor.largest_prime_factor(d)
+        if compare_power(p, n, gamma) >= 0:
+            return Witness(d // p, p, q, r, min(p * d, d * r, q * r))
     return None

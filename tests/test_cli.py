@@ -41,6 +41,17 @@ def test_witness_smooth_empty_rset_exits_2(capsys):
     assert json.loads(out)["witness"] is None
 
 
+def test_witness_smooth_checks_c0_like_survey(capsys):
+    for c0 in ("0", "-2", "0.3"):
+        code, out, err = run(capsys, "witness-smooth", "--n", "100", "--c0", c0)
+        assert code == EXIT_ERROR and "c0 must lie in (0, 1/4)" in err and out == "", c0
+    # a valid c0 over an empty interval [1, 0]: no witness, as for f-exact and witness-bv
+    code, out, _ = run(capsys, "witness-smooth", "--n", "3")
+    assert code == EXIT_NO_WITNESS and json.loads(out)["witness"] is None
+    code, out, err = run(capsys, "witness-smooth", "--n", "0")
+    assert code == EXIT_ERROR and out == ""
+
+
 def test_witness_bv_json_and_verify_round_trip(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "witness-bv", "--n", "10000", "--eps", "0")
     assert code == EXIT_OK

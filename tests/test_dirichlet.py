@@ -1,10 +1,12 @@
 import math
+import random
+from functools import lru_cache
 from math import fsum, gcd
 
 import pytest
 
-from edgebudget import bv_sum, euler_phi, mangoldt_weight, max_discrepancy, psi
-from edgebudget.dirichlet import DISCREPANCY_CSV_HEADER
+from edgebudget import bv_sum, euler_phi, mangoldt_weight, max_discrepancy, primes_in, psi
+from edgebudget.dirichlet import DISCREPANCY_CSV_HEADER, MAX_Z, DiscrepancyRecord
 
 
 def brute_force_sup(z, m):
@@ -30,6 +32,7 @@ def test_psi_examples():
     assert psi(10, 3, 1) == pytest.approx(math.log(14), abs=1e-9)
     assert psi(1, 7, 3) == 0.0
     assert psi(0.5, 1, 0) == 0.0
+    assert psi(10, 10**20, 7) == math.log(7)  # a modulus beyond int64
 
 
 def test_psi_rejects_bad_arguments():
@@ -120,8 +123,71 @@ def test_bv_sum_rejects_bad_arguments():
         bv_sum(10, -1)
 
 
-def test_bv_sum_worker_count_never_changes_values():
-    assert bv_sum(1000, 1, workers=2) == bv_sum(1000, 1, workers=1)
+@lru_cache(maxsize=None)
+def reference_jumps(top):
+    out = []
+    for p in primes_in(2, top).primes.tolist() if top >= 2 else []:
+        j = p
+        while j <= top:
+            out.append((j, math.log(p)))
+            j *= p
+    return sorted(out)
+
+
+def reference_max_discrepancy(z, m):
+    """Per-class loop over the jumps with a Neumaier running sum, first strict maximum wins."""
+    inv_phi = 1.0 / euler_phi(m)
+    residues = [0] if m == 1 else [a for a in range(1, m) if gcd(a, m) == 1]
+    by_class = {a: [] for a in residues}
+    for j, lg in reference_jumps(math.floor(z)):
+        if j % m in by_class:
+            by_class[j % m].append((j, lg))
+    sup, worst_a, worst_y, left = -1.0, residues[0], float(z), False
+    for a in residues:
+        total = comp = 0.0
+        for j, lg in by_class[a]:
+            target = j * inv_phi
+            v = abs((total + comp) - target)
+            if v > sup:
+                sup, worst_a, worst_y, left = v, a, float(j), True
+            t = total + lg
+            if abs(total) >= abs(lg):
+                comp += (total - t) + lg
+            else:
+                comp += (lg - t) + total
+            total = t
+            v = abs((total + comp) - target)
+            if v > sup:
+                sup, worst_a, worst_y, left = v, a, float(j), False
+        v = abs((total + comp) - z * inv_phi)
+        if v > sup:
+            sup, worst_a, worst_y, left = v, a, float(z), False
+    return DiscrepancyRecord(m, worst_a, worst_y, sup, left)
+
+
+def test_max_discrepancy_matches_reference_loop_small_z():
+    for m in range(1, 61):
+        assert max_discrepancy(1e4, m) == reference_max_discrepancy(1e4, m), m
+    # tiny z: candidates tie exactly (e.g. a left limit j/phi(m) and an endpoint z/phi(m))
+    for z in (k / 2 for k in range(2, 81)):
+        for m in range(1, 13):
+            assert max_discrepancy(z, m) == reference_max_discrepancy(z, m), (z, m)
+
+
+def test_max_discrepancy_matches_reference_loop_large_z():
+    rng = random.Random(61)
+    for _ in range(20):
+        z, m = rng.uniform(5.8e5, 6.2e5), rng.randrange(1000, 10_001)
+        assert max_discrepancy(z, m) == reference_max_discrepancy(z, m), (z, m)
+
+
+def test_discrepancy_kernels_reject_z_beyond_exact_limit():
+    with pytest.raises(ValueError):
+        max_discrepancy(MAX_Z + 1, 3)
+    with pytest.raises(ValueError):
+        psi(MAX_Z + 1, 3, 1)
+    with pytest.raises(ValueError):
+        bv_sum(MAX_Z + 1, 1)
 
 
 def test_discrepancy_csv_row():

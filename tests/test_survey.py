@@ -6,11 +6,15 @@ import pytest
 
 from edgebudget import (
     PRESETS,
+    RSet,
     SurveyConfig,
     Witness,
     bs_max_pdiff,
+    build_rset,
     exponent_stats,
     rset_density,
+    strategy_bv,
+    strategy_smooth,
     survey_range,
     validate,
 )
@@ -100,9 +104,45 @@ def test_survey_rejects_bad_input():
         survey_range(100, SurveyConfig(use_smooth=False, use_bv=False))
 
 
-def test_survey_worker_count_never_changes_records():
-    config = SurveyConfig()
-    assert survey_range(500, config, workers=2).records == survey_range(500, config).records
+def per_n_survey(x, config):
+    """The per-n path: strategy_smooth on the RSet, then strategy_bv, one n at a time."""
+    lo, hi = max(1, math.ceil(config.c0 * x)), x // 4
+    rset = build_rset(lo, hi, config.alpha) if lo <= hi else RSet(config.alpha, (lo, hi), [])
+    records = []
+    for n in range(-(-x // 2), x + 1):
+        w, tag = None, None
+        if config.use_smooth:
+            w = strategy_smooth(n, rset, config.gamma)
+            tag = "smooth" if w is not None else None
+        if w is None and config.use_bv:
+            w = strategy_bv(n, config.eps)
+            tag = "bv" if w is not None else None
+        beta = math.log(w.score) / math.log(n) if w is not None else None
+        records.append(SurveyRecord(n, tag, w, beta))
+    return records
+
+
+def test_survey_matches_per_n_strategies():
+    rng = random.Random(17)
+    configs = (
+        PRESETS["corollary-1"],
+        PRESETS["corollary-2"],
+        SurveyConfig(alpha=0.5, gamma=0.5, c0=0.2, use_bv=True),
+    )
+    # at x = 12, gamma = 0.5: n = 9 is settled by P(n - r) = 3 = n**gamma exactly
+    for x in [8, 12, 3000] + [rng.randrange(8, 3001) for _ in range(6)]:
+        for config in configs:
+            assert survey_range(x, config).records == per_n_survey(x, config), (x, config)
+
+
+def test_survey_with_empty_rset_interval():
+    # ceil(0.249 * 101) = 26 > 25 = floor(101 / 4): the RSet is empty, not an error
+    config = SurveyConfig(c0=0.249)
+    report = survey_range(101, config)
+    assert report.exceptional_count == 101 - 51 + 1
+    both = survey_range(101, SurveyConfig(c0=0.249, use_bv=True))
+    assert [rec.witness for rec in both.records] == [strategy_bv(n, 0.05) for n in range(51, 102)]
+    assert both.records == per_n_survey(101, both.config)
 
 
 def test_presets():

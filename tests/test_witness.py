@@ -8,7 +8,6 @@ from edgebudget import (
     build_rset,
     crt_pair,
     f_exact,
-    lpf_table,
     make_witness,
     score,
     strategy_bv,
@@ -271,12 +270,6 @@ def test_strategy_smooth_worked_example():
 
 def test_strategy_smooth_empty_rset():
     assert strategy_smooth(100, RSet(0.5, (5, 25), []), 0.5) is None
-
-
-def test_strategy_smooth_accepts_factor_table():
-    rset = build_rset(5, 25, 0.5)
-    table = lpf_table(1, 100)
-    assert strategy_smooth(100, rset, 0.5, lpf=table) == strategy_smooth(100, rset, 0.5)
 
 
 def test_strategy_smooth_rejects_members_at_or_above_n():
