@@ -36,8 +36,8 @@ JSON or CSV; see the repository README.
 """
 
 from .dirichlet import DiscrepancyRecord, bv_sum, max_discrepancy, psi
-from .factor import FactorTable, euler_phi, largest_prime_factor, lpf_table
-from .sieve import PrimeInterval, is_prime, mangoldt_weight, primes_in
+from .factor import FactorTable, euler_phi, largest_prime_factor, lpf_table, mangoldt_weight
+from .sieve import PrimeInterval, is_prime, primes_in
 from .survey import (
     PRESETS,
     SurveyConfig,

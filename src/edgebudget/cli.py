@@ -8,6 +8,7 @@ not validate. Scripts sweeping ranges can rely on 2 never signalling a crash.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import random
@@ -22,6 +23,7 @@ EXIT_NO_WITNESS = 2
 
 WITNESS_CSV_HEADER = "n,strategy,k,p,q,r,score"
 PRESET_NAMES = tuple(survey.PRESETS)
+DEFAULTS = survey.SurveyConfig()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,15 +88,7 @@ def _cmd_witness_smooth(args) -> int:
 
 def _survey_config(args) -> survey.SurveyConfig:
     if args.preset is not None:
-        base = survey.PRESETS[args.preset]
-        return survey.SurveyConfig(
-            alpha=base.alpha,
-            gamma=base.gamma,
-            c0=args.c0,
-            eps=args.eps,
-            use_smooth=base.use_smooth,
-            use_bv=base.use_bv,
-        )
+        return dataclasses.replace(survey.PRESETS[args.preset], c0=args.c0, eps=args.eps)
     names = args.strategies.split(",")
     for name in names:
         if name not in ("smooth", "bv"):
@@ -219,10 +213,12 @@ def _cmd_verify(args) -> int:
     # only JSON integers certify: bool is an int subclass, and floats and strings would coerce
     if any(type(v) is not int for v in values):
         raise ValueError("n, k, p, q, r and score must be JSON integers")
-    k, p, q, r = fields
-    w = witness.Witness(k, p, q, r, stored if stored is not None else min(p * p * k, p * k * r, q * r))
+    w = witness.Witness(*fields, stored if stored is not None else witness.unchecked_score(*fields))
     ok = witness.validate(n, w)
-    _write(_json_dumps({"n": n, "valid": ok}) + "\n", args.output)
+    if args.format == "json":
+        _write(_json_dumps({"n": n, "valid": ok}) + "\n", args.output)
+    else:
+        _write(f"n,valid\n{n},{1 if ok else 0}\n", args.output)
     return EXIT_OK if ok else EXIT_NO_WITNESS
 
 
@@ -237,6 +233,10 @@ def build_parser() -> _Parser:
     def threads(p):  # kept for compatibility: every subcommand runs in one process
         p.add_argument("--threads", type=int, help="accepted and ignored")
 
+    def knobs(p, *names):  # defaults shared with survey.SurveyConfig
+        for name in names:
+            p.add_argument(f"--{name}", type=float, default=getattr(DEFAULTS, name))
+
     p = sub.add_parser("f-exact", help="exact edge budget f(n) with a maximizing witness")
     p.add_argument("--n", type=int, required=True)
     common(p)
@@ -244,24 +244,19 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("witness-bv", help="progression-based witness search")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eps", type=float, default=0.05)
+    knobs(p, "eps")
     common(p)
     p.set_defaults(fn=_cmd_witness_bv)
 
     p = sub.add_parser("witness-smooth", help="rough-shifted-prime witness search")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=0.677)
-    p.add_argument("--gamma", type=float, default=0.677)
-    p.add_argument("--c0", type=float, default=0.05)
+    knobs(p, "alpha", "gamma", "c0")
     common(p)
     p.set_defaults(fn=_cmd_witness_smooth)
 
     p = sub.add_parser("survey", help="witness survey over [x/2, x]")
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=0.677)
-    p.add_argument("--gamma", type=float, default=0.677)
-    p.add_argument("--c0", type=float, default=0.05)
-    p.add_argument("--eps", type=float, default=0.05)
+    knobs(p, "alpha", "gamma", "c0", "eps")
     p.add_argument("--strategies", default="smooth", help="comma list from {smooth,bv}")
     p.add_argument("--preset", choices=sorted(PRESET_NAMES), default=None)
     common(p)

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import factor, sieve
+from . import sieve
 from .util import fmt9
 
 MAX_Z = 2**31
@@ -140,10 +140,10 @@ def max_discrepancy(z: float, m: int) -> DiscrepancyRecord:
     if z < 1:
         raise ValueError("z must be at least 1")
     _check_z(z)
-    inv_phi = 1.0 / factor.euler_phi(m)
     jumps = prime_power_jumps(z)
     coprime = np.gcd(np.arange(m), m) == 1  # only class 0 when m = 1
     residues = np.flatnonzero(coprime)
+    inv_phi = 1.0 / residues.size  # residues.size == phi(m)
     cls = jumps["j"] % m
     keep = np.flatnonzero(coprime[cls])
     order = keep[np.argsort(cls[keep].astype(np.min_scalar_type(m - 1)), kind="stable")]
@@ -180,8 +180,14 @@ def max_discrepancy(z: float, m: int) -> DiscrepancyRecord:
 
 
 def bv_cutoff(z: float, B: float) -> int:
-    """The largest modulus ``bv_sum`` averages over: floor(sqrt(z) / (log z)**B)."""
-    return math.floor(math.sqrt(z) / math.log(z) ** B)
+    """The largest modulus ``bv_sum`` averages over: floor(sqrt(z) / (log z)**B).
+
+    0 when (log z)**B overflows a double: with z >= 3 the quotient is then below 1.
+    """
+    try:
+        return math.floor(math.sqrt(z) / math.log(z) ** B)
+    except OverflowError:
+        return 0
 
 
 def bv_sum(z: float, B: float) -> float:
@@ -192,12 +198,12 @@ def bv_sum(z: float, B: float) -> float:
     the correctly rounded sum, so the result is independent of their order.
 
     Raises:
-        ValueError: if z < 3, z > MAX_Z, or B < 0.
+        ValueError: if z < 3, z > MAX_Z, or B is negative or not finite.
     """
     if z < 3:
         raise ValueError("bv_sum requires z >= 3")
-    if B < 0:
-        raise ValueError("B must be nonnegative")
+    if not 0 <= B < math.inf:
+        raise ValueError("B must be finite and nonnegative")
     _check_z(z)
     cutoff = bv_cutoff(z, B)
     return math.fsum(max_discrepancy(z, m).sup_value for m in range(1, cutoff + 1))

@@ -1,12 +1,15 @@
-"""Largest-prime-factor machinery and the Euler totient.
+"""Pointwise factoring and what it yields: P(k), Euler's totient, Lambda(n).
 
-P(k) denotes the largest prime dividing k, with P(1) = 0. Pointwise values
-use trial division by primes up to 10**4, a deterministic primality check on
-the cofactor, and Brent-cycle Pollard rho (with an input-derived seed, so the
-output is reproducible) for composite cofactors. Bulk values over an interval
-come from a segmented sieve that divides out every prime up to sqrt(hi).
+P(k) denotes the largest prime dividing k, with P(1) = 0. One pointwise
+factorizer, ``_prime_factors``, serves P(k), phi(m) and the von Mangoldt
+weight: trial division by primes up to 10**4, a deterministic primality check
+on the cofactor, and Brent-cycle Pollard rho (with an input-derived seed, so
+the output is reproducible) for composite cofactors. Bulk values of P over an
+interval come from a segmented sieve that divides out every prime up to
+sqrt(hi).
 """
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -17,14 +20,10 @@ from . import sieve
 
 TRIAL_LIMIT = 10_000
 
-_small_primes_cache: list[int] | None = None
 
-
+@functools.cache
 def _small_primes() -> list[int]:
-    global _small_primes_cache
-    if _small_primes_cache is None:
-        _small_primes_cache = sieve.primes_in(2, TRIAL_LIMIT).primes.tolist()
-    return _small_primes_cache
+    return sieve.primes_in(2, TRIAL_LIMIT).primes.tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,6 +92,22 @@ def _rough_prime_factors(m: int) -> set[int]:
     return _rough_prime_factors(d) | _rough_prime_factors(m // d)
 
 
+def _prime_factors(k: int) -> list[int]:
+    """The distinct primes dividing k >= 1, ascending ([] for k = 1)."""
+    out = []
+    for p in _small_primes():
+        if p * p > k:
+            break
+        if k % p == 0:
+            out.append(p)
+            while k % p == 0:
+                k //= p
+    if k > 1:
+        # k is prime, or composite with every prime factor above TRIAL_LIMIT
+        out.extend(sorted(_rough_prime_factors(k)))
+    return out
+
+
 def largest_prime_factor(k: int) -> int:
     """P(k): the largest prime dividing k, with P(1) = 0.
 
@@ -101,21 +116,7 @@ def largest_prime_factor(k: int) -> int:
     """
     if k < 1:
         raise ValueError("largest_prime_factor requires k >= 1")
-    if k == 1:
-        return 0
-    best = 0
-    m = k
-    for p in _small_primes():
-        if p * p > m:
-            break
-        if m % p == 0:
-            best = p
-            while m % p == 0:
-                m //= p
-    if m > 1:
-        # m is prime, or composite with every prime factor above TRIAL_LIMIT
-        return max(best, *_rough_prime_factors(m))
-    return best
+    return _prime_factors(k)[-1] if k > 1 else 0
 
 
 def euler_phi(m: int) -> int:
@@ -123,18 +124,17 @@ def euler_phi(m: int) -> int:
     if m < 1:
         raise ValueError("euler_phi requires m >= 1")
     result = m
-    n = m
-    for p in _small_primes():
-        if p * p > n:
-            break
-        if n % p == 0:
-            result -= result // p
-            while n % p == 0:
-                n //= p
-    if n > 1:
-        for p in _rough_prime_factors(n):
-            result -= result // p
+    for p in _prime_factors(m):
+        result -= result // p
     return result
+
+
+def mangoldt_weight(n: int) -> float:
+    """Von Mangoldt Lambda(n): log p when n = p**j for prime p, else 0.0."""
+    if n < 1:
+        raise ValueError("mangoldt_weight requires n >= 1")
+    primes = _prime_factors(n)
+    return math.log(primes[0]) if len(primes) == 1 else 0.0
 
 
 def lpf_table(lo: int, hi: int, segment_length: int = sieve.DEFAULT_SEGMENT_LENGTH) -> FactorTable:

@@ -1,8 +1,9 @@
-"""Prime generation, deterministic 64-bit primality, and von Mangoldt weights.
+"""Prime generation and deterministic 64-bit primality.
 
 The arithmetic substrate for everything else in the package: a segmented
-sieve of Eratosthenes with bounded memory, a strong-pseudoprime test that is
-deterministic over the full 64-bit range, and pointwise Lambda(n).
+sieve of Eratosthenes with bounded memory and a strong-pseudoprime test that
+is deterministic over the full 64-bit range. Pointwise factoring, and with it
+the von Mangoldt weight Lambda(n), lives in ``factor``.
 """
 
 import math
@@ -111,34 +112,3 @@ def primes_in(lo: int, hi: int, segment_length: int = DEFAULT_SEGMENT_LENGTH) ->
         chunks.append((seg_lo + np.nonzero(mask)[0]).astype(np.int64))
     primes = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
     return PrimeInterval(lo, hi, primes)
-
-
-def _smallest_factor(n: int) -> int:
-    """Smallest prime factor of a composite n (trial division to sqrt)."""
-    if n % 2 == 0:
-        return 2
-    if n % 3 == 0:
-        return 3
-    d = 5
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        if n % (d + 2) == 0:
-            return d + 2
-        d += 6
-    return n
-
-
-def mangoldt_weight(n: int) -> float:
-    """Von Mangoldt Lambda(n): log p when n = p**j for prime p, else 0.0."""
-    if n < 1:
-        raise ValueError("mangoldt_weight requires n >= 1")
-    if n == 1:
-        return 0.0
-    if is_prime(n):
-        return math.log(n)
-    p = _smallest_factor(n)
-    m = n
-    while m % p == 0:
-        m //= p
-    return math.log(p) if m == 1 else 0.0

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import factor
 from .util import compare_power, fmt9, round9
-from .witness import RSet, Witness, build_rset, strategy_bv
+from .witness import RSet, Witness, build_rset, prime_r_scores, strategy_bv
 
 SURVEY_CSV_HEADER = "n,strategy,k,p,q,r,score,beta,exceptional"
 
@@ -179,13 +179,11 @@ def _smooth_scan(n_lo: int, n_hi: int, rset: RSet, gamma: float) -> list[Witness
             break
     found = np.flatnonzero(hit >= 0)
     which = hit[found]
-    r = np.asarray(rset.members, dtype=np.int64)[which]
-    q = np.asarray(rset.q, dtype=np.int64)[which]
-    d = ns[found] - r
-    p = table.lpf[d - table.lo]
-    s = np.minimum(np.minimum(p * d, d * r), q * r)
+    n, r = ns[found], np.asarray(rset.members, dtype=np.int64)[which]
+    p, s = prime_r_scores(n, r, np.asarray(rset.q, dtype=np.int64)[which], table)
+    rows = zip(found.tolist(), which.tolist(), ((n - r) // p).tolist(), p.tolist(), s.tolist())
     # r and q come from the RSet's own lists, so witnesses share those ints
-    for i, h, k, pp, ss in zip(found.tolist(), which.tolist(), (d // p).tolist(), p.tolist(), s.tolist()):
+    for i, h, k, pp, ss in rows:
         out[i] = Witness(k, pp, rset.q[h], rset.members[h], ss)
     return out
 

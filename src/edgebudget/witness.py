@@ -61,6 +61,24 @@ class RSet:
         return len(self.members)
 
 
+def unchecked_score(k: int, p: int, q: int, r: int) -> int:
+    """min{p^2 k, p k r, q r} with no checks; exact for Python ints of any size."""
+    return min(p * p * k, p * k * r, q * r)
+
+
+def prime_r_scores(n, r: np.ndarray, q: np.ndarray, table: factor.FactorTable):
+    """(p, scores) with p = P(n - r) for primes r < n and q = P(r-1).
+
+    The int64 array form of ``unchecked_score`` with k p = n - r, shared by
+    ``f_exact`` and the survey's smooth scan; p is read from ``table``, which
+    must cover every n - r. Each product is below n**2, so the scores are
+    exact for n <= F_EXACT_MAX_N.
+    """
+    d = n - r
+    p = table.lpf[d - table.lo]
+    return p, np.minimum(np.minimum(p * d, d * r), q * r)
+
+
 def score(k: int, p: int, q: int, r: int) -> int:
     """min{p^2 k, p k r, q r} for a candidate quadruple.
 
@@ -74,7 +92,7 @@ def score(k: int, p: int, q: int, r: int) -> int:
     for v in (p, q, r):
         if not sieve.is_prime(v):
             raise ValueError(f"invalid witness: {v} is not prime")
-    return min(p * p * k, p * k * r, q * r)
+    return unchecked_score(k, p, q, r)
 
 
 def make_witness(k: int, p: int, q: int, r: int) -> Witness:
@@ -99,7 +117,7 @@ def validate(n: int, w: Witness) -> bool:
     """
     try:
         k, p, q, r, s = (_exact_int(v) for v in (w.k, w.p, w.q, w.r, w.score))
-    except (AttributeError, TypeError, ValueError):
+    except (AttributeError, TypeError, ValueError, OverflowError):  # int(inf) overflows
         return False
     if k < 1 or p < 2 or q < 2 or r < 3:
         return False
@@ -110,7 +128,7 @@ def validate(n: int, w: Witness) -> bool:
             return False
     except ValueError:  # outside is_prime's range: primality cannot be certified
         return False
-    return s == min(p * p * k, p * k * r, q * r)
+    return s == unchecked_score(k, p, q, r)
 
 
 def witness_json(n: int, w: Witness, strategy: str) -> dict:
@@ -153,10 +171,10 @@ def f_exact(n: int) -> tuple[int, Witness | None]:
         raise ValueError(f"f_exact supports n <= {F_EXACT_MAX_N}")
     if n < 5:
         return 0, None
-    lpf = factor.lpf_table(1, n - 1).lpf  # lpf[v - 1] == P(v)
+    table = factor.lpf_table(1, n - 1)
+    lpf = table.lpf  # lpf[v - 1] == P(v)
     r = np.flatnonzero(lpf[2 : n - 2] == np.arange(3, n - 1)) + 3
-    d = n - r
-    scores = np.minimum(np.minimum(lpf[d - 1] * d, d * r), lpf[r - 2] * r)
+    _, scores = prime_r_scores(n, r, lpf[r - 2], table)
     best = int(scores.max())
     p, k, top = min(_first_split(n, v, best, lpf) for v in r[scores == best].tolist())
     return best, Witness(k, p, int(lpf[top - 2]), top, best)
@@ -237,11 +255,10 @@ def strategy_bv(n: int, eps: float = 0.05) -> Witness | None:
             r = _first_in_progression(a, modulus, r_lo)
             while r <= r_hi:
                 if r >= 3 and sieve.is_prime(r):
-                    kp = n - r
-                    if kp < p:
+                    k = (n - r) // p
+                    if k < 1:
                         break
-                    s = min(p * kp, kp * r, q * r)
-                    return Witness(kp // p, p, q, r, s)
+                    return Witness(k, p, q, r, unchecked_score(k, p, q, r))
                 r += modulus
     return None
 
@@ -290,5 +307,6 @@ def strategy_smooth(n: int, rset: RSet, gamma: float) -> Witness | None:
         d = n - r
         p = factor.largest_prime_factor(d)
         if compare_power(p, n, gamma) >= 0:
-            return Witness(d // p, p, q, r, min(p * d, d * r, q * r))
+            k = d // p
+            return Witness(k, p, q, r, unchecked_score(k, p, q, r))
     return None

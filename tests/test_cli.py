@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -83,6 +84,8 @@ def test_verify_rejects_corrupted_witness(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--input", str(path))
     assert code == EXIT_NO_WITNESS
     assert json.loads(out) == {"n": 10000, "valid": False}
+    code, out, _ = run(capsys, "verify", "--input", str(path), "--format", "csv")
+    assert (code, out) == (EXIT_NO_WITNESS, "n,valid\n10000,0\n")
     # p beyond the 2**64 primality range cannot be certified
     path.write_text(json.dumps({"n": 2**64 + 16, "k": 1, "p": 2**64 + 13, "q": 2, "r": 3, "score": 6}))
     code, out, _ = run(capsys, "verify", "--input", str(path))
@@ -129,6 +132,17 @@ def test_psi_and_discrepancy_and_bv_sum(capsys):
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["cutoff"] == 1 and doc["sum"] == pytest.approx(2.90565544)
+
+
+def test_bv_sum_extreme_b(capsys):
+    # a non-finite B is rejected; Infinity or NaN would not be JSON
+    for b in ("inf", "nan"):
+        code, out, err = run(capsys, "bv-sum", "--z", "1000", "--B", b)
+        assert code == EXIT_ERROR and "B must be" in err and out == "", b
+    # (log z)**B overflows a double: the cutoff is below 1 and the sum empty
+    code, out, _ = run(capsys, "bv-sum", "--z", "1000", "--B", "1e308")
+    assert code == EXIT_OK
+    assert out == '{"z":1000.0,"B":1e+308,"cutoff":0,"sum":0.0}\n'
 
 
 def test_survey_writes_report_file(capsys, tmp_path):
@@ -200,3 +214,64 @@ def test_usage_errors_exit_1_not_2():
     with pytest.raises(SystemExit) as info:
         main(["f-exact"])  # missing --n
     assert info.value.code == EXIT_ERROR
+
+
+# Every subcommand in both formats at small inputs: (argv, exit code, stdout).
+# The survey report is long, so it is pinned by the sha256 of its bytes.
+GOLDEN = [
+    (("f-exact", "--n", "100", "--format", "json"), 0,
+     '{"n":100,"value":1681,"witness":{"k":1,"p":41,"q":29,"r":59,"score":1681,"strategy":"exact"}}\n'),
+    (("f-exact", "--n", "100", "--format", "csv"), 0,
+     "n,strategy,k,p,q,r,score\n100,exact,1,41,29,59,1681\n"),
+    (("witness-bv", "--n", "1000000", "--format", "json"), 0,
+     '{"n":1000000,"k":43999,"p":17,"q":19,"r":252017,"score":4788323,"strategy":"bv"}\n'),
+    (("witness-bv", "--n", "1000000", "--format", "csv"), 0,
+     "n,strategy,k,p,q,r,score\n1000000,bv,43999,17,19,252017,4788323\n"),
+    (("witness-smooth", "--n", "60000", "--format", "json"), 0,
+     '{"n":60000,"k":19,"p":2999,"q":503,"r":3019,"score":1518557,"strategy":"smooth"}\n'),
+    (("witness-smooth", "--n", "60000", "--format", "csv"), 0,
+     "n,strategy,k,p,q,r,score\n60000,smooth,19,2999,503,3019,1518557\n"),
+    (("survey", "--x", "300", "--strategies", "smooth,bv", "--format", "json"), 0,
+     "sha256:2ffc1683056b6f376177d55b345eb27b2bf32b671777345e3ee7a179c22095f2"),
+    (("survey", "--x", "300", "--strategies", "smooth,bv", "--format", "csv"), 0,
+     "sha256:27a44ac237ea609edf642ded1bceb6c026c24d38a7a6a81a36f59cc63d0350a2"),
+    (("rset-density", "--z", "1000", "--alpha", "0.6", "--format", "json"), 0,
+     '{"z":1000,"alpha":0.6,"count":62,"ratio":0.428280827}\n'),
+    (("rset-density", "--z", "1000", "--alpha", "0.6", "--format", "csv"), 0,
+     "z,alpha,count,ratio\n1000,0.6,62,0.428280827\n"),
+    (("psi", "--y", "100", "--m", "10", "--a", "3", "--format", "json"), 0,
+     '{"y":100.0,"m":10,"a":3,"psi":23.2398479}\n'),
+    (("psi", "--y", "100", "--m", "10", "--a", "3", "--format", "csv"), 0,
+     "y,m,a,psi\n100.0,10,3,23.2398479\n"),
+    (("discrepancy", "--z", "1000", "--m", "7", "--format", "json"), 0,
+     '{"m":7,"worst_a":6,"worst_y":769.0,"sup_value":16.4495739,"is_left_limit":true}\n'),
+    (("discrepancy", "--z", "1000", "--m", "7", "--format", "csv"), 0,
+     "m,worst_a,worst_y,sup_value,is_left_limit\n7,6,769,16.4495739,1\n"),
+    (("bv-sum", "--z", "1000", "--B", "1", "--format", "json"), 0,
+     '{"z":1000.0,"B":1.0,"cutoff":4,"sum":74.8620713}\n'),
+    (("bv-sum", "--z", "1000", "--B", "1", "--format", "csv"), 0,
+     "z,B,cutoff,sum\n1000.0,1.0,4,74.8620713\n"),
+    (("bs-experiment", "--n-max", "500", "--size-a", "20", "--size-b", "20", "--trials", "2",
+      "--format", "json"), 0,
+     '{"trials":[{"trial":0,"seed":0,"size_a":20,"size_b":20,"n_max":500,"max_p":419,"a":495,'
+     '"b":76,"threshold":0.160911192,"meets_threshold":true},{"trial":1,"seed":0,"size_a":20,'
+     '"size_b":20,"n_max":500,"max_p":487,"a":495,"b":8,"threshold":0.160911192,'
+     '"meets_threshold":true}]}\n'),
+    (("bs-experiment", "--n-max", "500", "--size-a", "20", "--size-b", "20", "--trials", "2",
+      "--format", "csv"), 0,
+     "trial,seed,size_a,size_b,n_max,max_p,a,b,threshold,meets_threshold\n"
+     "0,0,20,20,500,419,495,76,0.160911192,1\n1,0,20,20,500,487,495,8,0.160911192,1\n"),
+]
+
+
+def test_golden_bytes(capsys, tmp_path):
+    for argv, want_code, want in GOLDEN:
+        code, out, _ = run(capsys, *argv)
+        if want.startswith("sha256:"):
+            out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
+        assert (code, out) == (want_code, want), argv
+    path = tmp_path / "bv.json"
+    path.write_text(GOLDEN[2][2])  # the witness-bv JSON certificate
+    for fmt, want in (("json", '{"n":1000000,"valid":true}\n'), ("csv", "n,valid\n1000000,1\n")):
+        code, out, _ = run(capsys, "verify", "--input", str(path), "--format", fmt)
+        assert (code, out) == (EXIT_OK, want), fmt

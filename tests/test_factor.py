@@ -19,6 +19,28 @@ def trial_division_lpf(k: int) -> int:
     return max(best, k if k > 1 else 0)
 
 
+def trial_division_primes(k: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= k:
+        if k % d == 0:
+            out.append(d)
+            while k % d == 0:
+                k //= d
+        d += 1
+    return out + ([k] if k > 1 else [])
+
+
+def test_lpf_and_phi_match_trial_division_oracle():
+    for k in range(1, 20_001):
+        primes = trial_division_primes(k)
+        phi = k
+        for p in primes:
+            phi = phi // p * (p - 1)
+        assert largest_prime_factor(k) == (primes[-1] if primes else 0), k
+        assert euler_phi(k) == phi, k
+
+
 def test_lpf_examples():
     assert largest_prime_factor(1) == 0
     assert largest_prime_factor(12) == 3

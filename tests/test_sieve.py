@@ -99,6 +99,9 @@ def test_mangoldt_examples():
     assert mangoldt_weight(6) == 0.0
     assert mangoldt_weight(49) == pytest.approx(math.log(7), abs=1e-12)
     assert mangoldt_weight(97) == pytest.approx(math.log(97), abs=1e-12)
+    # both factors lie above the trial-division bound, so the cofactor is rough
+    assert mangoldt_weight(10007**2) == math.log(10007)
+    assert mangoldt_weight(10007 * 10009) == 0.0
     with pytest.raises(ValueError):
         mangoldt_weight(0)
 

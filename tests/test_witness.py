@@ -97,6 +97,7 @@ def test_validate_examples():
     assert validate(10, Witness(1.0, 5.0, 2.0, 5.0, 10.0)) is True  # exact floats coerce
     # p beyond is_prime's 2**64 range: not certifiable, and validate never raises
     assert validate(2**64 + 16, Witness(1, 2**64 + 13, 2, 3, 6)) is False
+    assert validate(10, Witness(1, float("inf"), 2, 5, 10)) is False  # int(inf) overflows
 
 
 def test_f_exact_small_values():
