@@ -84,9 +84,9 @@ def prime_power_jumps(z: float) -> np.ndarray:
     return _jumps_upto(math.floor(z))
 
 
-def _check_z(z: float) -> None:
+def _check_z(z: float, name: str = "z") -> None:
     if z > MAX_Z:
-        raise ValueError(f"z must be at most {MAX_Z} for exact fixed-point sums")
+        raise ValueError(f"{name} must be at most {MAX_Z} for exact fixed-point sums")
 
 
 def _fixed_to_float(hi, lo):
@@ -111,11 +111,11 @@ def psi(y: float, m: int, a: int) -> float:
     """
     if m < 1:
         raise ValueError("modulus must be positive")
-    if y <= 0:
+    if not y > 0:  # NaN fails too
         raise ValueError("y must be positive")
     if a < 0 or a >= m:
         raise ValueError("residue must satisfy 0 <= a < m")
-    _check_z(y)
+    _check_z(y, "y")
     jumps = prime_power_jumps(y)
     # every j <= MAX_Z, so a larger modulus leaves j as it is and need not fit in int64
     fixed = (jumps["log_p"][jumps["j"] % min(m, MAX_Z + 1) == a] * _SCALE).astype(np.int64)
@@ -137,7 +137,7 @@ def max_discrepancy(z: float, m: int) -> DiscrepancyRecord:
     """
     if m < 1:
         raise ValueError("modulus must be positive")
-    if z < 1:
+    if not z >= 1:  # NaN fails too
         raise ValueError("z must be at least 1")
     _check_z(z)
     jumps = prime_power_jumps(z)
@@ -200,7 +200,7 @@ def bv_sum(z: float, B: float) -> float:
     Raises:
         ValueError: if z < 3, z > MAX_Z, or B is negative or not finite.
     """
-    if z < 3:
+    if not z >= 3:  # NaN fails too
         raise ValueError("bv_sum requires z >= 3")
     if not 0 <= B < math.inf:
         raise ValueError("B must be finite and nonnegative")

@@ -1,23 +1,25 @@
 """Range-scale experiments built on the witness strategies.
 
 ``survey_range`` sweeps every n in [ceil(x/2), x], hands each one to the
-enabled witness strategies, and reports per-n certificates, the exceptional
-set (n where every strategy came up empty), and the empirical exponents
-beta(n) = log(score)/log(n). ``rset_density`` measures how common rough
-shifted primes are, ``bs_max_pdiff`` runs the largest-prime-factor-of-
-differences experiment, and ``exponent_stats`` summarizes beta.
+enabled witness strategies, and reports, as int64 and float columns, per-n
+certificates, the exceptional set (n where every strategy came up empty),
+and the empirical exponents beta(n) = log(score)/log(n). ``rset_density``
+measures how common rough shifted primes are, ``bs_max_pdiff`` runs the
+largest-prime-factor-of-differences experiment, and ``exponent_stats``
+summarizes beta.
 """
 
+import functools
 import json
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import factor
-from .util import compare_power, fmt9, round9
-from .witness import RSet, Witness, build_rset, prime_r_scores, strategy_bv
+from .util import compare_power, json9, round9
+from .witness import F_EXACT_MAX_N, RSet, Witness, build_rset, prime_r_scores, strategy_bv
 
 SURVEY_CSV_HEADER = "n,strategy,k,p,q,r,score,beta,exceptional"
 
@@ -81,92 +83,119 @@ class SurveyRecord:
         return self.witness is None
 
 
-@dataclass(eq=False)
+# a row's strategy tag indexes this; 0 marks an exceptional n
+_TAGS = (None, "smooth", "bv")
+
+
 class SurveyReport:
-    """Everything a survey produced, in ascending n."""
+    """Everything a survey produced, in ascending n, held as columns.
 
-    x: int
-    config: SurveyConfig
-    records: list[SurveyRecord]
-    exceptional_count: int = field(init=False)
-    beta_stats: tuple[float, float, float] | None = field(init=False)
+    ``n`` and the witness columns ``k, p, q, r, score`` are int64 arrays
+    (0 where n is exceptional), ``tag`` indexes (exceptional, "smooth",
+    "bv") and ``beta`` is float64 (NaN where there is none). ``records`` is
+    the same report as per-n ``SurveyRecord`` objects, built on first use.
+    """
 
-    def __post_init__(self):
-        self.exceptional_count = sum(1 for rec in self.records if rec.exceptional)
-        betas = [rec.beta for rec in self.records if rec.beta is not None]
+    def __init__(self, x: int, config: SurveyConfig, records: list[SurveyRecord]):
+        """A report from per-n records, stored as the same columns.
+
+        Every witness field must fit in int64, and a record with a witness
+        must carry the strategy "smooth" or "bv".
+        """
+        n = np.array([rec.n for rec in records], dtype=np.int64)
+        tag = np.zeros(n.size, dtype=np.int8)
+        wit = np.zeros((5, n.size), dtype=np.int64)
+        beta = np.full(n.size, math.nan)
+        for i, rec in enumerate(records):
+            if rec.witness is not None:
+                w = rec.witness
+                tag[i] = _TAGS.index(rec.strategy, 1)
+                wit[:, i] = (w.k, w.p, w.q, w.r, w.score)
+            if rec.beta is not None:
+                beta[i] = rec.beta
+        self._store(x, config, n, tag, wit, beta)
+
+    @classmethod
+    def _from_columns(cls, x, config, n, tag, wit, beta) -> "SurveyReport":
+        report = cls.__new__(cls)
+        report._store(x, config, n, tag, wit, beta)
+        return report
+
+    def _store(self, x, config, n, tag, wit, beta) -> None:
+        self.x, self.config = x, config
+        self.n, self.tag, self.beta = n, tag, beta
+        self.k, self.p, self.q, self.r, self.score = wit
+        self.exceptional_count = int(np.count_nonzero(tag == 0))
+        betas = beta[~np.isnan(beta)].tolist()
         if betas:
             self.beta_stats = (min(betas), statistics.median(betas), statistics.fmean(betas))
         else:
             self.beta_stats = None
 
+    @functools.cached_property
+    def records(self) -> list[SurveyRecord]:
+        """The rows as ``SurveyRecord`` objects, in ascending n."""
+        out = []
+        for n, t, k, p, q, r, s, b in self._rows():
+            if t:
+                out.append(SurveyRecord(n, _TAGS[t], Witness(k, p, q, r, s), b))
+            else:
+                out.append(SurveyRecord(n, None, None, None))
+        return out
+
+    def _rows(self):
+        cols = (self.n, self.tag, self.k, self.p, self.q, self.r, self.score, self.beta)
+        return zip(*(c.tolist() for c in cols))
+
     def to_json(self) -> str:
-        cfg = {
-            "alpha": self.config.alpha,
-            "gamma": self.config.gamma,
-            "c0": self.config.c0,
-            "eps": self.config.eps,
-            "strategies": list(self.config.strategies),
-        }
         stats = None
         if self.beta_stats is not None:
-            stats = {
-                "min": round9(self.beta_stats[0]),
-                "median": round9(self.beta_stats[1]),
-                "mean": round9(self.beta_stats[2]),
-            }
-        rows = []
-        for rec in self.records:
-            if rec.witness is None:
-                rows.append({"n": rec.n, "exceptional": True})
-            else:
-                w = rec.witness
-                rows.append(
-                    {
-                        "n": rec.n,
-                        "strategy": rec.strategy,
-                        "k": w.k,
-                        "p": w.p,
-                        "q": w.q,
-                        "r": w.r,
-                        "score": w.score,
-                        "beta": round9(rec.beta),
-                        "exceptional": False,
-                    }
-                )
-        doc = {
-            "x": self.x,
-            "config": cfg,
-            "exceptional_count": self.exceptional_count,
-            "beta_stats": stats,
-            "records": rows,
-        }
-        return json.dumps(doc, separators=(",", ":"))
+            stats = dict(zip(("min", "median", "mean"), map(round9, self.beta_stats)))
+        head = json.dumps(
+            {
+                "x": self.x,
+                "config": {
+                    "alpha": self.config.alpha,
+                    "gamma": self.config.gamma,
+                    "c0": self.config.c0,
+                    "eps": self.config.eps,
+                    "strategies": list(self.config.strategies),
+                },
+                "exceptional_count": self.exceptional_count,
+                "beta_stats": stats,
+            },
+            separators=(",", ":"),
+        )
+        rows = [
+            f'{{"n":{n},"strategy":"{_TAGS[t]}","k":{k},"p":{p},"q":{q},"r":{r},'
+            f'"score":{s},"beta":{json9(b)},"exceptional":false}}'
+            if t
+            else f'{{"n":{n},"exceptional":true}}'
+            for n, t, k, p, q, r, s, b in self._rows()
+        ]
+        return f'{head[:-1]},"records":[{",".join(rows)}]}}'
 
     def to_csv(self) -> str:
         lines = [SURVEY_CSV_HEADER]
-        for rec in self.records:
-            if rec.witness is None:
-                lines.append(f"{rec.n},,,,,,,,1")
-            else:
-                w = rec.witness
-                lines.append(
-                    f"{rec.n},{rec.strategy},{w.k},{w.p},{w.q},{w.r},{w.score},{fmt9(rec.beta)},0"
-                )
+        lines.extend(
+            f"{n},{_TAGS[t]},{k},{p},{q},{r},{s},{b:.9g},0" if t else f"{n},,,,,,,,1"
+            for n, t, k, p, q, r, s, b in self._rows()
+        )
         return "\n".join(lines) + "\n"
 
 
-def _smooth_scan(n_lo: int, n_hi: int, rset: RSet, gamma: float) -> list[Witness | None]:
-    """``strategy_smooth`` for every n in [n_lo, n_hi] at once.
+def _smooth_scan(n_lo: int, n_hi: int, rset: RSet, gamma: float):
+    """``strategy_smooth`` for every n in [n_lo, n_hi] at once, as columns.
 
     Walks the members in increasing order and tests only the n still
     unresolved, reading P(n - r) from one table covering every difference;
     each n keeps the first member r with P(n - r) >= n**gamma, exactly as the
-    per-n scan would.
+    per-n scan would. Returns int64 arrays (index, k, p, q, r, score): the
+    offsets n - n_lo of the n that found a witness, and its fields.
     """
-    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    out: list[Witness | None] = [None] * ns.size
     if not rset.members:
-        return out
+        return (np.zeros(0, dtype=np.int64),) * 6
+    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
     table = factor.lpf_table(max(1, n_lo - rset.members[-1]), n_hi - rset.members[0])
     hit = np.full(ns.size, -1, dtype=np.int64)
     pending = np.arange(ns.size)
@@ -180,12 +209,9 @@ def _smooth_scan(n_lo: int, n_hi: int, rset: RSet, gamma: float) -> list[Witness
     found = np.flatnonzero(hit >= 0)
     which = hit[found]
     n, r = ns[found], np.asarray(rset.members, dtype=np.int64)[which]
-    p, s = prime_r_scores(n, r, np.asarray(rset.q, dtype=np.int64)[which], table)
-    rows = zip(found.tolist(), which.tolist(), ((n - r) // p).tolist(), p.tolist(), s.tolist())
-    # r and q come from the RSet's own lists, so witnesses share those ints
-    for i, h, k, pp, ss in rows:
-        out[i] = Witness(k, pp, rset.q[h], rset.members[h], ss)
-    return out
+    q = np.asarray(rset.q, dtype=np.int64)[which]
+    p, s = prime_r_scores(n, r, q, table)
+    return found, (n - r) // p, p, q, r, s
 
 
 def survey_range(x: int, config: SurveyConfig | None = None) -> SurveyReport:
@@ -194,32 +220,42 @@ def survey_range(x: int, config: SurveyConfig | None = None) -> SurveyReport:
     Builds the RSet over [ceil(c0 x), floor(x/4)] once (empty when that
     interval is, so every n is smooth-exceptional), finds each n's first
     smooth witness in one masked scan over the members, and hands the n left
-    over to ``strategy_bv`` when enabled. Runs in one process; deterministic
-    for a given config.
+    over to ``strategy_bv`` when enabled. The report is filled column by
+    column, never one record object per n. Runs in one process;
+    deterministic for a given config. Every score is below x**2, so x is
+    supported up to F_EXACT_MAX_N, the int64 limit of the scan.
 
     Raises:
-        ValueError: if x < 8 or the config is out of range.
+        ValueError: if x < 8, x > F_EXACT_MAX_N or the config is out of range.
     """
     if x < 8:
         raise ValueError("survey_range requires x >= 8")
+    if x > F_EXACT_MAX_N:
+        raise ValueError(f"survey_range supports x <= {F_EXACT_MAX_N}")
     if config is None:
         config = SurveyConfig()
     config.check()
 
     n_lo = -(-x // 2)
+    ns = np.arange(n_lo, x + 1, dtype=np.int64)
+    tag = np.zeros(ns.size, dtype=np.int8)
+    wit = np.zeros((5, ns.size), dtype=np.int64)  # k, p, q, r, score
     if config.use_smooth:
-        found = _smooth_scan(n_lo, x, config.rset(x), config.gamma)
-    else:
-        found = [None] * (x - n_lo + 1)
-    records = []
-    for n, w in zip(range(n_lo, x + 1), found):
-        tag = "smooth" if w is not None else None
-        if w is None and config.use_bv:
-            w = strategy_bv(n, config.eps)
-            tag = "bv" if w is not None else None
-        beta = math.log(w.score) / math.log(n) if w is not None else None
-        records.append(SurveyRecord(n, tag, w, beta))
-    return SurveyReport(x, config, records)
+        found, *fields = _smooth_scan(n_lo, x, config.rset(x), config.gamma)
+        tag[found] = _TAGS.index("smooth")
+        wit[:, found] = fields
+    if config.use_bv:
+        for i in np.flatnonzero(tag == 0).tolist():
+            w = strategy_bv(n_lo + i, config.eps)
+            if w is not None:
+                tag[i] = _TAGS.index("bv")
+                wit[:, i] = (w.k, w.p, w.q, w.r, w.score)
+    found = np.flatnonzero(tag)
+    beta = np.full(ns.size, math.nan)
+    beta[found] = [
+        math.log(s) / math.log(n) for n, s in zip(ns[found].tolist(), wit[4, found].tolist())
+    ]
+    return SurveyReport._from_columns(x, config, ns, tag, wit, beta)
 
 
 def exponent_stats(report: SurveyReport) -> tuple[float, float, float]:

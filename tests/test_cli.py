@@ -145,6 +145,17 @@ def test_bv_sum_extreme_b(capsys):
     assert out == '{"z":1000.0,"B":1e+308,"cutoff":0,"sum":0.0}\n'
 
 
+def test_nan_range_is_rejected_by_name(capsys):
+    cases = (
+        (("bv-sum", "--z", "nan", "--B", "1"), "z >= 3"),
+        (("discrepancy", "--z", "nan", "--m", "3"), "z must be at least 1"),
+        (("psi", "--y", "nan", "--m", "3", "--a", "1"), "y must be positive"),
+    )
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_ERROR and message in err and out == "", argv
+
+
 def test_survey_writes_report_file(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, _, _ = run(
@@ -217,7 +228,7 @@ def test_usage_errors_exit_1_not_2():
 
 
 # Every subcommand in both formats at small inputs: (argv, exit code, stdout).
-# The survey report is long, so it is pinned by the sha256 of its bytes.
+# The survey reports are long, so they are pinned by the sha256 of their bytes.
 GOLDEN = [
     (("f-exact", "--n", "100", "--format", "json"), 0,
      '{"n":100,"value":1681,"witness":{"k":1,"p":41,"q":29,"r":59,"score":1681,"strategy":"exact"}}\n'),
@@ -235,6 +246,14 @@ GOLDEN = [
      "sha256:2ffc1683056b6f376177d55b345eb27b2bf32b671777345e3ee7a179c22095f2"),
     (("survey", "--x", "300", "--strategies", "smooth,bv", "--format", "csv"), 0,
      "sha256:27a44ac237ea609edf642ded1bceb6c026c24d38a7a6a81a36f59cc63d0350a2"),
+    (("survey", "--x", "20011", "--preset", "corollary-2", "--format", "json"), 0,
+     "sha256:4fcd60d18ca854d8ec7b571018bcf00848766a6cd6ad54139fa184ee918055a7"),
+    (("survey", "--x", "20011", "--preset", "corollary-2", "--format", "csv"), 0,
+     "sha256:41d12d694327c5a37c130f7fad800310e88720362c052c999da9946bca9e9acf"),
+    (("survey", "--x", "20011", "--strategies", "smooth,bv", "--format", "json"), 0,
+     "sha256:06796a36847879dba91bb48c4e70139ffe2614be000ba83f6b79164e6de38887"),
+    (("survey", "--x", "20011", "--strategies", "smooth,bv", "--format", "csv"), 0,
+     "sha256:a5f4655bc1276f70533ca409b522206c3409595b43805993fb323430e01ca52f"),
     (("rset-density", "--z", "1000", "--alpha", "0.6", "--format", "json"), 0,
      '{"z":1000,"alpha":0.6,"count":62,"ratio":0.428280827}\n'),
     (("rset-density", "--z", "1000", "--alpha", "0.6", "--format", "csv"), 0,

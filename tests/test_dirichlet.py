@@ -190,6 +190,18 @@ def test_discrepancy_kernels_reject_z_beyond_exact_limit():
         bv_sum(MAX_Z + 1, 1)
 
 
+def test_discrepancy_kernels_reject_nan_naming_the_parameter():
+    # NaN fails every comparison, so each range check is written to fail on it
+    with pytest.raises(ValueError, match="y must be positive"):
+        psi(math.nan, 3, 1)
+    with pytest.raises(ValueError, match="z must be at least 1"):
+        max_discrepancy(math.nan, 3)
+    with pytest.raises(ValueError, match="z >= 3"):
+        bv_sum(math.nan, 1)
+    with pytest.raises(ValueError, match="y must be at most"):
+        psi(math.inf, 3, 1)
+
+
 def test_discrepancy_csv_row():
     rec = max_discrepancy(10, 3)
     assert DISCREPANCY_CSV_HEADER == "m,worst_a,worst_y,sup_value,is_left_limit"

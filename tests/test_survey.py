@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from edgebudget import (
     PRESETS,
@@ -19,6 +21,8 @@ from edgebudget import (
     validate,
 )
 from edgebudget.survey import SURVEY_CSV_HEADER, SurveyRecord, SurveyReport
+from edgebudget.util import json9, round9
+from edgebudget.witness import F_EXACT_MAX_N
 
 
 def pointwise_lpf(k):
@@ -91,6 +95,12 @@ def test_survey_minimum_range():
     report = survey_range(8, SurveyConfig())
     assert [rec.n for rec in report.records] == [4, 5, 6, 7, 8]
     assert report.exceptional_count == 5  # the rset over [1, 2] is empty
+
+
+def test_survey_rejects_x_beyond_int64_range_before_allocating():
+    # a table of ~1.5e9 int64 entries would be attempted without the guard
+    with pytest.raises(ValueError, match="x <="):
+        survey_range(F_EXACT_MAX_N + 1)
 
 
 def test_survey_rejects_bad_input():
@@ -232,3 +242,34 @@ def test_report_csv_shape():
     exceptional = [line for line in lines[1:] if line.endswith(",1")]
     assert len(exceptional) == report.exceptional_count
     assert lines[-1].startswith("100,smooth,3,31,3,7,21,")
+
+
+def test_columns_and_records_emit_the_same_bytes():
+    configs = (
+        PRESETS["corollary-1"],
+        PRESETS["corollary-2"],
+        SurveyConfig(use_bv=True),
+        SurveyConfig(alpha=0.5, gamma=0.5, c0=0.2, use_bv=True),
+        SurveyConfig(c0=0.249),
+        SurveyConfig(c0=0.249, use_bv=True),
+    )
+    # at x = 12, gamma = 0.5: n = 9 is settled by P(n - r) = 3 = n**gamma exactly
+    for x in (12, 101, 300, 3000):
+        for config in configs:
+            report = survey_range(x, config)
+            rebuilt = SurveyReport(x, config, report.records)
+            assert rebuilt.records == report.records, (x, config)
+            assert rebuilt.to_json() == report.to_json(), (x, config)
+            assert rebuilt.to_csv() == report.to_csv(), (x, config)
+            assert (rebuilt.exceptional_count, rebuilt.beta_stats) == (
+                report.exceptional_count, report.beta_stats), (x, config)
+
+
+@given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+@example(1.0)
+@example(2.0)
+@example(1e-05)
+@example(1e16)
+@example(123456789012.0)  # .9g gives 1.23456789e+11; JSON holds 123456789000.0
+def test_json9_matches_json_dumps_of_round9(b):
+    assert json9(b) == json.dumps(round9(b))
