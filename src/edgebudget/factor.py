@@ -6,7 +6,8 @@ weight: trial division by primes up to 10**4, a deterministic primality check
 on the cofactor, and Brent-cycle Pollard rho (with an input-derived seed, so
 the output is reproducible) for composite cofactors. Bulk values of P over an
 interval come from a segmented sieve that divides out every prime up to
-sqrt(hi).
+sqrt(hi); a caller that needs only P(n) >= floor > sqrt(hi) gets them by
+writing each prime in [floor, hi] onto its multiples.
 """
 
 import functools
@@ -33,7 +34,8 @@ class FactorTable:
     Attributes:
         lo: First tabulated integer.
         hi: Last tabulated integer.
-        lpf: int64 array with ``lpf[n - lo] == P(n)`` (and 0 at n = 1).
+        lpf: int64 array with ``lpf[n - lo] == P(n)``, and 0 where P(n) is
+            below the floor the table was built with (always 0 at n = 1).
     """
 
     lo: int
@@ -137,23 +139,44 @@ def mangoldt_weight(n: int) -> float:
     return math.log(primes[0]) if len(primes) == 1 else 0.0
 
 
-def lpf_table(lo: int, hi: int, segment_length: int = sieve.DEFAULT_SEGMENT_LENGTH) -> FactorTable:
-    """Exact P(n) for every n in [lo, hi], built segment by segment.
+def lpf_table(
+    lo: int, hi: int, segment_length: int = sieve.DEFAULT_SEGMENT_LENGTH, floor: int = 0
+) -> FactorTable:
+    """P(n) for every n in [lo, hi], or 0 where P(n) < floor.
 
-    Each segment divides out all primes up to sqrt(hi) (once per prime-power
-    level, so multiplicities are exact); any cofactor left above 1 is itself
-    prime and is the largest factor.
+    The default floor 0 gives the exact table. When floor > sqrt(hi), every
+    n <= hi has at most one prime factor >= floor, and if one exists it is
+    P(n): each prime Q >= floor that has a multiple in the window is then
+    written onto its multiples m * Q <= hi, with no small-prime sieve and no
+    division. That path is skipped for a window so narrow that those primes
+    would span more than twice its width. Otherwise each segment divides out
+    all primes up to sqrt(hi) (once per prime-power level, so multiplicities
+    are exact); any cofactor left above 1 is itself prime and is the largest
+    factor; entries below floor are then zeroed.
 
     Raises:
-        ValueError: if lo < 1 or lo > hi.
+        ValueError: if lo < 1, lo > hi or segment_length < 8.
     """
     if lo < 1:
         raise ValueError("interval endpoints must be positive")
     if lo > hi:
         raise ValueError(f"empty interval: lo={lo} > hi={hi}")
-    root = math.isqrt(hi)
-    base = np.nonzero(sieve._dense_sieve(root))[0].tolist() if root >= 2 else []
+    if segment_length < 8:
+        raise ValueError("segment_length too small")
     out = np.zeros(hi - lo + 1, dtype=np.int64)
+    if floor > hi:
+        return FactorTable(lo, hi, out)
+    root = math.isqrt(hi)
+    if floor > root:
+        most = hi // floor  # the largest cofactor m of m * Q <= hi with Q >= floor
+        q_lo = max(floor, -(-lo // most))
+        if hi - q_lo <= 2 * (hi - lo):
+            primes = sieve.primes_in(q_lo, hi).primes
+            for m in range(1, most + 1):
+                first, last = np.searchsorted(primes, (-(-lo // m), hi // m + 1))
+                out[m * primes[first:last] - lo] = primes[first:last]
+            return FactorTable(lo, hi, out)
+    base = np.nonzero(sieve._dense_sieve(root))[0].tolist() if root >= 2 else []
     for seg_lo in range(lo, hi + 1, segment_length):
         seg_hi = min(seg_lo + segment_length - 1, hi)
         rem = np.arange(seg_lo, seg_hi + 1, dtype=np.int64)
@@ -173,4 +196,6 @@ def lpf_table(lo: int, hi: int, segment_length: int = sieve.DEFAULT_SEGMENT_LENG
         big = rem > 1
         lpf[big] = rem[big]
         out[seg_lo - lo : seg_hi - lo + 1] = lpf
+    if floor > 0:
+        out[out < floor] = 0
     return FactorTable(lo, hi, out)

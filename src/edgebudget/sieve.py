@@ -81,13 +81,15 @@ def _dense_sieve(limit: int) -> np.ndarray:
 
 
 def primes_in(lo: int, hi: int, segment_length: int = DEFAULT_SEGMENT_LENGTH) -> PrimeInterval:
-    """Every prime in [lo, hi] by segmented sieving.
+    """Every prime in [lo, hi] by segmented sieving of the odd numbers.
 
-    Memory use is bounded by ``segment_length`` (plus the base primes up to
-    sqrt(hi)), not by ``hi``, so intervals near 10**9 are fine.
+    Each segment spans ``segment_length`` integers (rounded down to even) and
+    flags only its odd ones; 2 is added when it lies in [lo, hi]. Memory use
+    is bounded by ``segment_length`` (plus the base primes up to sqrt(hi)),
+    not by ``hi``, so intervals near 10**9 are fine.
 
     Raises:
-        ValueError: if lo < 1 or lo > hi.
+        ValueError: if lo < 1, lo > hi or segment_length < 8.
     """
     if lo < 1:
         raise ValueError("interval endpoints must be positive")
@@ -98,17 +100,18 @@ def primes_in(lo: int, hi: int, segment_length: int = DEFAULT_SEGMENT_LENGTH) ->
     if hi < 2:
         return PrimeInterval(lo, hi, np.empty(0, dtype=np.int64))
 
-    base = np.nonzero(_dense_sieve(math.isqrt(hi)))[0].tolist()
-    chunks = []
-    start = max(lo, 2)
-    for seg_lo in range(start, hi + 1, segment_length):
-        seg_hi = min(seg_lo + segment_length - 1, hi)
-        mask = np.ones(seg_hi - seg_lo + 1, dtype=bool)
+    base = np.nonzero(_dense_sieve(math.isqrt(hi)))[0][1:].tolist()  # odd base primes
+    chunks = [np.array([2], dtype=np.int64)] if lo <= 2 else []
+    step = segment_length & ~1  # even, so every segment starts on an odd number
+    for seg_lo in range(max(lo, 3) | 1, hi + 1, step):
+        seg_hi = min(seg_lo + step - 1, hi)
+        mask = np.ones((seg_hi - seg_lo) // 2 + 1, dtype=bool)  # mask[i]: seg_lo + 2 i
         for p in base:
             first = max(p * p, ((seg_lo + p - 1) // p) * p)
+            first += p * (first % 2 == 0)  # the first odd multiple
             if first > seg_hi:
                 continue
-            mask[first - seg_lo :: p] = False
-        chunks.append((seg_lo + np.nonzero(mask)[0]).astype(np.int64))
+            mask[(first - seg_lo) // 2 :: p] = False
+        chunks.append(seg_lo + 2 * np.nonzero(mask)[0].astype(np.int64))
     primes = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
     return PrimeInterval(lo, hi, primes)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import factor
-from .util import compare_power, json9, round9
+from .util import compare_power, json9, power_floor, round9
 from .witness import F_EXACT_MAX_N, RSet, Witness, build_rset, prime_r_scores, strategy_bv
 
 SURVEY_CSV_HEADER = "n,strategy,k,p,q,r,score,beta,exceptional"
@@ -190,13 +190,17 @@ def _smooth_scan(n_lo: int, n_hi: int, rset: RSet, gamma: float):
     Walks the members in increasing order and tests only the n still
     unresolved, reading P(n - r) from one table covering every difference;
     each n keeps the first member r with P(n - r) >= n**gamma, exactly as the
-    per-n scan would. Returns int64 arrays (index, k, p, q, r, score): the
-    offsets n - n_lo of the n that found a witness, and its fields.
+    per-n scan would. The table keeps only P >= ``power_floor(n_lo, gamma)``,
+    which every accepted P(n - r) reaches. Returns int64 arrays (index, k, p,
+    q, r, score): the offsets n - n_lo of the n that found a witness, and its
+    fields.
     """
     if not rset.members:
         return (np.zeros(0, dtype=np.int64),) * 6
     ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    table = factor.lpf_table(max(1, n_lo - rset.members[-1]), n_hi - rset.members[0])
+    table = factor.lpf_table(
+        max(1, n_lo - rset.members[-1]), n_hi - rset.members[0], floor=power_floor(n_lo, gamma)
+    )
     hit = np.full(ns.size, -1, dtype=np.int64)
     pending = np.arange(ns.size)
     for i, r in enumerate(rset.members):

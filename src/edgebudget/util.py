@@ -1,6 +1,7 @@
 """Shared numeric plumbing: guarded real-exponent comparisons and
 9-significant-digit serialization."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,19 @@ def compare_power(value, base, exponent: float, guard: float = 1e-12):
     if np.ndim(value) == 0 and np.ndim(base) == 0:
         return int(sign[0])
     return sign
+
+
+def power_floor(base: int, exponent: float) -> int:
+    """An integer no larger than any value that ``compare_power`` (at its
+    default guard) finds >= b**exponent, for any b >= base.
+
+    Both of its paths need log(value) >= exponent*log(b) - band - rounding,
+    where band = 1e-12 * max(1, exponent*log(b)) < 5e-11 for b < 2**63 and
+    0 < exponent <= 1, and rounding is a few ulps of numbers below 64. So
+    every such value exceeds b**exponent * (1 - 1e-10); the 1e-9 margin
+    below also covers the rounding of ``base ** exponent`` itself.
+    """
+    return math.floor(base**exponent * (1 - 1e-9))
 
 
 def round9(x: float) -> float:

@@ -20,12 +20,13 @@ All searches use fixed orders, so identical inputs yield identical witnesses.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import factor, sieve
-from .util import compare_power
+from .util import compare_power, power_floor
 
 
 @dataclass(frozen=True)
@@ -153,29 +154,40 @@ def f_exact(n: int) -> tuple[int, Witness | None]:
     For a prime r with d = n - r the score min{p*d, d*r, q*r} never decreases
     as the prime p | d or the prime q | r - 1 grows, so p = P(d), q = P(r-1)
     are optimal (tested against full enumeration of every p and q) and f(n)
-    is the maximum of min{P(d)*d, d*r, P(r-1)*r} over primes 3 <= r <= n - 2:
-    one numpy pass over the largest-prime-factor table of 1..n-1. Returns
-    (0, None) when no quadruple exists at all.
+    is the maximum of min{P(d)*d, d*r, P(r-1)*r} over primes 3 <= r <= n - 2.
+    Returns (0, None) when no quadruple exists at all.
+
+    The scan first reads P from a table of 1..n-1 that keeps only P(v) >= T,
+    T = max(n // 64, isqrt(n - 1) + 1), and scores 0 where it is missing.
+    Such a score is never above the true one, and equals it whenever the true
+    score is >= T*n (then P(d) and P(r-1) are both >= T). So a best score
+    >= T*n is f(n), reached at the same r: the certificate. Only when the
+    best falls short (small n) does the scan run again on the exact table.
 
     Ties are broken deterministically: the first maximizer in ascending-p,
     then ascending-k order wins, recovered from the few maximizing r alone.
     Every product is below n**2, so n is supported up to
-    F_EXACT_MAX_N = isqrt(2**63 - 1); the table holds n - 1 int64 entries.
+    F_EXACT_MAX_N = isqrt(2**63 - 1); a table holds n - 1 int64 entries.
+    Every field of the witness is a Python int.
 
     Raises:
         ValueError: if n < 1 or n > F_EXACT_MAX_N.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("f_exact requires n >= 1")
     if n > F_EXACT_MAX_N:
         raise ValueError(f"f_exact supports n <= {F_EXACT_MAX_N}")
     if n < 5:
         return 0, None
-    table = factor.lpf_table(1, n - 1)
-    lpf = table.lpf  # lpf[v - 1] == P(v)
-    r = np.flatnonzero(lpf[2 : n - 2] == np.arange(3, n - 1)) + 3
-    _, scores = prime_r_scores(n, r, lpf[r - 2], table)
-    best = int(scores.max())
+    r = sieve.primes_in(3, n - 2).primes
+    for floor in (max(n // 64, math.isqrt(n - 1) + 1), 0):
+        table = factor.lpf_table(1, n - 1, floor=floor)
+        lpf = table.lpf  # lpf[v - 1] == P(v), or 0 where P(v) < floor
+        _, scores = prime_r_scores(n, r, lpf[r - 2], table)
+        best = int(scores.max())
+        if best >= floor * n:  # certified; always so on the exact table
+            break
     p, k, top = min(_first_split(n, v, best, lpf) for v in r[scores == best].tolist())
     return best, Witness(k, p, int(lpf[top - 2]), top, best)
 
@@ -185,6 +197,9 @@ def _first_split(n: int, r: int, best: int, lpf: np.ndarray) -> tuple[int, int, 
 
     P of the shrinking cofactor yields the prime divisors of n - r in
     descending order, so the scan stops at the first one that falls short.
+    A table with a floor reads 0 for every prime below it; each prime p with
+    p * (n - r) >= best >= floor * n is above the floor, so the scan stops at
+    the same place.
     """
     d = n - r
     p, m = 0, d
@@ -268,6 +283,10 @@ def build_rset(lo: int, hi: int, alpha: float) -> RSet:
 
     One largest-prime-factor table over the shifted primes supplies every
     P(r-1); the threshold test is ``compare_power`` over the whole array.
+    The table keeps only P(r-1) >= ``power_floor(lo, alpha)``, which every
+    accepted value reaches, so a 0 below that floor is rejected as the true
+    P(r-1) would be. When the floor exceeds sqrt(hi) (lo well above 1), the
+    table is built from the large primes alone.
 
     Raises:
         ValueError: if lo > hi, lo < 1, or alpha is outside (0, 1].
@@ -279,7 +298,7 @@ def build_rset(lo: int, hi: int, alpha: float) -> RSet:
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     primes = sieve.primes_in(lo, hi).primes
-    shifted = factor.lpf_table(max(1, lo - 1), max(1, hi - 1))
+    shifted = factor.lpf_table(max(1, lo - 1), max(1, hi - 1), floor=power_floor(lo, alpha))
     q = shifted.lpf[primes - 1 - shifted.lo]
     keep = compare_power(q, primes, alpha) > 0
     return RSet(alpha, (lo, hi), primes[keep].tolist(), q[keep].tolist())

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from edgebudget import euler_phi, largest_prime_factor, lpf_table
@@ -98,6 +99,41 @@ def test_lpf_table_high_window():
     table = lpf_table(lo, hi)
     for n in range(lo, hi + 1):
         assert table[n] == largest_prime_factor(n), n
+
+
+def test_lpf_table_rejects_short_segments():
+    # the same check as primes_in: no silent all-zero table, no bare range() error
+    for segment_length in (-5, 0, 7):
+        with pytest.raises(ValueError, match="segment_length too small"):
+            lpf_table(1, 20, segment_length)
+    assert lpf_table(1, 20, 8).lpf.tolist() == lpf_table(1, 20).lpf.tolist()
+
+
+def test_lpf_table_floor_matches_truncated_full_table():
+    rng = random.Random(41)
+    windows = [(1, 1), (1, 2), (1, 100), (1, 30_000), (1, 10**6)]  # lo = 1
+    for _ in range(4):
+        hi = rng.randrange(10**4, 2 * 10**6)
+        windows.append((rng.randrange(hi // 3, hi), hi))  # wide high windows
+        windows.append((hi - rng.randrange(0, 300), hi))  # narrow high windows
+    for lo, hi in windows:
+        full = lpf_table(lo, hi).lpf
+        root = math.isqrt(hi)
+        floors = [0, 1, 2, root, root + 1, root + 2, hi // 64, hi, hi + 1, hi + 50]
+        floors.append(int(full[rng.randrange(full.size)]))  # a P(n) present in the window
+        floors += [rng.randrange(1, hi + 2) for _ in range(3)]
+        for floor in floors:
+            table = lpf_table(lo, hi, floor=floor)
+            expected = np.where(full >= floor, full, 0)
+            assert table.lpf.dtype == np.int64
+            assert np.array_equal(table.lpf, expected), (lo, hi, floor)
+
+
+def test_lpf_table_floor_keeps_the_boundary_prime():
+    # 821 = P(21346) lies exactly at the floor and must be kept (>=, not >)
+    assert lpf_table(20_174, 100_874, floor=821)[21_346] == 821
+    assert lpf_table(20_174, 100_874, floor=822)[21_346] == 0
+    assert lpf_table(1, 21_346, floor=821)[21_346] == 821
 
 
 def test_factor_table_indexing():

@@ -80,6 +80,22 @@ def test_primes_in_segmentation_is_invisible():
     assert whole == segmented
 
 
+def test_primes_in_parity_and_segment_edges():
+    # segments of 8 (and of odd lengths, rounded down to even) start on odd
+    # numbers whatever the parity of lo; 2 appears exactly when lo <= 2 <= hi
+    for segment_length in (8, 9, 10, 15):
+        for lo in range(1, 40):
+            for hi in (lo, lo + 1, lo + 7, lo + 8, lo + 9, lo + 100):
+                got = primes_in(lo, hi, segment_length=segment_length).primes.tolist()
+                assert got == [n for n in range(lo, hi + 1) if is_prime(n)], (lo, hi, segment_length)
+    assert primes_in(2, 2).primes.tolist() == [2]
+    assert primes_in(2, 2, segment_length=8).primes.tolist() == [2]
+    assert primes_in(3, 4).primes.tolist() == [3]
+    assert primes_in(4, 4).primes.tolist() == []
+    with pytest.raises(ValueError):
+        primes_in(1, 100, segment_length=7)
+
+
 def test_primes_in_high_window():
     # a narrow window near 1e9 only needs base primes up to sqrt(hi)
     window = primes_in(999_999_000, 10**9).primes.tolist()

@@ -1,5 +1,8 @@
+import json
+import math
 import random
 
+import numpy as np
 import pytest
 
 from edgebudget import (
@@ -8,13 +11,19 @@ from edgebudget import (
     build_rset,
     crt_pair,
     f_exact,
+    is_prime,
+    largest_prime_factor,
+    lpf_table,
     make_witness,
     score,
     strategy_bv,
     strategy_smooth,
     validate,
+    witness_json,
 )
-from edgebudget.util import compare_power
+from edgebudget import factor
+from edgebudget.util import compare_power, power_floor
+from edgebudget.witness import unchecked_score
 
 
 def simple_sieve(limit):
@@ -125,6 +134,60 @@ def test_f_exact_matches_naive_all_q_enumeration():
         assert w == naive_first_maximizer(n, value, flags, divs), n
         if value:
             assert validate(n, w), n
+
+
+def full_table_reference(n):
+    """f(n) and its first (p, k) maximizer from the exact table of 1..n-1."""
+    lpf = lpf_table(1, n - 1).lpf
+    r = np.flatnonzero(lpf[2 : n - 2] == np.arange(3, n - 1)) + 3
+    d = n - r
+    scores = np.minimum(np.minimum(lpf[d - 1] * d, d * r), lpf[r - 2] * r)
+    best = int(scores.max())
+    splits = []
+    for top in r[scores == best].tolist():
+        d, q, m, divisors = n - top, int(lpf[top - 2]), n - top, []
+        while m > 1:  # the prime divisors of d, read off the table
+            divisors.append(int(lpf[m - 1]))
+            while m % divisors[-1] == 0:
+                m //= divisors[-1]
+        p = min(p for p in divisors if unchecked_score(d // p, p, q, top) == best)
+        splits.append((p, d // p, q, top))
+    p, k, q, top = min(splits)
+    return best, Witness(k, p, q, top, best)
+
+
+def test_f_exact_matches_full_table_reference(monkeypatch):
+    floors = []
+    real = factor.lpf_table
+
+    def recording(lo, hi, *args, **kwargs):
+        floors.append(kwargs.get("floor", 0))
+        return real(lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(factor, "lpf_table", recording)
+    rng = random.Random(6)
+    seeded = [rng.randrange(10**5, 12 * 10**5) for _ in range(6)]
+    seeded = [n | 1 for n in seeded[:3]] + [n & ~1 for n in seeded[3:]]  # both parities
+    certified, fallback = [], []
+    for n in [*range(900, 1101), *seeded]:
+        floors.clear()
+        assert f_exact(n) == full_table_reference(n), n
+        if floors == [max(n // 64, math.isqrt(n - 1) + 1)]:
+            certified.append(n)
+        else:
+            assert floors[1:] == [0], (n, floors)
+            fallback.append(n)
+    assert len(certified) > 100
+    assert fallback and max(fallback) == 959  # only small n need the exact table
+
+
+def test_f_exact_returns_python_ints():
+    value, w = f_exact(np.int64(10))
+    assert (value, w) == (10, Witness(1, 5, 2, 5, 10))
+    assert all(type(v) is int for v in (value, w.k, w.p, w.q, w.r, w.score))
+    assert json.loads(json.dumps(witness_json(10, w, "exact")))["k"] == 1
+    value, w = f_exact(np.int64(100_003))  # the certified path
+    assert all(type(v) is int for v in (value, w.k, w.p, w.q, w.r, w.score))
 
 
 def test_f_exact_is_deterministic():
@@ -251,6 +314,40 @@ def test_build_rset_matches_pointwise_definition():
         if is_prime(r) and largest_prime_factor(r - 1) > r**alpha
     ]
     assert members == expected
+
+
+def test_build_rset_with_a_floor_above_sqrt_hi():
+    # [20175, 5 * 20175] is a survey-shaped window: its floor 821 exceeds
+    # sqrt(hi), so the table holds only the large primes; and 821 = P(21346)
+    # with 21347 prime sits exactly at the floor
+    lo, hi, alpha = 20_175, 100_875, 0.677
+    floor = power_floor(lo, alpha)
+    assert floor == 821 and floor * floor > hi
+    assert is_prime(21_347) and largest_prime_factor(21_346) == floor
+    rset = build_rset(lo, hi, alpha)
+    expected = [
+        r
+        for r in range(lo, hi + 1)
+        if is_prime(r) and compare_power(largest_prime_factor(r - 1), r, alpha) > 0
+    ]
+    assert rset.members == expected
+    assert rset.q == [largest_prime_factor(r - 1) for r in expected]
+    assert 21_347 not in rset.members
+
+
+def test_power_floor_is_below_every_accepted_value():
+    rng = random.Random(17)
+    cases = [(q * q, 0.5) for q in (2, 3, 97, 10007)] + [(2, 1.0), (1, 0.677), (4, 0.75)]
+    cases += [(rng.randrange(1, 10**12), rng.choice((0.5, 0.62, 0.677, 0.9, 1.0))) for _ in range(300)]
+    for base, exponent in cases:
+        floor = power_floor(base, exponent)
+        # nothing below the floor is accepted at base, nor at any larger base
+        assert compare_power(floor - 1, base, exponent) < 0, (base, exponent)
+        assert compare_power(floor - 1, base + 1, exponent) < 0, (base, exponent)
+        # and the margin is small: the floor is within 1e-8 of base**exponent
+        assert floor >= base**exponent * (1 - 1e-8) - 1, (base, exponent)
+    # an exact power: Q is accepted at Q**2 (compare_power gives 0), and Q >= the floor
+    assert compare_power(10007, 10007**2, 0.5) == 0 and power_floor(10007**2, 0.5) <= 10007
 
 
 def test_compare_power_guard_band():
