@@ -12,6 +12,7 @@ writing each prime in [floor, hi] onto its multiples.
 
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -114,8 +115,10 @@ def largest_prime_factor(k: int) -> int:
     """P(k): the largest prime dividing k, with P(1) = 0.
 
     Raises:
+        TypeError: if k is not an integer.
         ValueError: if k < 1.
     """
+    k = operator.index(k)
     if k < 1:
         raise ValueError("largest_prime_factor requires k >= 1")
     return _prime_factors(k)[-1] if k > 1 else 0
@@ -123,6 +126,7 @@ def largest_prime_factor(k: int) -> int:
 
 def euler_phi(m: int) -> int:
     """Euler's totient: the count of 1 <= a <= m coprime to m."""
+    m = operator.index(m)
     if m < 1:
         raise ValueError("euler_phi requires m >= 1")
     result = m
@@ -133,15 +137,14 @@ def euler_phi(m: int) -> int:
 
 def mangoldt_weight(n: int) -> float:
     """Von Mangoldt Lambda(n): log p when n = p**j for prime p, else 0.0."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("mangoldt_weight requires n >= 1")
     primes = _prime_factors(n)
     return math.log(primes[0]) if len(primes) == 1 else 0.0
 
 
-def lpf_table(
-    lo: int, hi: int, segment_length: int = sieve.DEFAULT_SEGMENT_LENGTH, floor: int = 0
-) -> FactorTable:
+def lpf_table(lo: int, hi: int, *, floor: int = 0) -> FactorTable:
     """P(n) for every n in [lo, hi], or 0 where P(n) < floor.
 
     The default floor 0 gives the exact table. When floor > sqrt(hi), every
@@ -149,20 +152,19 @@ def lpf_table(
     P(n): each prime Q >= floor that has a multiple in the window is then
     written onto its multiples m * Q <= hi, with no small-prime sieve and no
     division. That path is skipped for a window so narrow that those primes
-    would span more than twice its width. Otherwise each segment divides out
-    all primes up to sqrt(hi) (once per prime-power level, so multiplicities
-    are exact); any cofactor left above 1 is itself prime and is the largest
-    factor; entries below floor are then zeroed.
+    would span more than twice its width. Otherwise each segment of
+    ``sieve.SEGMENT_LENGTH`` entries divides out all primes up to sqrt(hi)
+    (once per prime-power level, so multiplicities are exact); any cofactor
+    left above 1 is itself prime and is the largest factor; entries below
+    floor are then zeroed.
 
     Raises:
-        ValueError: if lo < 1, lo > hi or segment_length < 8.
+        ValueError: if lo < 1 or lo > hi.
     """
     if lo < 1:
         raise ValueError("interval endpoints must be positive")
     if lo > hi:
         raise ValueError(f"empty interval: lo={lo} > hi={hi}")
-    if segment_length < 8:
-        raise ValueError("segment_length too small")
     out = np.zeros(hi - lo + 1, dtype=np.int64)
     if floor > hi:
         return FactorTable(lo, hi, out)
@@ -176,11 +178,11 @@ def lpf_table(
                 first, last = np.searchsorted(primes, (-(-lo // m), hi // m + 1))
                 out[m * primes[first:last] - lo] = primes[first:last]
             return FactorTable(lo, hi, out)
-    base = np.nonzero(sieve._dense_sieve(root))[0].tolist() if root >= 2 else []
-    for seg_lo in range(lo, hi + 1, segment_length):
-        seg_hi = min(seg_lo + segment_length - 1, hi)
+    base = sieve.primes_in(1, root).primes.tolist()
+    for seg_lo in range(lo, hi + 1, sieve.SEGMENT_LENGTH):
+        seg_hi = min(seg_lo + sieve.SEGMENT_LENGTH - 1, hi)
+        lpf = out[seg_lo - lo : seg_hi - lo + 1]  # a view: the segment is written in place
         rem = np.arange(seg_lo, seg_hi + 1, dtype=np.int64)
-        lpf = np.zeros(seg_hi - seg_lo + 1, dtype=np.int64)
         for p in base:
             first = ((seg_lo + p - 1) // p) * p
             if first > seg_hi:
@@ -195,7 +197,6 @@ def lpf_table(
                 power *= p
         big = rem > 1
         lpf[big] = rem[big]
-        out[seg_lo - lo : seg_hi - lo + 1] = lpf
     if floor > 0:
         out[out < floor] = 0
     return FactorTable(lo, hi, out)

@@ -7,11 +7,13 @@ the von Mangoldt weight Lambda(n), lives in ``factor``.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_SEGMENT_LENGTH = 1 << 20
+# integers per sieve segment; even, so every segment starts on an odd number
+SEGMENT_LENGTH = 1 << 20
 
 _U64_LIMIT = 1 << 64
 
@@ -45,8 +47,14 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < 2**64.
 
     Runs Miller-Rabin with a fixed published witness set, so the answer is
-    exact (no probabilistic error) over the supported range.
+    exact (no probabilistic error) over the supported range. n may be any
+    integer type, numpy's included.
+
+    Raises:
+        TypeError: if n is not an integer.
+        ValueError: if n is outside [0, 2**64).
     """
+    n = operator.index(n)
     if n < 0 or n >= _U64_LIMIT:
         raise ValueError("is_prime supports 0 <= n < 2**64")
     if n < 2:
@@ -80,31 +88,28 @@ def _dense_sieve(limit: int) -> np.ndarray:
     return flags
 
 
-def primes_in(lo: int, hi: int, segment_length: int = DEFAULT_SEGMENT_LENGTH) -> PrimeInterval:
+def primes_in(lo: int, hi: int) -> PrimeInterval:
     """Every prime in [lo, hi] by segmented sieving of the odd numbers.
 
-    Each segment spans ``segment_length`` integers (rounded down to even) and
-    flags only its odd ones; 2 is added when it lies in [lo, hi]. Memory use
-    is bounded by ``segment_length`` (plus the base primes up to sqrt(hi)),
-    not by ``hi``, so intervals near 10**9 are fine.
+    Each segment spans ``SEGMENT_LENGTH`` integers and flags only its odd
+    ones; 2 is added when it lies in [lo, hi]. Memory use is bounded by
+    ``SEGMENT_LENGTH`` (plus the base primes up to sqrt(hi)), not by ``hi``,
+    so intervals near 10**9 are fine.
 
     Raises:
-        ValueError: if lo < 1, lo > hi or segment_length < 8.
+        ValueError: if lo < 1 or lo > hi.
     """
     if lo < 1:
         raise ValueError("interval endpoints must be positive")
     if lo > hi:
         raise ValueError(f"empty interval: lo={lo} > hi={hi}")
-    if segment_length < 8:
-        raise ValueError("segment_length too small")
     if hi < 2:
         return PrimeInterval(lo, hi, np.empty(0, dtype=np.int64))
 
     base = np.nonzero(_dense_sieve(math.isqrt(hi)))[0][1:].tolist()  # odd base primes
     chunks = [np.array([2], dtype=np.int64)] if lo <= 2 else []
-    step = segment_length & ~1  # even, so every segment starts on an odd number
-    for seg_lo in range(max(lo, 3) | 1, hi + 1, step):
-        seg_hi = min(seg_lo + step - 1, hi)
+    for seg_lo in range(max(lo, 3) | 1, hi + 1, SEGMENT_LENGTH):
+        seg_hi = min(seg_lo + SEGMENT_LENGTH - 1, hi)
         mask = np.ones((seg_hi - seg_lo) // 2 + 1, dtype=bool)  # mask[i]: seg_lo + 2 i
         for p in base:
             first = max(p * p, ((seg_lo + p - 1) // p) * p)

@@ -12,6 +12,7 @@ summarizes beta.
 import functools
 import json
 import math
+import operator
 import statistics
 from dataclasses import dataclass
 
@@ -90,38 +91,14 @@ _TAGS = (None, "smooth", "bv")
 class SurveyReport:
     """Everything a survey produced, in ascending n, held as columns.
 
-    ``n`` and the witness columns ``k, p, q, r, score`` are int64 arrays
-    (0 where n is exceptional), ``tag`` indexes (exceptional, "smooth",
-    "bv") and ``beta`` is float64 (NaN where there is none). ``records`` is
-    the same report as per-n ``SurveyRecord`` objects, built on first use.
+    ``n`` and the witness columns ``k, p, q, r, score`` (the rows of the
+    5-by-len(n) ``wit``) are int64 arrays (0 where n is exceptional), ``tag``
+    indexes (exceptional, "smooth", "bv") and ``beta`` is float64 (NaN where
+    there is none). This is the only constructor; ``records`` is the same
+    report as per-n ``SurveyRecord`` objects, built on first use.
     """
 
-    def __init__(self, x: int, config: SurveyConfig, records: list[SurveyRecord]):
-        """A report from per-n records, stored as the same columns.
-
-        Every witness field must fit in int64, and a record with a witness
-        must carry the strategy "smooth" or "bv".
-        """
-        n = np.array([rec.n for rec in records], dtype=np.int64)
-        tag = np.zeros(n.size, dtype=np.int8)
-        wit = np.zeros((5, n.size), dtype=np.int64)
-        beta = np.full(n.size, math.nan)
-        for i, rec in enumerate(records):
-            if rec.witness is not None:
-                w = rec.witness
-                tag[i] = _TAGS.index(rec.strategy, 1)
-                wit[:, i] = (w.k, w.p, w.q, w.r, w.score)
-            if rec.beta is not None:
-                beta[i] = rec.beta
-        self._store(x, config, n, tag, wit, beta)
-
-    @classmethod
-    def _from_columns(cls, x, config, n, tag, wit, beta) -> "SurveyReport":
-        report = cls.__new__(cls)
-        report._store(x, config, n, tag, wit, beta)
-        return report
-
-    def _store(self, x, config, n, tag, wit, beta) -> None:
+    def __init__(self, x: int, config: SurveyConfig, n, tag, wit, beta):
         self.x, self.config = x, config
         self.n, self.tag, self.beta = n, tag, beta
         self.k, self.p, self.q, self.r, self.score = wit
@@ -230,8 +207,10 @@ def survey_range(x: int, config: SurveyConfig | None = None) -> SurveyReport:
     supported up to F_EXACT_MAX_N, the int64 limit of the scan.
 
     Raises:
+        TypeError: if x is not an integer.
         ValueError: if x < 8, x > F_EXACT_MAX_N or the config is out of range.
     """
+    x = operator.index(x)
     if x < 8:
         raise ValueError("survey_range requires x >= 8")
     if x > F_EXACT_MAX_N:
@@ -259,7 +238,7 @@ def survey_range(x: int, config: SurveyConfig | None = None) -> SurveyReport:
     beta[found] = [
         math.log(s) / math.log(n) for n, s in zip(ns[found].tolist(), wit[4, found].tolist())
     ]
-    return SurveyReport._from_columns(x, config, ns, tag, wit, beta)
+    return SurveyReport(x, config, ns, tag, wit, beta)
 
 
 def exponent_stats(report: SurveyReport) -> tuple[float, float, float]:

@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 
+# relative width of the band in which compare_power's log test defers to exact powers
+GUARD = 1e-12
 
-def compare_power(value, base, exponent: float, guard: float = 1e-12):
+
+def compare_power(value, base, exponent: float):
     """Sign of ``value - base**exponent`` for integers value >= 0, base >= 1.
 
     Works elementwise: value and base may be integers or integer arrays
@@ -15,7 +18,7 @@ def compare_power(value, base, exponent: float, guard: float = 1e-12):
     array of signs.
 
     Compares logarithms in double precision; entries whose two sides land
-    inside a relative guard band are settled exactly with integer powers,
+    inside the relative band ``GUARD`` are settled exactly with integer powers,
     treating the exponent as a small-denominator fraction. This keeps
     threshold tests like P(r-1) > r**alpha stable at boundary values.
     """
@@ -23,7 +26,7 @@ def compare_power(value, base, exponent: float, guard: float = 1e-12):
     fvalues = values.astype(np.float64)
     lhs = np.log(np.maximum(fvalues, 1.0))  # value <= 0 is decided below, without log(0)
     rhs = exponent * np.log(bases.astype(np.float64))
-    band = guard * np.maximum(1.0, np.abs(rhs))
+    band = GUARD * np.maximum(1.0, np.abs(rhs))
     sign = (lhs > rhs + band).astype(np.int8) - (lhs < rhs - band)
     sign[fvalues <= 0] = -1
     inside = np.flatnonzero(sign == 0)
@@ -39,14 +42,14 @@ def compare_power(value, base, exponent: float, guard: float = 1e-12):
 
 
 def power_floor(base: int, exponent: float) -> int:
-    """An integer no larger than any value that ``compare_power`` (at its
-    default guard) finds >= b**exponent, for any b >= base.
+    """An integer no larger than any value that ``compare_power`` finds
+    >= b**exponent, for any b >= base.
 
     Both of its paths need log(value) >= exponent*log(b) - band - rounding,
-    where band = 1e-12 * max(1, exponent*log(b)) < 5e-11 for b < 2**63 and
-    0 < exponent <= 1, and rounding is a few ulps of numbers below 64. So
-    every such value exceeds b**exponent * (1 - 1e-10); the 1e-9 margin
-    below also covers the rounding of ``base ** exponent`` itself.
+    where band = GUARD * max(1, exponent*log(b)) < 5e-11 (GUARD = 1e-12)
+    for b < 2**63 and 0 < exponent <= 1, and rounding is a few ulps of
+    numbers below 64. So every such value exceeds b**exponent * (1 - 1e-10);
+    the 1e-9 margin below also covers the rounding of ``base ** exponent``.
     """
     return math.floor(base**exponent * (1 - 1e-9))
 

@@ -240,8 +240,10 @@ def strategy_bv(n: int, eps: float = 0.05) -> Witness | None:
     interval holds fewer than two primes.
 
     Raises:
-        ValueError: if eps is outside [0, 1/4).
+        TypeError: if n is not an integer.
+        ValueError: if n < 1 or eps is outside [0, 1/4).
     """
+    n = operator.index(n)
     if not 0 <= eps < 0.25:
         raise ValueError("eps must lie in [0, 1/4)")
     if n < 1:
@@ -314,8 +316,10 @@ def strategy_smooth(n: int, rset: RSet, gamma: float) -> Witness | None:
     n is exceptional for this rset and gamma.
 
     Raises:
+        TypeError: if n is not an integer.
         ValueError: if n < 1, gamma is outside (0, 1] or some member is >= n.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("strategy_smooth requires n >= 1")
     if not 0 < gamma <= 1:

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from edgebudget import euler_phi, largest_prime_factor, lpf_table
+from edgebudget import euler_phi, largest_prime_factor, lpf_table, sieve
 
 
 def trial_division_lpf(k: int) -> int:
@@ -89,8 +89,11 @@ def test_lpf_table_matches_pointwise():
             assert table[n] == largest_prime_factor(n), n
 
 
-def test_lpf_table_segmentation_is_invisible():
-    assert lpf_table(1, 20_000, segment_length=700).lpf.tolist() == lpf_table(1, 20_000).lpf.tolist()
+def test_lpf_table_segmentation_is_invisible(monkeypatch):
+    whole = lpf_table(1, 20_000).lpf.tolist()
+    monkeypatch.setattr(sieve, "SEGMENT_LENGTH", 700)
+    assert lpf_table(1, 20_000).lpf.tolist() == whole
+    assert lpf_table(9_000, 20_000).lpf.tolist() == whole[9_000 - 1 :]
 
 
 def test_lpf_table_high_window():
@@ -101,12 +104,11 @@ def test_lpf_table_high_window():
         assert table[n] == largest_prime_factor(n), n
 
 
-def test_lpf_table_rejects_short_segments():
-    # the same check as primes_in: no silent all-zero table, no bare range() error
-    for segment_length in (-5, 0, 7):
-        with pytest.raises(ValueError, match="segment_length too small"):
-            lpf_table(1, 20, segment_length)
-    assert lpf_table(1, 20, 8).lpf.tolist() == lpf_table(1, 20).lpf.tolist()
+def test_lpf_table_floor_is_keyword_only():
+    # a stale positional third argument must not silently become the floor
+    with pytest.raises(TypeError):
+        lpf_table(1, 20, 8)
+    assert lpf_table(1, 20, floor=8).lpf.tolist() == [v if v >= 8 else 0 for v in lpf_table(1, 20).lpf.tolist()]
 
 
 def test_lpf_table_floor_matches_truncated_full_table():

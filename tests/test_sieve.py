@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from edgebudget import is_prime, mangoldt_weight, primes_in
+from edgebudget import is_prime, mangoldt_weight, primes_in, sieve
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -74,26 +74,27 @@ def test_primes_in_matches_is_prime_filter():
         assert got == [n for n in range(lo, hi + 1) if is_prime(n)], (lo, hi)
 
 
-def test_primes_in_segmentation_is_invisible():
+def test_primes_in_segmentation_is_invisible(monkeypatch):
     whole = primes_in(1, 50_000).primes.tolist()
-    segmented = primes_in(1, 50_000, segment_length=1024).primes.tolist()
+    monkeypatch.setattr(sieve, "SEGMENT_LENGTH", 1024)
+    segmented = primes_in(1, 50_000).primes.tolist()
     assert whole == segmented
 
 
-def test_primes_in_parity_and_segment_edges():
-    # segments of 8 (and of odd lengths, rounded down to even) start on odd
-    # numbers whatever the parity of lo; 2 appears exactly when lo <= 2 <= hi
-    for segment_length in (8, 9, 10, 15):
+def test_primes_in_parity_and_segment_edges(monkeypatch):
+    # segments of 8 and more (even, read at call time) start on odd numbers
+    # whatever the parity of lo; 2 appears exactly when lo <= 2 <= hi
+    for segment_length in (8, 10, 14):
+        monkeypatch.setattr(sieve, "SEGMENT_LENGTH", segment_length)
         for lo in range(1, 40):
             for hi in (lo, lo + 1, lo + 7, lo + 8, lo + 9, lo + 100):
-                got = primes_in(lo, hi, segment_length=segment_length).primes.tolist()
+                got = primes_in(lo, hi).primes.tolist()
                 assert got == [n for n in range(lo, hi + 1) if is_prime(n)], (lo, hi, segment_length)
+        assert primes_in(2, 2).primes.tolist() == [2]
+    monkeypatch.undo()
     assert primes_in(2, 2).primes.tolist() == [2]
-    assert primes_in(2, 2, segment_length=8).primes.tolist() == [2]
     assert primes_in(3, 4).primes.tolist() == [3]
     assert primes_in(4, 4).primes.tolist() == []
-    with pytest.raises(ValueError):
-        primes_in(1, 100, segment_length=7)
 
 
 def test_primes_in_high_window():

@@ -10,14 +10,17 @@ from edgebudget import (
     Witness,
     build_rset,
     crt_pair,
+    euler_phi,
     f_exact,
     is_prime,
     largest_prime_factor,
     lpf_table,
     make_witness,
+    mangoldt_weight,
     score,
     strategy_bv,
     strategy_smooth,
+    survey_range,
     validate,
     witness_json,
 )
@@ -188,6 +191,47 @@ def test_f_exact_returns_python_ints():
     assert json.loads(json.dumps(witness_json(10, w, "exact")))["k"] == 1
     value, w = f_exact(np.int64(100_003))  # the certified path
     assert all(type(v) is int for v in (value, w.k, w.p, w.q, w.r, w.score))
+
+
+def strategy_smooth_at(n):
+    return strategy_smooth(n, build_rset(3000, 15000, 0.677), 0.677)
+
+
+@pytest.mark.parametrize(
+    "func, value",
+    [
+        (is_prime, 1_000_003),
+        (largest_prime_factor, 1_000_003),
+        (euler_phi, 10**6),
+        (mangoldt_weight, 1_000_003),
+        (f_exact, 1000),
+        (strategy_bv, 60_000),
+        (strategy_smooth_at, 60_000),
+        (survey_range, 300),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_numpy_ints_give_the_int_result(func, value):
+    # numpy ints are the package's own interchange type: primes_in and every
+    # table hand them out, so each entry point must take them like an int
+    want, got = func(value), func(np.int64(value))
+    if func is survey_range:
+        assert got.to_json() == want.to_json()
+        return
+    assert got == want and type(got) is type(want)
+    witness = got[1] if func is f_exact else got
+    if func in (f_exact, strategy_bv, strategy_smooth_at):
+        assert all(type(v) is int for v in vars(witness).values())
+        doc = json.loads(json.dumps(witness_json(value, witness, "smooth")))
+        assert Witness(doc["k"], doc["p"], doc["q"], doc["r"], doc["score"]) == witness
+        assert validate(value, witness)
+
+
+def test_non_integers_are_type_errors():
+    with pytest.raises(TypeError):
+        is_prime(1.5)
+    with pytest.raises(TypeError):
+        survey_range(300.0)
 
 
 def test_f_exact_is_deterministic():
