@@ -62,7 +62,7 @@ def main():
 
     banner("4. Rough-shifted-prime strategy on n = 100")
     rset = build_rset(5, 25, 0.5)
-    print(f"  primes r in [5, 25] with P(r-1) > sqrt(r): {rset.members}")
+    print(f"  primes r in [5, 25] with P(r-1) > sqrt(r): {rset.members.tolist()}")
     w = strategy_smooth(100, rset, gamma=0.5)
     print(f"  first qualifying r = {w.r}: P(100 - {w.r}) = {w.p} >= 100^0.5")
     print(f"  witness (k={w.k}, p={w.p}, q={w.q}, r={w.r}), score {w.score}, "

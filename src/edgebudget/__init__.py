@@ -36,8 +36,8 @@ JSON or CSV; see the repository README.
 """
 
 from .dirichlet import DiscrepancyRecord, bv_sum, max_discrepancy, psi
-from .factor import FactorTable, euler_phi, largest_prime_factor, lpf_table, mangoldt_weight
-from .sieve import PrimeInterval, is_prime, primes_in
+from .factor import euler_phi, largest_prime_factor, lpf_table, mangoldt_weight
+from .sieve import is_prime, primes_in
 from .survey import (
     PRESETS,
     SurveyConfig,
@@ -66,9 +66,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DiscrepancyRecord",
-    "FactorTable",
     "PRESETS",
-    "PrimeInterval",
     "RSet",
     "SurveyConfig",
     "SurveyRecord",

@@ -19,6 +19,7 @@ below 2**53.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -63,7 +64,7 @@ class DiscrepancyRecord:
 
 @lru_cache(maxsize=4)
 def _jumps_upto(top: int) -> np.ndarray:
-    primes = sieve.primes_in(2, top).primes if top >= 2 else np.zeros(0, dtype=np.int64)
+    primes = sieve.primes_in(2, top) if top >= 2 else np.zeros(0, dtype=np.int64)
     logs = np.fromiter(map(math.log, primes.tolist()), dtype=np.float64, count=primes.size)
     powers = [primes]  # powers[k][i] == primes[i] ** (k + 1), while that is <= top
     while powers[-1].size:
@@ -104,11 +105,13 @@ def psi(y: float, m: int, a: int) -> float:
     """Chebyshev psi(y; m, a): sum of Lambda(n) over n <= y, n = a (mod m).
 
     With m = 1 the single admissible residue is a = 0 and the classical
-    psi(y) is returned.
+    psi(y) is returned. m and a may be any integer type, numpy's included.
 
     Raises:
+        TypeError: if m or a is not an integer.
         ValueError: if m < 1, y <= 0, y > MAX_Z, or a is outside [0, m).
     """
+    m, a = operator.index(m), operator.index(a)
     if m < 1:
         raise ValueError("modulus must be positive")
     if not y > 0:  # NaN fails too
@@ -130,11 +133,14 @@ def max_discrepancy(z: float, m: int) -> DiscrepancyRecord:
     post-jump value, and the endpoint y = z closes the final piece. The
     record is the first maximal candidate in the order classes ascending,
     then candidates in increasing y, left limit before post-jump value, the
-    endpoint last; so it is deterministic.
+    endpoint last; so it is deterministic. m may be any integer type,
+    numpy's included; the record's m is a Python int.
 
     Raises:
+        TypeError: if m is not an integer.
         ValueError: if m < 1, z < 1, or z > MAX_Z.
     """
+    m = operator.index(m)
     if m < 1:
         raise ValueError("modulus must be positive")
     if not z >= 1:  # NaN fails too

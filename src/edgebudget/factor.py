@@ -14,7 +14,6 @@ import functools
 import math
 import operator
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,31 +24,7 @@ TRIAL_LIMIT = 10_000
 
 @functools.cache
 def _small_primes() -> list[int]:
-    return sieve.primes_in(2, TRIAL_LIMIT).primes.tolist()
-
-
-@dataclass(frozen=True, eq=False)
-class FactorTable:
-    """Largest prime factors over a contiguous interval.
-
-    Attributes:
-        lo: First tabulated integer.
-        hi: Last tabulated integer.
-        lpf: int64 array with ``lpf[n - lo] == P(n)``, and 0 where P(n) is
-            below the floor the table was built with (always 0 at n = 1).
-    """
-
-    lo: int
-    hi: int
-    lpf: np.ndarray
-
-    def __getitem__(self, n: int) -> int:
-        if n < self.lo or n > self.hi:
-            raise IndexError(f"{n} outside tabulated range [{self.lo}, {self.hi}]")
-        return int(self.lpf[n - self.lo])
-
-    def __len__(self) -> int:
-        return int(self.lpf.size)
+    return sieve.primes_in(2, TRIAL_LIMIT).tolist()
 
 
 def _pollard_rho(n: int) -> int:
@@ -144,19 +119,20 @@ def mangoldt_weight(n: int) -> float:
     return math.log(primes[0]) if len(primes) == 1 else 0.0
 
 
-def lpf_table(lo: int, hi: int, *, floor: int = 0) -> FactorTable:
+def lpf_table(lo: int, hi: int, *, floor: int = 0) -> np.ndarray:
     """P(n) for every n in [lo, hi], or 0 where P(n) < floor.
 
-    The default floor 0 gives the exact table. When floor > sqrt(hi), every
-    n <= hi has at most one prime factor >= floor, and if one exists it is
-    P(n): each prime Q >= floor that has a multiple in the window is then
-    written onto its multiples m * Q <= hi, with no small-prime sieve and no
-    division. That path is skipped for a window so narrow that those primes
-    would span more than twice its width. Otherwise each segment of
-    ``sieve.SEGMENT_LENGTH`` entries divides out all primes up to sqrt(hi)
-    (once per prime-power level, so multiplicities are exact); any cofactor
-    left above 1 is itself prime and is the largest factor; entries below
-    floor are then zeroed.
+    Returns the int64 array ``a`` with ``a[n - lo] == P(n)``, or 0 where P(n)
+    is below the floor (always 0 at n = 1). The default floor 0 gives the
+    exact table. When floor > sqrt(hi), every n <= hi has at most one prime
+    factor >= floor, and if one exists it is P(n): each prime Q >= floor
+    that has a multiple in the window is then written onto its multiples
+    m * Q <= hi, with no small-prime sieve and no division. That path is
+    skipped for a window so narrow that those primes would span more than
+    twice its width. Otherwise each segment of ``sieve.SEGMENT_LENGTH``
+    entries divides out all primes up to sqrt(hi) (once per prime-power
+    level, so multiplicities are exact); any cofactor left above 1 is itself
+    prime and is the largest factor; entries below floor are then zeroed.
 
     Raises:
         ValueError: if lo < 1 or lo > hi.
@@ -167,18 +143,18 @@ def lpf_table(lo: int, hi: int, *, floor: int = 0) -> FactorTable:
         raise ValueError(f"empty interval: lo={lo} > hi={hi}")
     out = np.zeros(hi - lo + 1, dtype=np.int64)
     if floor > hi:
-        return FactorTable(lo, hi, out)
+        return out
     root = math.isqrt(hi)
     if floor > root:
         most = hi // floor  # the largest cofactor m of m * Q <= hi with Q >= floor
         q_lo = max(floor, -(-lo // most))
         if hi - q_lo <= 2 * (hi - lo):
-            primes = sieve.primes_in(q_lo, hi).primes
+            primes = sieve.primes_in(q_lo, hi)
             for m in range(1, most + 1):
                 first, last = np.searchsorted(primes, (-(-lo // m), hi // m + 1))
                 out[m * primes[first:last] - lo] = primes[first:last]
-            return FactorTable(lo, hi, out)
-    base = sieve.primes_in(1, root).primes.tolist()
+            return out
+    base = sieve.primes_in(1, root).tolist()
     for seg_lo in range(lo, hi + 1, sieve.SEGMENT_LENGTH):
         seg_hi = min(seg_lo + sieve.SEGMENT_LENGTH - 1, hi)
         lpf = out[seg_lo - lo : seg_hi - lo + 1]  # a view: the segment is written in place
@@ -199,4 +175,4 @@ def lpf_table(lo: int, hi: int, *, floor: int = 0) -> FactorTable:
         lpf[big] = rem[big]
     if floor > 0:
         out[out < floor] = 0
-    return FactorTable(lo, hi, out)
+    return out

@@ -8,7 +8,6 @@ the von Mangoldt weight Lambda(n), lives in ``factor``.
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,27 +19,6 @@ _U64_LIMIT = 1 << 64
 # Strong-pseudoprime witness bases: testing against the first twelve primes is
 # deterministic for every n < 3.3 * 10**24, which covers the 64-bit contract.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-@dataclass(frozen=True, eq=False)
-class PrimeInterval:
-    """All primes in the closed interval [lo, hi], strictly increasing.
-
-    Attributes:
-        lo: Lower endpoint (inclusive).
-        hi: Upper endpoint (inclusive).
-        primes: int64 array of every prime in [lo, hi], ascending.
-    """
-
-    lo: int
-    hi: int
-    primes: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.primes.size)
-
-    def __iter__(self):
-        return iter(self.primes.tolist())
 
 
 def is_prime(n: int) -> bool:
@@ -88,13 +66,14 @@ def _dense_sieve(limit: int) -> np.ndarray:
     return flags
 
 
-def primes_in(lo: int, hi: int) -> PrimeInterval:
-    """Every prime in [lo, hi] by segmented sieving of the odd numbers.
+def primes_in(lo: int, hi: int) -> np.ndarray:
+    """Every prime in [lo, hi]: an ascending int64 array, empty when there is none.
 
-    Each segment spans ``SEGMENT_LENGTH`` integers and flags only its odd
-    ones; 2 is added when it lies in [lo, hi]. Memory use is bounded by
-    ``SEGMENT_LENGTH`` (plus the base primes up to sqrt(hi)), not by ``hi``,
-    so intervals near 10**9 are fine.
+    Segmented sieving of the odd numbers: each segment spans
+    ``SEGMENT_LENGTH`` integers and flags only its odd ones; 2 is added when
+    it lies in [lo, hi]. Memory use is bounded by ``SEGMENT_LENGTH`` (plus
+    the base primes up to sqrt(hi)), not by ``hi``, so intervals near 10**9
+    are fine.
 
     Raises:
         ValueError: if lo < 1 or lo > hi.
@@ -104,7 +83,7 @@ def primes_in(lo: int, hi: int) -> PrimeInterval:
     if lo > hi:
         raise ValueError(f"empty interval: lo={lo} > hi={hi}")
     if hi < 2:
-        return PrimeInterval(lo, hi, np.empty(0, dtype=np.int64))
+        return np.empty(0, dtype=np.int64)
 
     base = np.nonzero(_dense_sieve(math.isqrt(hi)))[0][1:].tolist()  # odd base primes
     chunks = [np.array([2], dtype=np.int64)] if lo <= 2 else []
@@ -118,5 +97,4 @@ def primes_in(lo: int, hi: int) -> PrimeInterval:
                 continue
             mask[(first - seg_lo) // 2 :: p] = False
         chunks.append(seg_lo + 2 * np.nonzero(mask)[0].astype(np.int64))
-    primes = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    return PrimeInterval(lo, hi, primes)
+    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)

@@ -51,7 +51,8 @@ class SurveyConfig:
     def rset(self, x: int) -> RSet:
         """The RSet over [ceil(c0 x), floor(x/4)]; empty when that interval is."""
         lo, hi = max(1, math.ceil(self.c0 * x)), x // 4
-        return build_rset(lo, hi, self.alpha) if lo <= hi else RSet(self.alpha, (lo, hi), [])
+        empty = np.zeros(0, dtype=np.int64)
+        return build_rset(lo, hi, self.alpha) if lo <= hi else RSet(empty, empty)
 
     @property
     def strategies(self) -> tuple[str, ...]:
@@ -172,26 +173,25 @@ def _smooth_scan(n_lo: int, n_hi: int, rset: RSet, gamma: float):
     q, r, score): the offsets n - n_lo of the n that found a witness, and its
     fields.
     """
-    if not rset.members:
+    members = rset.members
+    if not members.size:
         return (np.zeros(0, dtype=np.int64),) * 6
     ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    table = factor.lpf_table(
-        max(1, n_lo - rset.members[-1]), n_hi - rset.members[0], floor=power_floor(n_lo, gamma)
-    )
+    lo = max(1, n_lo - int(members[-1]))
+    lpf = factor.lpf_table(lo, n_hi - int(members[0]), floor=power_floor(n_lo, gamma))
     hit = np.full(ns.size, -1, dtype=np.int64)
     pending = np.arange(ns.size)
-    for i, r in enumerate(rset.members):
+    for i, r in enumerate(members):
         n = ns[pending]
-        ok = compare_power(table.lpf[n - r - table.lo], n, gamma) >= 0
+        ok = compare_power(lpf[n - r - lo], n, gamma) >= 0
         hit[pending[ok]] = i
         pending = pending[~ok]
         if not pending.size:
             break
     found = np.flatnonzero(hit >= 0)
     which = hit[found]
-    n, r = ns[found], np.asarray(rset.members, dtype=np.int64)[which]
-    q = np.asarray(rset.q, dtype=np.int64)[which]
-    p, s = prime_r_scores(n, r, q, table)
+    n, r, q = ns[found], members[which], rset.q[which]
+    p, s = prime_r_scores(n, r, q, lpf, lo)
     return found, (n - r) // p, p, q, r, s
 
 
@@ -298,8 +298,7 @@ def bs_max_pdiff(a_set, b_set) -> tuple[int, tuple[int, int]]:
     diffs = _distinct_abs_diffs(a_vals, b_vals)
     if diffs.size == 0:
         raise ValueError("no pair with a != b exists")
-    table = factor.lpf_table(1, int(diffs[-1]))
-    pvals = table.lpf[diffs - 1]
+    pvals = factor.lpf_table(1, int(diffs[-1]))[diffs - 1]
     idx = int(np.argmax(pvals))
     best_d = int(diffs[idx])
     max_p = int(pvals[idx])

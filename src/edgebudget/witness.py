@@ -44,22 +44,16 @@ class Witness:
 class RSet:
     """Primes r in an interval whose shifted value r - 1 is rough.
 
-    Members are exactly the primes r in [lo, hi] with P(r-1) > r**alpha,
-    in increasing order; ``q[i]`` is P(members[i] - 1). When q is not given
-    it is factored from the members.
+    ``members`` is the ascending int64 array of the primes r in [lo, hi]
+    with P(r-1) > r**alpha, as ``build_rset`` makes it, and ``q`` the int64
+    array with ``q[i] == P(members[i] - 1)``.
     """
 
-    alpha: float
-    interval: tuple[int, int]
-    members: list[int]
-    q: list[int] | None = None
-
-    def __post_init__(self):
-        if self.q is None:
-            object.__setattr__(self, "q", [factor.largest_prime_factor(r - 1) for r in self.members])
+    members: np.ndarray
+    q: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.members)
+        return int(self.members.size)
 
 
 def unchecked_score(k: int, p: int, q: int, r: int) -> int:
@@ -67,16 +61,17 @@ def unchecked_score(k: int, p: int, q: int, r: int) -> int:
     return min(p * p * k, p * k * r, q * r)
 
 
-def prime_r_scores(n, r: np.ndarray, q: np.ndarray, table: factor.FactorTable):
+def prime_r_scores(n, r: np.ndarray, q: np.ndarray, lpf: np.ndarray, lo: int):
     """(p, scores) with p = P(n - r) for primes r < n and q = P(r-1).
 
     The int64 array form of ``unchecked_score`` with k p = n - r, shared by
-    ``f_exact`` and the survey's smooth scan; p is read from ``table``, which
-    must cover every n - r. Each product is below n**2, so the scores are
-    exact for n <= F_EXACT_MAX_N.
+    ``f_exact`` and the survey's smooth scan; p is read from ``lpf``, an
+    ``lpf_table`` array that starts at ``lo`` and must cover every n - r.
+    Each product is below n**2, so the scores are exact for
+    n <= F_EXACT_MAX_N.
     """
     d = n - r
-    p = table.lpf[d - table.lo]
+    p = lpf[d - lo]
     return p, np.minimum(np.minimum(p * d, d * r), q * r)
 
 
@@ -180,11 +175,10 @@ def f_exact(n: int) -> tuple[int, Witness | None]:
         raise ValueError(f"f_exact supports n <= {F_EXACT_MAX_N}")
     if n < 5:
         return 0, None
-    r = sieve.primes_in(3, n - 2).primes
+    r = sieve.primes_in(3, n - 2)
     for floor in (max(n // 64, math.isqrt(n - 1) + 1), 0):
-        table = factor.lpf_table(1, n - 1, floor=floor)
-        lpf = table.lpf  # lpf[v - 1] == P(v), or 0 where P(v) < floor
-        _, scores = prime_r_scores(n, r, lpf[r - 2], table)
+        lpf = factor.lpf_table(1, n - 1, floor=floor)  # lpf[v - 1] == P(v), or 0 where P(v) < floor
+        _, scores = prime_r_scores(n, r, lpf[r - 2], lpf, 1)
         best = int(scores.max())
         if best >= floor * n:  # certified; always so on the exact table
             break
@@ -213,9 +207,13 @@ def _first_split(n: int, r: int, best: int, lpf: np.ndarray) -> tuple[int, int, 
 def crt_pair(n: int, p: int, q: int) -> int:
     """The unique a in [0, pq) with a = n (mod p) and a = 1 (mod q).
 
+    n, p, q may be any integer type, numpy's included; a is a Python int.
+
     Raises:
+        TypeError: if n, p or q is not an integer.
         ValueError: if p == q.
     """
+    n, p, q = map(operator.index, (n, p, q))
     if p == q:
         raise ValueError("crt_pair requires distinct primes")
     a = (n % p) * q * pow(q, -1, p) + p * pow(p, -1, q)
@@ -256,7 +254,7 @@ def strategy_bv(n: int, eps: float = 0.05) -> Witness | None:
     hi = math.floor(2 * width)
     if hi < lo or lo < 1:
         return None
-    ps = sieve.primes_in(lo, hi).primes.tolist()
+    ps = sieve.primes_in(lo, hi).tolist()
     if len(ps) < 2:
         return None
     r_lo = -(-n // 4)
@@ -299,11 +297,12 @@ def build_rset(lo: int, hi: int, alpha: float) -> RSet:
         raise ValueError(f"empty interval: lo={lo} > hi={hi}")
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
-    primes = sieve.primes_in(lo, hi).primes
-    shifted = factor.lpf_table(max(1, lo - 1), max(1, hi - 1), floor=power_floor(lo, alpha))
-    q = shifted.lpf[primes - 1 - shifted.lo]
+    primes = sieve.primes_in(lo, hi)
+    shifted_lo = max(1, lo - 1)
+    shifted = factor.lpf_table(shifted_lo, max(1, hi - 1), floor=power_floor(lo, alpha))
+    q = shifted[primes - 1 - shifted_lo]
     keep = compare_power(q, primes, alpha) > 0
-    return RSet(alpha, (lo, hi), primes[keep].tolist(), q[keep].tolist())
+    return RSet(primes[keep], q[keep])
 
 
 def strategy_smooth(n: int, rset: RSet, gamma: float) -> Witness | None:
@@ -324,9 +323,9 @@ def strategy_smooth(n: int, rset: RSet, gamma: float) -> Witness | None:
         raise ValueError("strategy_smooth requires n >= 1")
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")
-    if rset.members and rset.members[-1] >= n:
+    if rset.members.size and rset.members[-1] >= n:
         raise ValueError("every rset member must lie below n")
-    for r, q in zip(rset.members, rset.q):
+    for r, q in zip(map(int, rset.members), map(int, rset.q)):
         d = n - r
         p = factor.largest_prime_factor(d)
         if compare_power(p, n, gamma) >= 0:

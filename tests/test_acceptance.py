@@ -333,8 +333,8 @@ def test_criterion_10_performance_floor():
     t0 = time.perf_counter()
     table = lpf_table(1, 10**7)
     lpf_elapsed = time.perf_counter() - t0
-    assert table[9_999_991] == 9_999_991  # prime
-    assert table[10**7] == 5
+    assert table[9_999_991 - 1] == 9_999_991  # prime
+    assert table[10**7 - 1] == 5
 
     t0 = time.perf_counter()
     total = 0

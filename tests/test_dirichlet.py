@@ -1,8 +1,11 @@
+import dataclasses
+import json
 import math
 import random
 from functools import lru_cache
 from math import fsum, gcd
 
+import numpy as np
 import pytest
 
 from edgebudget import bv_sum, euler_phi, mangoldt_weight, max_discrepancy, primes_in, psi
@@ -33,6 +36,19 @@ def test_psi_examples():
     assert psi(1, 7, 3) == 0.0
     assert psi(0.5, 1, 0) == 0.0
     assert psi(10, 10**20, 7) == math.log(7)  # a modulus beyond int64
+
+
+def test_numpy_ints_give_the_int_result():
+    # a modulus or residue taken from a numpy array acts like the int it holds
+    want, got = max_discrepancy(1000, 7), max_discrepancy(1000, np.int64(7))
+    assert got == want and type(got.m) is int
+    assert json.dumps(dataclasses.asdict(got)) == json.dumps(dataclasses.asdict(want))
+    assert psi(1000, np.int64(7), np.int64(3)) == psi(1000, 7, 3)
+    assert psi(1000, np.int64(1), np.int64(0)) == psi(1000, 1, 0)
+    with pytest.raises(TypeError):
+        max_discrepancy(1000, 7.0)
+    with pytest.raises(TypeError):
+        psi(1000, 7, 3.0)
 
 
 def test_psi_rejects_bad_arguments():
@@ -126,7 +142,7 @@ def test_bv_sum_rejects_bad_arguments():
 @lru_cache(maxsize=None)
 def reference_jumps(top):
     out = []
-    for p in primes_in(2, top).primes.tolist() if top >= 2 else []:
+    for p in primes_in(2, top).tolist() if top >= 2 else []:
         j = p
         while j <= top:
             out.append((j, math.log(p)))

@@ -67,9 +67,9 @@ def test_lpf_large_cofactors():
 
 
 def test_lpf_table_examples():
-    assert lpf_table(90, 96).lpf.tolist() == [5, 13, 23, 31, 47, 19, 3]
-    assert lpf_table(1, 1).lpf.tolist() == [0]
-    assert lpf_table(97, 97).lpf.tolist() == [97]
+    assert lpf_table(90, 96).tolist() == [5, 13, 23, 31, 47, 19, 3]
+    assert lpf_table(1, 1).tolist() == [0]
+    assert lpf_table(97, 97).tolist() == [97]
     with pytest.raises(ValueError):
         lpf_table(5, 4)
     with pytest.raises(ValueError):
@@ -86,14 +86,14 @@ def test_lpf_table_matches_pointwise():
     for lo, hi in intervals:
         table = lpf_table(lo, hi)
         for n in range(lo, hi + 1):
-            assert table[n] == largest_prime_factor(n), n
+            assert table[n - lo] == largest_prime_factor(n), n
 
 
 def test_lpf_table_segmentation_is_invisible(monkeypatch):
-    whole = lpf_table(1, 20_000).lpf.tolist()
+    whole = lpf_table(1, 20_000).tolist()
     monkeypatch.setattr(sieve, "SEGMENT_LENGTH", 700)
-    assert lpf_table(1, 20_000).lpf.tolist() == whole
-    assert lpf_table(9_000, 20_000).lpf.tolist() == whole[9_000 - 1 :]
+    assert lpf_table(1, 20_000).tolist() == whole
+    assert lpf_table(9_000, 20_000).tolist() == whole[9_000 - 1 :]
 
 
 def test_lpf_table_high_window():
@@ -101,14 +101,14 @@ def test_lpf_table_high_window():
     lo, hi = 10**9 - 1000, 10**9
     table = lpf_table(lo, hi)
     for n in range(lo, hi + 1):
-        assert table[n] == largest_prime_factor(n), n
+        assert table[n - lo] == largest_prime_factor(n), n
 
 
 def test_lpf_table_floor_is_keyword_only():
     # a stale positional third argument must not silently become the floor
     with pytest.raises(TypeError):
         lpf_table(1, 20, 8)
-    assert lpf_table(1, 20, floor=8).lpf.tolist() == [v if v >= 8 else 0 for v in lpf_table(1, 20).lpf.tolist()]
+    assert lpf_table(1, 20, floor=8).tolist() == [v if v >= 8 else 0 for v in lpf_table(1, 20).tolist()]
 
 
 def test_lpf_table_floor_matches_truncated_full_table():
@@ -119,7 +119,7 @@ def test_lpf_table_floor_matches_truncated_full_table():
         windows.append((rng.randrange(hi // 3, hi), hi))  # wide high windows
         windows.append((hi - rng.randrange(0, 300), hi))  # narrow high windows
     for lo, hi in windows:
-        full = lpf_table(lo, hi).lpf
+        full = lpf_table(lo, hi)
         root = math.isqrt(hi)
         floors = [0, 1, 2, root, root + 1, root + 2, hi // 64, hi, hi + 1, hi + 50]
         floors.append(int(full[rng.randrange(full.size)]))  # a P(n) present in the window
@@ -127,25 +127,20 @@ def test_lpf_table_floor_matches_truncated_full_table():
         for floor in floors:
             table = lpf_table(lo, hi, floor=floor)
             expected = np.where(full >= floor, full, 0)
-            assert table.lpf.dtype == np.int64
-            assert np.array_equal(table.lpf, expected), (lo, hi, floor)
+            assert table.dtype == np.int64
+            assert np.array_equal(table, expected), (lo, hi, floor)
 
 
 def test_lpf_table_floor_keeps_the_boundary_prime():
     # 821 = P(21346) lies exactly at the floor and must be kept (>=, not >)
-    assert lpf_table(20_174, 100_874, floor=821)[21_346] == 821
-    assert lpf_table(20_174, 100_874, floor=822)[21_346] == 0
-    assert lpf_table(1, 21_346, floor=821)[21_346] == 821
+    assert lpf_table(20_174, 100_874, floor=821)[21_346 - 20_174] == 821
+    assert lpf_table(20_174, 100_874, floor=822)[21_346 - 20_174] == 0
+    assert lpf_table(1, 21_346, floor=821)[21_346 - 1] == 821
 
 
 def test_factor_table_indexing():
     table = lpf_table(10, 20)
-    assert table[10] == 5 and table[20] == 5
-    assert len(table) == 11
-    with pytest.raises(IndexError):
-        table[9]
-    with pytest.raises(IndexError):
-        table[21]
+    assert table[10 - 10] == 5 and table[20 - 10] == 5
 
 
 def test_phi_examples():

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from edgebudget import is_prime, mangoldt_weight, primes_in, sieve
@@ -52,9 +53,10 @@ def test_is_prime_rejects_out_of_range():
 
 
 def test_primes_in_examples():
-    assert primes_in(10, 20).primes.tolist() == [11, 13, 17, 19]
-    assert primes_in(1, 1).primes.tolist() == []
-    assert primes_in(90, 97).primes.tolist() == [97]
+    assert primes_in(10, 20).tolist() == [11, 13, 17, 19]
+    assert primes_in(1, 1).tolist() == []
+    assert primes_in(10, 20).dtype == primes_in(1, 1).dtype == primes_in(4, 4).dtype == np.int64
+    assert primes_in(90, 97).tolist() == [97]
 
 
 def test_primes_in_rejects_empty_interval():
@@ -70,14 +72,14 @@ def test_primes_in_matches_is_prime_filter():
         tuple(sorted((rng.randrange(1, 10**5), rng.randrange(1, 10**5)))) for _ in range(20)
     ]
     for lo, hi in intervals:
-        got = primes_in(lo, hi).primes.tolist()
+        got = primes_in(lo, hi).tolist()
         assert got == [n for n in range(lo, hi + 1) if is_prime(n)], (lo, hi)
 
 
 def test_primes_in_segmentation_is_invisible(monkeypatch):
-    whole = primes_in(1, 50_000).primes.tolist()
+    whole = primes_in(1, 50_000).tolist()
     monkeypatch.setattr(sieve, "SEGMENT_LENGTH", 1024)
-    segmented = primes_in(1, 50_000).primes.tolist()
+    segmented = primes_in(1, 50_000).tolist()
     assert whole == segmented
 
 
@@ -88,26 +90,20 @@ def test_primes_in_parity_and_segment_edges(monkeypatch):
         monkeypatch.setattr(sieve, "SEGMENT_LENGTH", segment_length)
         for lo in range(1, 40):
             for hi in (lo, lo + 1, lo + 7, lo + 8, lo + 9, lo + 100):
-                got = primes_in(lo, hi).primes.tolist()
+                got = primes_in(lo, hi).tolist()
                 assert got == [n for n in range(lo, hi + 1) if is_prime(n)], (lo, hi, segment_length)
-        assert primes_in(2, 2).primes.tolist() == [2]
+        assert primes_in(2, 2).tolist() == [2]
     monkeypatch.undo()
-    assert primes_in(2, 2).primes.tolist() == [2]
-    assert primes_in(3, 4).primes.tolist() == [3]
-    assert primes_in(4, 4).primes.tolist() == []
+    assert primes_in(2, 2).tolist() == [2]
+    assert primes_in(3, 4).tolist() == [3]
+    assert primes_in(4, 4).tolist() == []
 
 
 def test_primes_in_high_window():
     # a narrow window near 1e9 only needs base primes up to sqrt(hi)
-    window = primes_in(999_999_000, 10**9).primes.tolist()
+    window = primes_in(999_999_000, 10**9).tolist()
     assert window == [n for n in range(999_999_000, 10**9 + 1) if is_prime(n)]
     assert len(window) > 0
-
-
-def test_interval_fields():
-    interval = primes_in(10, 20)
-    assert (interval.lo, interval.hi, len(interval)) == (10, 20, 4)
-    assert list(interval) == [11, 13, 17, 19]
 
 
 def test_mangoldt_examples():

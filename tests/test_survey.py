@@ -119,7 +119,8 @@ def test_survey_rejects_bad_input():
 def per_n_survey(x, config):
     """The per-n path: strategy_smooth on the RSet, then strategy_bv, one n at a time."""
     lo, hi = max(1, math.ceil(config.c0 * x)), x // 4
-    rset = build_rset(lo, hi, config.alpha) if lo <= hi else RSet(config.alpha, (lo, hi), [])
+    empty = np.zeros(0, dtype=np.int64)
+    rset = build_rset(lo, hi, config.alpha) if lo <= hi else RSet(empty, empty)
     records = []
     for n in range(-(-x // 2), x + 1):
         w, tag = None, None

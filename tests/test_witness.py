@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -17,6 +18,7 @@ from edgebudget import (
     lpf_table,
     make_witness,
     mangoldt_weight,
+    primes_in,
     score,
     strategy_bv,
     strategy_smooth,
@@ -141,7 +143,7 @@ def test_f_exact_matches_naive_all_q_enumeration():
 
 def full_table_reference(n):
     """f(n) and its first (p, k) maximizer from the exact table of 1..n-1."""
-    lpf = lpf_table(1, n - 1).lpf
+    lpf = lpf_table(1, n - 1)
     r = np.flatnonzero(lpf[2 : n - 2] == np.arange(3, n - 1)) + 3
     d = n - r
     scores = np.minimum(np.minimum(lpf[d - 1] * d, d * r), lpf[r - 2] * r)
@@ -217,6 +219,8 @@ def test_numpy_ints_give_the_int_result(func, value):
     want, got = func(value), func(np.int64(value))
     if func is survey_range:
         assert got.to_json() == want.to_json()
+        witnesses = [rec.witness for rec in got.records if rec.witness is not None]
+        assert witnesses and all(type(v) is int for w in witnesses for v in vars(w).values())
         return
     assert got == want and type(got) is type(want)
     witness = got[1] if func is f_exact else got
@@ -255,6 +259,18 @@ def test_crt_pair_examples():
     assert crt_pair(11, 3, 5) == 11
     with pytest.raises(ValueError):
         crt_pair(10, 7, 7)
+
+
+def test_crt_pair_takes_elements_of_primes_in():
+    primes = primes_in(5, 20)  # np.int64 elements: 5, 7, 11, 13, 17, 19
+    for p in primes:
+        for q in primes:
+            if p != q:
+                a = crt_pair(np.int64(100), p, q)
+                assert a == crt_pair(100, int(p), int(q)) and type(a) is int
+                assert a % p == 100 % p and a % q == 1
+    with pytest.raises(TypeError):
+        crt_pair(100, 7.0, 11)
 
 
 def test_crt_pair_divisibility_property():
@@ -338,8 +354,11 @@ def test_strategy_bv_rejects_bad_eps():
 
 
 def test_build_rset_examples():
-    assert build_rset(5, 25, 0.5).members == [7, 11, 23]
-    assert build_rset(1, 25, 0.5).members == [3, 7, 11, 23]
+    rset = build_rset(5, 25, 0.5)
+    assert [field.name for field in dataclasses.fields(rset)] == ["members", "q"]
+    assert rset.members.dtype == rset.q.dtype == np.int64 and len(rset) == 3
+    assert rset.members.tolist() == [7, 11, 23] and rset.q.tolist() == [3, 5, 11]
+    assert build_rset(1, 25, 0.5).members.tolist() == [3, 7, 11, 23]
     assert 13 not in build_rset(1, 25, 0.677).members
     with pytest.raises(ValueError):
         build_rset(5, 4, 0.5)
@@ -351,7 +370,7 @@ def test_build_rset_matches_pointwise_definition():
     from edgebudget import is_prime, largest_prime_factor
 
     lo, hi, alpha = 2, 5000, 0.62
-    members = build_rset(lo, hi, alpha).members
+    members = build_rset(lo, hi, alpha).members.tolist()
     expected = [
         r
         for r in range(lo, hi + 1)
@@ -374,8 +393,8 @@ def test_build_rset_with_a_floor_above_sqrt_hi():
         for r in range(lo, hi + 1)
         if is_prime(r) and compare_power(largest_prime_factor(r - 1), r, alpha) > 0
     ]
-    assert rset.members == expected
-    assert rset.q == [largest_prime_factor(r - 1) for r in expected]
+    assert rset.members.tolist() == expected
+    assert rset.q.tolist() == [largest_prime_factor(r - 1) for r in expected]
     assert 21_347 not in rset.members
 
 
@@ -411,7 +430,8 @@ def test_strategy_smooth_worked_example():
 
 
 def test_strategy_smooth_empty_rset():
-    assert strategy_smooth(100, RSet(0.5, (5, 25), []), 0.5) is None
+    empty = np.zeros(0, dtype=np.int64)
+    assert strategy_smooth(100, RSet(empty, empty), 0.5) is None
 
 
 def test_strategy_smooth_rejects_members_at_or_above_n():
