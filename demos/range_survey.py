@@ -21,7 +21,6 @@ from edgebudget import (
     PRESETS,
     SurveyConfig,
     bs_max_pdiff,
-    exponent_stats,
     rset_density,
     survey_range,
 )
@@ -37,9 +36,9 @@ def main():
     banner("1. Witness survey over [x/2, x]")
     for x in (1000, 10_000):
         report = survey_range(x, SurveyConfig())
-        lo, med, mean = exponent_stats(report)
-        exceptional = [rec.n for rec in report.records if rec.exceptional]
-        print(f"  x = {x}: {len(report.records)} values of n, "
+        lo, med, mean = report.beta_stats
+        exceptional = report.n[report.tag == 0].tolist()
+        print(f"  x = {x}: {report.n.size} values of n, "
               f"{report.exceptional_count} exceptional")
         print(f"           beta min/median/mean = {lo:.4f} / {med:.4f} / {mean:.4f}")
         if exceptional:
@@ -52,7 +51,7 @@ def main():
     banner("2. Preset comparison at x = 10_000")
     for name, config in PRESETS.items():
         report = survey_range(10_000, config)
-        _, med, _ = exponent_stats(report)
+        _, med, _ = report.beta_stats
         print(f"  {name}: gamma = {config.gamma}, median beta = {med:.4f}, "
               f"exceptional = {report.exceptional_count}")
     print("  lowering gamma makes qualification easier (fewer exceptional n)")

@@ -25,14 +25,18 @@ Quick start
 
 .. code:: python
 
-    from edgebudget import f_exact, strategy_bv, validate
+    from edgebudget import f_exact, strategy_bv, survey_range, validate
 
     value, w = f_exact(10)      # (10, Witness(k=1, p=5, q=2, r=5, score=10))
     w = strategy_bv(10**6)      # certificate for a large n
     assert validate(10**6, w)
+    report = survey_range(10**4)  # columns n, tag, k, p, q, r, score, beta
+    report.n[report.tag == 0]   # the exceptional n
+    report.beta_stats           # (min, median, mean) exponent, or None
 
-The same operations are exposed as ``edgebudget`` CLI subcommands emitting
-JSON or CSV; see the repository README.
+``validate`` is the one check of a certificate. The same operations are
+exposed as ``edgebudget`` CLI subcommands emitting JSON or CSV; see the
+repository README.
 """
 
 from .dirichlet import DiscrepancyRecord, bv_sum, max_discrepancy, psi
@@ -41,10 +45,8 @@ from .sieve import is_prime, primes_in
 from .survey import (
     PRESETS,
     SurveyConfig,
-    SurveyRecord,
     SurveyReport,
     bs_max_pdiff,
-    exponent_stats,
     rset_density,
     survey_range,
 )
@@ -54,8 +56,6 @@ from .witness import (
     build_rset,
     crt_pair,
     f_exact,
-    make_witness,
-    score,
     strategy_bv,
     strategy_smooth,
     validate,
@@ -69,7 +69,6 @@ __all__ = [
     "PRESETS",
     "RSet",
     "SurveyConfig",
-    "SurveyRecord",
     "SurveyReport",
     "Witness",
     "bs_max_pdiff",
@@ -77,18 +76,15 @@ __all__ = [
     "bv_sum",
     "crt_pair",
     "euler_phi",
-    "exponent_stats",
     "f_exact",
     "is_prime",
     "largest_prime_factor",
     "lpf_table",
-    "make_witness",
     "mangoldt_weight",
     "max_discrepancy",
     "primes_in",
     "psi",
     "rset_density",
-    "score",
     "strategy_bv",
     "strategy_smooth",
     "survey_range",

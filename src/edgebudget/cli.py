@@ -81,25 +81,28 @@ def _cmd_witness_bv(args) -> int:
 
 def _cmd_witness_smooth(args) -> int:
     config = survey.SurveyConfig(alpha=args.alpha, gamma=args.gamma, c0=args.c0)
-    config.check()
     w = witness.strategy_smooth(args.n, config.rset(args.n), args.gamma)
     return _emit_witness(args, "smooth", w)
 
 
 def _survey_config(args) -> survey.SurveyConfig:
-    if args.preset is not None:
-        return dataclasses.replace(survey.PRESETS[args.preset], c0=args.c0, eps=args.eps)
-    names = args.strategies.split(",")
+    # a preset fixes alpha, gamma and the strategies; only c0 and eps stay free
+    given = {name: getattr(args, name) for name in ("alpha", "gamma", "strategies")}
+    given = {name: value for name, value in given.items() if value is not None}
+    if args.preset is not None and given:
+        flags = ", ".join(f"--{name}" for name in given)
+        raise ValueError(f"{flags} cannot be combined with --preset")
+    names = given.pop("strategies", "smooth").split(",")
     for name in names:
         if name not in ("smooth", "bv"):
             raise ValueError(f"unknown strategy {name!r}")
-    return survey.SurveyConfig(
-        alpha=args.alpha,
-        gamma=args.gamma,
+    return dataclasses.replace(
+        DEFAULTS if args.preset is None else survey.PRESETS[args.preset],
         c0=args.c0,
         eps=args.eps,
         use_smooth="smooth" in names,
         use_bv="bv" in names,
+        **given,
     )
 
 
@@ -230,9 +233,6 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None, help="report path (default: stdout)")
 
-    def threads(p):  # kept for compatibility: every subcommand runs in one process
-        p.add_argument("--threads", type=int, help="accepted and ignored")
-
     def knobs(p, *names):  # defaults shared with survey.SurveyConfig
         for name in names:
             p.add_argument(f"--{name}", type=float, default=getattr(DEFAULTS, name))
@@ -256,11 +256,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("survey", help="witness survey over [x/2, x]")
     p.add_argument("--x", type=int, required=True)
-    knobs(p, "alpha", "gamma", "c0", "eps")
-    p.add_argument("--strategies", default="smooth", help="comma list from {smooth,bv}")
-    p.add_argument("--preset", choices=sorted(PRESET_NAMES), default=None)
+    for name in ("alpha", "gamma"):
+        p.add_argument(f"--{name}", type=float, help=f"default {getattr(DEFAULTS, name)}")
+    knobs(p, "c0", "eps")
+    p.add_argument("--strategies", help="comma list from {smooth,bv} (default: smooth)")
+    p.add_argument("--preset", choices=sorted(PRESET_NAMES), default=None,
+                   help="fixes alpha, gamma and strategies")
     common(p)
-    threads(p)
     p.set_defaults(fn=_cmd_survey)
 
     p = sub.add_parser("rset-density", help="density of primes r <= z with rough r-1")
@@ -286,7 +288,6 @@ def build_parser() -> _Parser:
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--B", type=float, required=True)
     common(p)
-    threads(p)
     p.set_defaults(fn=_cmd_bv_sum)
 
     p = sub.add_parser("bs-experiment", help="max P(a-b) over seeded random set pairs")

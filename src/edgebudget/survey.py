@@ -3,13 +3,12 @@
 ``survey_range`` sweeps every n in [ceil(x/2), x], hands each one to the
 enabled witness strategies, and reports, as int64 and float columns, per-n
 certificates, the exceptional set (n where every strategy came up empty),
-and the empirical exponents beta(n) = log(score)/log(n). ``rset_density``
-measures how common rough shifted primes are, ``bs_max_pdiff`` runs the
-largest-prime-factor-of-differences experiment, and ``exponent_stats``
-summarizes beta.
+and the empirical exponents beta(n) = log(score)/log(n) with their
+(min, median, mean) summary. ``rset_density`` measures how common rough
+shifted primes are, and ``bs_max_pdiff`` runs the
+largest-prime-factor-of-differences experiment.
 """
 
-import functools
 import json
 import math
 import operator
@@ -20,14 +19,19 @@ import numpy as np
 
 from . import factor
 from .util import compare_power, json9, power_floor, round9
-from .witness import F_EXACT_MAX_N, RSet, Witness, build_rset, prime_r_scores, strategy_bv
+from .witness import F_EXACT_MAX_N, RSet, build_rset, prime_r_scores, strategy_bv
 
 SURVEY_CSV_HEADER = "n,strategy,k,p,q,r,score,beta,exceptional"
 
 
 @dataclass(frozen=True)
 class SurveyConfig:
-    """Knobs for a survey run: thresholds, interval constant, strategies."""
+    """Knobs for a survey run: thresholds, interval constant, strategies.
+
+    Raises:
+        ValueError: on construction, if alpha or gamma is outside (0, 1], c0
+            outside (0, 1/4), eps outside [0, 1/4), or no strategy is enabled.
+    """
 
     alpha: float = 0.677
     gamma: float = 0.677
@@ -36,7 +40,7 @@ class SurveyConfig:
     use_smooth: bool = True
     use_bv: bool = False
 
-    def check(self) -> None:
+    def __post_init__(self) -> None:
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")
         if not 0 < self.gamma <= 1:
@@ -71,20 +75,6 @@ PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class SurveyRecord:
-    """Outcome for a single n: a tagged witness, or exceptional."""
-
-    n: int
-    strategy: str | None
-    witness: Witness | None
-    beta: float | None
-
-    @property
-    def exceptional(self) -> bool:
-        return self.witness is None
-
-
 # a row's strategy tag indexes this; 0 marks an exceptional n
 _TAGS = (None, "smooth", "bv")
 
@@ -95,8 +85,10 @@ class SurveyReport:
     ``n`` and the witness columns ``k, p, q, r, score`` (the rows of the
     5-by-len(n) ``wit``) are int64 arrays (0 where n is exceptional), ``tag``
     indexes (exceptional, "smooth", "bv") and ``beta`` is float64 (NaN where
-    there is none). This is the only constructor; ``records`` is the same
-    report as per-n ``SurveyRecord`` objects, built on first use.
+    there is none). The exceptional n are ``n[tag == 0]``, and ``beta_stats``
+    is (min, median, mean) of beta over the n with a witness, or None when
+    there is none. The columns are the report: ``to_json`` and ``to_csv``
+    serialize them, and no per-n object is ever built.
     """
 
     def __init__(self, x: int, config: SurveyConfig, n, tag, wit, beta):
@@ -109,17 +101,6 @@ class SurveyReport:
             self.beta_stats = (min(betas), statistics.median(betas), statistics.fmean(betas))
         else:
             self.beta_stats = None
-
-    @functools.cached_property
-    def records(self) -> list[SurveyRecord]:
-        """The rows as ``SurveyRecord`` objects, in ascending n."""
-        out = []
-        for n, t, k, p, q, r, s, b in self._rows():
-            if t:
-                out.append(SurveyRecord(n, _TAGS[t], Witness(k, p, q, r, s), b))
-            else:
-                out.append(SurveyRecord(n, None, None, None))
-        return out
 
     def _rows(self):
         cols = (self.n, self.tag, self.k, self.p, self.q, self.r, self.score, self.beta)
@@ -208,7 +189,7 @@ def survey_range(x: int, config: SurveyConfig | None = None) -> SurveyReport:
 
     Raises:
         TypeError: if x is not an integer.
-        ValueError: if x < 8, x > F_EXACT_MAX_N or the config is out of range.
+        ValueError: if x < 8 or x > F_EXACT_MAX_N.
     """
     x = operator.index(x)
     if x < 8:
@@ -217,7 +198,6 @@ def survey_range(x: int, config: SurveyConfig | None = None) -> SurveyReport:
         raise ValueError(f"survey_range supports x <= {F_EXACT_MAX_N}")
     if config is None:
         config = SurveyConfig()
-    config.check()
 
     n_lo = -(-x // 2)
     ns = np.arange(n_lo, x + 1, dtype=np.int64)
@@ -239,17 +219,6 @@ def survey_range(x: int, config: SurveyConfig | None = None) -> SurveyReport:
         math.log(s) / math.log(n) for n, s in zip(ns[found].tolist(), wit[4, found].tolist())
     ]
     return SurveyReport(x, config, ns, tag, wit, beta)
-
-
-def exponent_stats(report: SurveyReport) -> tuple[float, float, float]:
-    """(min, median, mean) of beta over the report's successful n.
-
-    Raises:
-        ValueError: if the report holds no successes.
-    """
-    if report.beta_stats is None:
-        raise ValueError("no successful records to summarize")
-    return report.beta_stats
 
 
 def rset_density(z: int, alpha: float) -> tuple[int, float]:

@@ -75,28 +75,9 @@ def prime_r_scores(n, r: np.ndarray, q: np.ndarray, lpf: np.ndarray, lo: int):
     return p, np.minimum(np.minimum(p * d, d * r), q * r)
 
 
-def score(k: int, p: int, q: int, r: int) -> int:
-    """min{p^2 k, p k r, q r} for a candidate quadruple.
-
-    Exact integer arithmetic throughout; no overflow for any supported n.
-
-    Raises:
-        ValueError: if k < 1 or any of p, q, r is not prime.
-    """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    for v in (p, q, r):
-        if not sieve.is_prime(v):
-            raise ValueError(f"invalid witness: {v} is not prime")
-    return unchecked_score(k, p, q, r)
-
-
-def make_witness(k: int, p: int, q: int, r: int) -> Witness:
-    """Build a Witness with its score filled in (validating primality)."""
-    return Witness(k, p, q, r, score(k, p, q, r))
-
-
 def _exact_int(value) -> int:
+    if isinstance(value, (bool, np.bool_)):  # int(True) is 1, but a flag is not a count
+        raise ValueError(f"{value!r} is a bool, not an integer")
     out = int(value)
     if out != value:
         raise ValueError(f"{value!r} is not an integer")
@@ -107,9 +88,10 @@ def validate(n: int, w: Witness) -> bool:
     """True iff w certifies n.
 
     Checks n = k*p + r, q | r - 1, primality of p, q, r, k >= 1, and that the
-    stored score matches recomputation. Never raises: malformed input is
-    simply not a valid witness, and neither is a prime beyond the 2**64 range
-    of ``sieve.is_prime``.
+    stored score matches recomputation. Every field must be an integer or an
+    exactly integral float; a bool is neither, as in ``edgebudget verify``.
+    Never raises: malformed input is simply not a valid witness, and neither
+    is a prime beyond the 2**64 range of ``sieve.is_prime``.
     """
     try:
         k, p, q, r, s = (_exact_int(v) for v in (w.k, w.p, w.q, w.r, w.score))

@@ -16,6 +16,7 @@ import pytest
 
 from edgebudget import (
     SurveyConfig,
+    Witness,
     bs_max_pdiff,
     bv_sum,
     euler_phi,
@@ -115,6 +116,13 @@ def test_criterion_02_oracle_equivalence(naive_tables, exact_to_2000):
     assert elapsed < 60
 
 
+def survey_witnesses(report):
+    """(n, k, p, q, r, score) as Python ints for each n of the report with a witness."""
+    found = report.tag != 0
+    cols = (report.n, report.k, report.p, report.q, report.r, report.score)
+    return zip(*(c[found].tolist() for c in cols))
+
+
 def test_criterion_03_certificate_validity(exact_to_2000):
     rng = random.Random(20260808)
     bad = 0
@@ -129,11 +137,10 @@ def test_criterion_03_certificate_validity(exact_to_2000):
 
     report_smooth = survey_range(10**5, SurveyConfig())
     produced_smooth = 0
-    for rec in report_smooth.records:
-        if rec.witness is not None:
-            produced_smooth += 1
-            if not validate(rec.n, rec.witness):
-                bad += 1
+    for n, k, p, q, r, s in survey_witnesses(report_smooth):
+        produced_smooth += 1
+        if not validate(n, Witness(k, p, q, r, s)):
+            bad += 1
 
     over = []
     for n in range(2, 2001):
@@ -142,9 +149,9 @@ def test_criterion_03_certificate_validity(exact_to_2000):
         if w is not None and w.score > value:
             over.append(("bv", n))
     for x in (2000, 1000, 500, 250, 125, 62, 31, 15):
-        for rec in survey_range(x, SurveyConfig()).records:
-            if rec.witness is not None and rec.witness.score > exact_to_2000[rec.n][0]:
-                over.append(("smooth", rec.n))
+        for n, *_, s in survey_witnesses(survey_range(x, SurveyConfig())):
+            if s > exact_to_2000[n][0]:
+                over.append(("smooth", n))
 
     ok = bad == 0 and not over and produced_bv == 200
     report(

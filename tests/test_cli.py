@@ -180,6 +180,10 @@ def test_survey_preset(capsys):
     code, out, _ = run(capsys, "survey", "--x", "200", "--preset", "corollary-2")
     assert code == EXIT_OK
     assert json.loads(out)["config"]["gamma"] == 0.5
+    code, out, _ = run(capsys, "survey", "--x", "200", "--preset", "corollary-2", "--c0", "0.1")
+    assert code == EXIT_OK
+    assert json.loads(out)["config"] == {"alpha": 0.677, "gamma": 0.5, "c0": 0.1, "eps": 0.05,
+                                         "strategies": ["smooth"]}
 
 
 def test_bs_experiment_is_seed_reproducible(capsys):
@@ -200,15 +204,6 @@ def test_identical_invocations_are_byte_identical(capsys):
     assert first == second
 
 
-def test_thread_hint_never_changes_emitted_values(capsys):
-    _, one, _ = run(capsys, "survey", "--x", "300", "--threads", "1")
-    _, two, _ = run(capsys, "survey", "--x", "300", "--threads", "2")
-    assert one == two
-    _, one, _ = run(capsys, "bv-sum", "--z", "400", "--B", "1", "--threads", "1")
-    _, two, _ = run(capsys, "bv-sum", "--z", "400", "--B", "1", "--threads", "2")
-    assert one == two
-
-
 def test_invalid_parameters_exit_1(capsys):
     code, _, err = run(capsys, "survey", "--x", "100", "--alpha", "3")
     assert code == EXIT_ERROR and "alpha" in err
@@ -216,6 +211,10 @@ def test_invalid_parameters_exit_1(capsys):
     assert code == EXIT_ERROR
     code, _, err = run(capsys, "survey", "--x", "100", "--strategies", "warp")
     assert code == EXIT_ERROR
+    # a preset fixes alpha, gamma and the strategies: an explicit one is refused, not dropped
+    for flag, value in (("--alpha", "0.5"), ("--gamma", "0.5"), ("--strategies", "smooth,bv")):
+        code, out, err = run(capsys, "survey", "--x", "300", "--preset", "corollary-1", flag, value)
+        assert (code, out) == (EXIT_ERROR, "") and flag in err and "--preset" in err, flag
 
 
 def test_usage_errors_exit_1_not_2():
@@ -224,6 +223,9 @@ def test_usage_errors_exit_1_not_2():
     assert info.value.code == EXIT_ERROR
     with pytest.raises(SystemExit) as info:
         main(["f-exact"])  # missing --n
+    assert info.value.code == EXIT_ERROR
+    with pytest.raises(SystemExit) as info:
+        main(["survey", "--x", "300", "--threads", "2"])  # no such flag
     assert info.value.code == EXIT_ERROR
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -15,14 +16,13 @@ from edgebudget import (
     Witness,
     bs_max_pdiff,
     build_rset,
-    exponent_stats,
     rset_density,
     strategy_bv,
     strategy_smooth,
     survey_range,
     validate,
 )
-from edgebudget.survey import SURVEY_CSV_HEADER, SurveyRecord, SurveyReport
+from edgebudget.survey import SURVEY_CSV_HEADER, SurveyReport
 from edgebudget.util import json9, round9
 from edgebudget.witness import F_EXACT_MAX_N
 
@@ -57,17 +57,27 @@ def brute_exceptional_set(x, alpha, gamma, c0):
     return out
 
 
+def report_rows(report):
+    """The report's columns read back per n: (n, strategy, Witness, beta), or
+    (n, None, None, None) where n is exceptional; every value a Python scalar."""
+    tags = (None, "smooth", "bv")
+    cols = (report.n, report.tag, report.k, report.p, report.q, report.r, report.score, report.beta)
+    return [
+        (n, tags[t], Witness(k, p, q, r, s), b) if t else (n, None, None, None)
+        for n, t, k, p, q, r, s, b in zip(*(c.tolist() for c in cols))
+    ]
+
+
 def test_survey_worked_example():
     report = survey_range(100, SurveyConfig(alpha=0.5, gamma=0.5, c0=0.05))
     assert report.x == 100
-    assert [rec.n for rec in report.records] == list(range(50, 101))
-    by_n = {rec.n: rec for rec in report.records}
-    assert by_n[100].witness == Witness(3, 31, 3, 7, 21)
-    assert by_n[100].strategy == "smooth"
-    for rec in report.records:
-        if rec.witness is not None:
-            assert validate(rec.n, rec.witness), rec.n
-            assert rec.beta == pytest.approx(math.log(rec.witness.score) / math.log(rec.n))
+    assert report.n.tolist() == list(range(50, 101))
+    rows = report_rows(report)
+    assert rows[-1][:3] == (100, "smooth", Witness(3, 31, 3, 7, 21))
+    for n, _, w, beta in rows:
+        if w is not None:
+            assert validate(n, w), n
+            assert beta == pytest.approx(math.log(w.score) / math.log(n))
 
 
 def test_survey_with_empty_rset_marks_everything_exceptional():
@@ -80,7 +90,7 @@ def test_survey_matches_brute_force_double_loop():
     config = SurveyConfig()  # alpha = gamma = 0.677, c0 = 0.05
     for x in (200, 1000, 2000):
         report = survey_range(x, config)
-        mine = [rec.n for rec in report.records if rec.exceptional]
+        mine = report.n[report.tag == 0].tolist()
         assert mine == brute_exceptional_set(x, config.alpha, config.gamma, config.c0), x
 
 
@@ -88,14 +98,14 @@ def test_survey_bv_fallback_fills_smooth_misses():
     smooth_only = survey_range(1000, SurveyConfig())
     both = survey_range(1000, SurveyConfig(use_bv=True))
     assert both.exceptional_count <= smooth_only.exceptional_count
-    for rec in both.records:
-        if rec.strategy == "bv":
-            assert validate(rec.n, rec.witness)
+    for n, strategy, w, _ in report_rows(both):
+        if strategy == "bv":
+            assert validate(n, w)
 
 
 def test_survey_minimum_range():
     report = survey_range(8, SurveyConfig())
-    assert [rec.n for rec in report.records] == [4, 5, 6, 7, 8]
+    assert report.n.tolist() == [4, 5, 6, 7, 8]
     assert report.exceptional_count == 5  # the rset over [1, 2] is empty
 
 
@@ -108,20 +118,28 @@ def test_survey_rejects_x_beyond_int64_range_before_allocating():
 def test_survey_rejects_bad_input():
     with pytest.raises(ValueError):
         survey_range(7)
-    with pytest.raises(ValueError):
-        survey_range(100, SurveyConfig(alpha=1.2))
-    with pytest.raises(ValueError):
-        survey_range(100, SurveyConfig(c0=0.3))
-    with pytest.raises(ValueError):
-        survey_range(100, SurveyConfig(use_smooth=False, use_bv=False))
+
+def test_survey_config_checks_itself_on_construction():
+    for fields, message in (
+        ({"alpha": 1.2}, "alpha must lie in"),
+        ({"gamma": 0.0}, "gamma must lie in"),
+        ({"c0": 0.3}, "c0 must lie in"),
+        ({"eps": -0.1}, "eps must lie in"),
+        ({"use_smooth": False, "use_bv": False}, "at least one strategy"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            SurveyConfig(**fields)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(SurveyConfig(), **fields)
 
 
 def per_n_survey(x, config):
-    """The per-n path: strategy_smooth on the RSet, then strategy_bv, one n at a time."""
+    """The per-n path: strategy_smooth on the RSet, then strategy_bv, one n at a
+    time, as ``report_rows`` rows."""
     lo, hi = max(1, math.ceil(config.c0 * x)), x // 4
     empty = np.zeros(0, dtype=np.int64)
     rset = build_rset(lo, hi, config.alpha) if lo <= hi else RSet(empty, empty)
-    records = []
+    rows = []
     for n in range(-(-x // 2), x + 1):
         w, tag = None, None
         if config.use_smooth:
@@ -131,8 +149,8 @@ def per_n_survey(x, config):
             w = strategy_bv(n, config.eps)
             tag = "bv" if w is not None else None
         beta = math.log(w.score) / math.log(n) if w is not None else None
-        records.append(SurveyRecord(n, tag, w, beta))
-    return records
+        rows.append((n, tag, w, beta))
+    return rows
 
 
 def test_survey_matches_per_n_strategies():
@@ -145,7 +163,7 @@ def test_survey_matches_per_n_strategies():
     # at x = 12, gamma = 0.5: n = 9 is settled by P(n - r) = 3 = n**gamma exactly
     for x in [8, 12, 3000] + [rng.randrange(8, 3001) for _ in range(6)]:
         for config in configs:
-            assert survey_range(x, config).records == per_n_survey(x, config), (x, config)
+            assert report_rows(survey_range(x, config)) == per_n_survey(x, config), (x, config)
 
 
 def test_survey_with_empty_rset_interval():
@@ -154,8 +172,8 @@ def test_survey_with_empty_rset_interval():
     report = survey_range(101, config)
     assert report.exceptional_count == 101 - 51 + 1
     both = survey_range(101, SurveyConfig(c0=0.249, use_bv=True))
-    assert [rec.witness for rec in both.records] == [strategy_bv(n, 0.05) for n in range(51, 102)]
-    assert both.records == per_n_survey(101, both.config)
+    assert [w for _, _, w, _ in report_rows(both)] == [strategy_bv(n, 0.05) for n in range(51, 102)]
+    assert report_rows(both) == per_n_survey(101, both.config)
 
 
 def test_presets():
@@ -175,27 +193,27 @@ def smooth_report(x, ns, scores, betas):
     return SurveyReport(x, SurveyConfig(), np.asarray(ns, dtype=np.int64), tag, wit, np.asarray(betas))
 
 
-def test_exponent_stats_single_records():
+def test_beta_stats_single_records():
     def one_record_report(n, score_value):
         return smooth_report(n, [n], [score_value], [math.log(score_value) / math.log(n)])
 
     report = one_record_report(10, 10)
-    assert report.records == [SurveyRecord(10, "smooth", Witness(1, 2, 2, 3, 10), 1.0)]
-    assert exponent_stats(report) == pytest.approx((1.0, 1.0, 1.0))
-    stats = exponent_stats(one_record_report(9, 8))
+    assert report_rows(report) == [(10, "smooth", Witness(1, 2, 2, 3, 10), 1.0)]
+    assert report.beta_stats == pytest.approx((1.0, 1.0, 1.0))
+    stats = one_record_report(9, 8).beta_stats
     assert stats[1] == pytest.approx(math.log(8) / math.log(9), abs=1e-9)
 
 
-def test_exponent_stats_degenerate_distribution():
+def test_beta_stats_degenerate_distribution():
     report = smooth_report(30, [10, 20, 30], [10, 20, 30], [1.0, 1.0, 1.0])
-    assert exponent_stats(report) == (1.0, 1.0, 1.0)
+    assert report.beta_stats == (1.0, 1.0, 1.0)
 
 
-def test_exponent_stats_requires_a_success():
+def test_beta_stats_is_none_without_a_success():
     report = smooth_report(10, [10], [0], [math.nan])
-    assert report.records == [SurveyRecord(10, None, None, None)]
-    with pytest.raises(ValueError):
-        exponent_stats(report)
+    assert report_rows(report) == [(10, None, None, None)]
+    assert report.beta_stats is None
+    assert report.exceptional_count == 1
 
 
 def test_rset_density_examples():
@@ -251,23 +269,22 @@ def test_report_csv_shape():
     report = survey_range(100, SurveyConfig(alpha=0.5, gamma=0.5))
     lines = report.to_csv().strip().split("\n")
     assert lines[0] == SURVEY_CSV_HEADER
-    assert len(lines) == 1 + len(report.records)
+    assert len(lines) == 1 + report.n.size
     exceptional = [line for line in lines[1:] if line.endswith(",1")]
     assert len(exceptional) == report.exceptional_count
     assert lines[-1].startswith("100,smooth,3,31,3,7,21,")
 
 
 def records_json(report):
-    """The report's JSON built from its ``records`` view alone, with json.dumps."""
+    """The report's JSON built from ``report_rows`` alone, with json.dumps."""
     rows, betas = [], []
-    for rec in report.records:
-        if rec.exceptional:
-            rows.append({"n": rec.n, "exceptional": True})
+    for n, strategy, w, beta in report_rows(report):
+        if w is None:
+            rows.append({"n": n, "exceptional": True})
             continue
-        w = rec.witness
-        betas.append(rec.beta)
-        rows.append({"n": rec.n, "strategy": rec.strategy, "k": w.k, "p": w.p, "q": w.q, "r": w.r,
-                     "score": w.score, "beta": round9(rec.beta), "exceptional": False})
+        betas.append(beta)
+        rows.append({"n": n, "strategy": strategy, "k": w.k, "p": w.p, "q": w.q, "r": w.r,
+                     "score": w.score, "beta": round9(beta), "exceptional": False})
     stats = None
     if betas:
         values = (min(betas), statistics.median(betas), statistics.fmean(betas))
@@ -277,7 +294,7 @@ def records_json(report):
         "x": report.x,
         "config": {"alpha": c.alpha, "gamma": c.gamma, "c0": c.c0, "eps": c.eps,
                    "strategies": list(c.strategies)},
-        "exceptional_count": sum(rec.exceptional for rec in report.records),
+        "exceptional_count": sum(w is None for _, _, w, _ in report_rows(report)),
         "beta_stats": stats,
         "records": rows,
     }
@@ -285,12 +302,11 @@ def records_json(report):
 
 
 def records_csv(report):
-    """The report's CSV built from its ``records`` view alone."""
+    """The report's CSV built from ``report_rows`` alone."""
     lines = [SURVEY_CSV_HEADER]
-    for rec in report.records:
-        w = rec.witness
-        lines.append(f"{rec.n},,,,,,,,1" if rec.exceptional else
-                     f"{rec.n},{rec.strategy},{w.k},{w.p},{w.q},{w.r},{w.score},{rec.beta:.9g},0")
+    for n, strategy, w, beta in report_rows(report):
+        lines.append(f"{n},,,,,,,,1" if w is None else
+                     f"{n},{strategy},{w.k},{w.p},{w.q},{w.r},{w.score},{beta:.9g},0")
     return "\n".join(lines) + "\n"
 
 
@@ -307,7 +323,7 @@ def test_columns_and_records_emit_the_same_bytes():
     for x in (12, 101, 300, 3000):
         for config in configs:
             report = survey_range(x, config)
-            assert [rec.n for rec in report.records] == report.n.tolist(), (x, config)
+            assert report.n.tolist() == list(range(-(-x // 2), x + 1)), (x, config)
             assert report.to_json() == records_json(report), (x, config)
             assert report.to_csv() == records_csv(report), (x, config)
 

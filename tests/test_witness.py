@@ -16,10 +16,8 @@ from edgebudget import (
     is_prime,
     largest_prime_factor,
     lpf_table,
-    make_witness,
     mangoldt_weight,
     primes_in,
-    score,
     strategy_bv,
     strategy_smooth,
     survey_range,
@@ -83,22 +81,15 @@ def naive_first_maximizer(n, value, flags, divs):
 
 
 def test_score_examples():
-    assert score(1, 5, 2, 5) == 10
-    assert score(2, 2, 2, 5) == 8
-    assert score(1, 2, 2, 3) == 4
+    assert unchecked_score(1, 5, 2, 5) == 10
+    assert unchecked_score(2, 2, 2, 5) == 8
+    assert unchecked_score(1, 2, 2, 3) == 4
 
 
 def test_score_rejects_bad_quadruples():
-    with pytest.raises(ValueError):
-        score(0, 2, 2, 3)
-    with pytest.raises(ValueError):
-        score(1, 4, 2, 3)
-    with pytest.raises(ValueError):
-        score(1, 2, 2, 9)
-
-
-def test_make_witness_fills_score():
-    assert make_witness(2, 2, 2, 5) == Witness(2, 2, 2, 5, 8)
+    # k < 1, p = 4 and r = 9 fail however consistent n and the score are
+    for k, p, q, r in ((0, 2, 2, 3), (1, 4, 2, 3), (1, 2, 2, 9)):
+        assert not validate(k * p + r, Witness(k, p, q, r, unchecked_score(k, p, q, r)))
 
 
 def test_validate_examples():
@@ -112,6 +103,10 @@ def test_validate_examples():
     # p beyond is_prime's 2**64 range: not certifiable, and validate never raises
     assert validate(2**64 + 16, Witness(1, 2**64 + 13, 2, 3, 6)) is False
     assert validate(10, Witness(1, float("inf"), 2, 5, 10)) is False  # int(inf) overflows
+    # a bool is not an integer here, as in ``edgebudget verify``: True would pass as k = 1
+    assert validate(7, Witness(True, 2, 2, 5, 4)) is False
+    assert validate(7, Witness(np.bool_(True), 2, 2, 5, 4)) is False
+    assert validate(7, Witness(1, 2, 2, 5, 4)) is True
 
 
 def test_f_exact_small_values():
@@ -219,8 +214,6 @@ def test_numpy_ints_give_the_int_result(func, value):
     want, got = func(value), func(np.int64(value))
     if func is survey_range:
         assert got.to_json() == want.to_json()
-        witnesses = [rec.witness for rec in got.records if rec.witness is not None]
-        assert witnesses and all(type(v) is int for w in witnesses for v in vars(w).values())
         return
     assert got == want and type(got) is type(want)
     witness = got[1] if func is f_exact else got
