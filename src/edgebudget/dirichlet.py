@@ -10,11 +10,16 @@ average.
 
 Every psi value is an exact sum rounded once to a double. Each weight
 ``math.log(p)`` is a double of at least log 2 > 1/2, hence a multiple of
-2**-53, so the sums are taken exactly in fixed point (two int64 limbs) and
-rounded at the end; ``bv_sum`` adds the suprema with ``math.fsum``. Reported
-values are therefore bit-reproducible. The limbs stay exact for
-z <= MAX_Z = 2**31: fewer than 2**31 jumps keep the low-limb sums below
-2**63, and psi(z) < 2**32 (psi(z) < 1.04 z) keeps the rounded high part
+2**-53, so log p * 2**53 is an integer below 2**58. The per-z jump table
+holds it once, as two int64 limbs hi * 2**32 + lo with lo < 2**32. ``psi``
+sums one class's limbs; ``max_discrepancy`` takes the limbs' running sums in
+class order, restarted at each class start, and rounds each once: those are
+the post-jump values, from which the left limits and class totals are read
+off. ``bv_sum`` adds the suprema with ``math.fsum``. Reported values are
+therefore bit-reproducible. The limbs stay exact for z <= MAX_Z = 2**31:
+any run of jumps, one class or all of them, has fewer than 2**31 terms, so
+its low-limb sum stays below 2**63, and weighs at most psi(z) < 2**32
+(psi(z) < 1.04 z), so its high-limb sum, with the low limb's carry, stays
 below 2**53.
 """
 
@@ -62,8 +67,31 @@ class DiscrepancyRecord:
         return f"{self.m},{self.worst_a},{fmt9(self.worst_y)},{fmt9(self.sup_value)},{flag}"
 
 
+@dataclass(frozen=True)
+class PrimePowerJumps:
+    """All prime powers j <= z, ascending, with their von Mangoldt weights.
+
+    Every array is read-only: the table is cached per floor(z) and shared by
+    every caller. ``len`` counts the jumps.
+
+    Attributes:
+        j: The prime powers (int64).
+        log_p: ``math.log`` of the prime under each j (float64).
+        hi, lo: The integer log_p * 2**53 as hi * 2**32 + lo, lo < 2**32
+            (int64 limbs, the exact fixed-point weights).
+    """
+
+    j: np.ndarray
+    log_p: np.ndarray
+    hi: np.ndarray
+    lo: np.ndarray
+
+    def __len__(self) -> int:
+        return self.j.size
+
+
 @lru_cache(maxsize=4)
-def _jumps_upto(top: int) -> np.ndarray:
+def _jumps_upto(top: int) -> PrimePowerJumps:
     primes = sieve.primes_in(2, top) if top >= 2 else np.zeros(0, dtype=np.int64)
     logs = np.fromiter(map(math.log, primes.tolist()), dtype=np.float64, count=primes.size)
     powers = [primes]  # powers[k][i] == primes[i] ** (k + 1), while that is <= top
@@ -73,15 +101,16 @@ def _jumps_upto(top: int) -> np.ndarray:
         powers.append(prev[:n] * primes[:n])
     j = np.concatenate(powers)
     order = np.argsort(j)
-    jumps = np.empty(j.size, dtype=[("j", np.int64), ("log_p", np.float64)])
-    jumps["j"] = j[order]
-    jumps["log_p"] = np.concatenate([logs[: part.size] for part in powers])[order]
-    return jumps
+    log_p = np.concatenate([logs[: part.size] for part in powers])[order]
+    fixed = (log_p * _SCALE).astype(np.int64)
+    arrays = (j[order], log_p, fixed >> _LIMB, fixed & _MASK)
+    for array in arrays:
+        array.flags.writeable = False
+    return PrimePowerJumps(*arrays)
 
 
-def prime_power_jumps(z: float) -> np.ndarray:
-    """All prime powers j <= z, ascending, as a structured array with fields
-    ``j`` (int64) and ``log_p`` (float64, ``math.log`` of the prime under j)."""
+def prime_power_jumps(z: float) -> PrimePowerJumps:
+    """The read-only table of all prime powers j <= z and their weights."""
     return _jumps_upto(math.floor(z))
 
 
@@ -93,12 +122,10 @@ def _check_z(z: float, name: str = "z") -> None:
 def _fixed_to_float(hi, lo):
     """round((hi * 2**32 + lo) * 2**-53) for int64 limb sums hi, lo >= 0.
 
-    Carrying lo into hi leaves hi < 2**53 and lo < 2**32 (see MAX_Z), both
-    exact as doubles, so the one addition is the only rounding.
+    Carrying lo into hi leaves hi < 2**53 and lo < 2**32 (see MAX_Z), so both
+    scaled terms are exact doubles and the one addition is the only rounding.
     """
-    hi = hi + (lo >> _LIMB)
-    lo = lo & _MASK
-    return (hi.astype(np.float64) * 2.0**_LIMB + lo) / _SCALE
+    return (hi + (lo >> _LIMB)) * 2.0 ** (_LIMB - 53) + (lo & _MASK) * 2.0**-53
 
 
 def psi(y: float, m: int, a: int) -> float:
@@ -121,66 +148,71 @@ def psi(y: float, m: int, a: int) -> float:
     _check_z(y, "y")
     jumps = prime_power_jumps(y)
     # every j <= MAX_Z, so a larger modulus leaves j as it is and need not fit in int64
-    fixed = (jumps["log_p"][jumps["j"] % min(m, MAX_Z + 1) == a] * _SCALE).astype(np.int64)
-    return float(_fixed_to_float(np.sum(fixed >> _LIMB), np.sum(fixed & _MASK)))
+    chosen = jumps.j % min(m, MAX_Z + 1) == a
+    return float(_fixed_to_float(jumps.hi[chosen].sum(), jumps.lo[chosen].sum()))
 
 
 def max_discrepancy(z: float, m: int) -> DiscrepancyRecord:
     """Exact supremum of |psi(y;m,a) - y/phi(m)| over real y in (0, z].
 
-    Stable-sorts the jumps by residue class and takes each coprime class's
-    exact prefix sums: each class jump contributes its left limit and its
-    post-jump value, and the endpoint y = z closes the final piece. The
-    record is the first maximal candidate in the order classes ascending,
-    then candidates in increasing y, left limit before post-jump value, the
-    endpoint last; so it is deterministic. m may be any integer type,
-    numpy's included; the record's m is a Python int.
+    Stable-sorts the jumps by residue class and takes one exact prefix sum
+    per class; each jump in a class coprime to m contributes its left limit
+    and its post-jump value, and the endpoint y = z closes the final piece.
+    The record is the first maximal candidate in the order classes
+    ascending, then candidates in increasing y, left limit before post-jump
+    value, the endpoint last; so it is deterministic. m may be any integer
+    type, numpy's included; the record's m is a Python int. Memory is linear
+    in the number of jumps plus m; the shared jump table is read-only.
 
     Raises:
         TypeError: if m is not an integer.
-        ValueError: if m < 1, z < 1, or z > MAX_Z.
+        ValueError: if m is outside [1, MAX_Z] (checked before anything is
+            allocated), z < 1, or z > MAX_Z.
     """
     m = operator.index(m)
-    if m < 1:
-        raise ValueError("modulus must be positive")
+    if not 1 <= m <= MAX_Z:
+        raise ValueError(f"m must satisfy 1 <= m <= {MAX_Z}")
     if not z >= 1:  # NaN fails too
         raise ValueError("z must be at least 1")
     _check_z(z)
     jumps = prime_power_jumps(z)
-    coprime = np.gcd(np.arange(m), m) == 1  # only class 0 when m = 1
-    residues = np.flatnonzero(coprime)
-    inv_phi = 1.0 / residues.size  # residues.size == phi(m)
-    cls = jumps["j"] % m
-    keep = np.flatnonzero(coprime[cls])
-    order = keep[np.argsort(cls[keep].astype(np.min_scalar_type(m - 1)), kind="stable")]
-    j, fixed = jumps["j"][order], (jumps["log_p"][order] * _SCALE).astype(np.int64)
-    counts = np.bincount(cls[order], minlength=m)[residues]
+    cls = jumps.j % m
+    order = np.argsort(cls.astype(np.min_scalar_type(m - 1)), kind="stable")
+    counts = np.bincount(cls, minlength=m)
     ends = np.cumsum(counts)
     starts = ends - counts
-    rank = np.repeat(np.arange(residues.size), counts)  # class rank of each jump
-    hi = np.concatenate(([0], np.cumsum(fixed >> _LIMB)))
-    lo = np.concatenate(([0], np.cumsum(fixed & _MASK)))
+    filled = counts > 0
 
-    def psi_between(upto, since):
-        return _fixed_to_float(hi[upto] - hi[since], lo[upto] - lo[since])
+    def class_prefix(limb):
+        """Exact running sum of limb in sorted order, restarted at each class."""
+        total = np.zeros(limb.size + 1, dtype=np.int64)
+        np.cumsum(limb[order], out=total[1:])
+        return total[1:] - np.repeat(total[starts], counts)
 
-    first = starts[rank]
-    left = psi_between(np.arange(j.size), first)
-    post = psi_between(np.arange(1, j.size + 1), first)
-    totals = psi_between(ends, starts)
+    post = _fixed_to_float(class_prefix(jumps.hi), class_prefix(jumps.lo))
+    left = np.roll(post, 1)  # the previous post-jump value in the class, 0 at its start
+    left[starts[filled]] = 0.0
+    totals = np.zeros(m)
+    totals[filled] = post[ends[filled] - 1]
 
+    coprime = np.gcd(np.arange(m), m) == 1  # only class 0 when m = 1
+    inv_phi = 1.0 / np.count_nonzero(coprime)
+    j = jumps.j[order]
     target = j * inv_phi
-    v_left = np.abs(left - target)
-    v_post = np.abs(post - target)
+    v_left, v_post = np.abs(left - target), np.abs(post - target)
     v_end = np.abs(totals - z * inv_phi)
+    # the few jumps outside coprime classes are powers of primes dividing m
+    masked = np.flatnonzero(np.repeat(~coprime, counts))
+    v_left[masked] = v_post[masked] = v_end[~coprime] = -1.0
     sup = max(v_left.max(initial=0.0), v_post.max(initial=0.0), v_end.max())
     # visit position: 2 per earlier jump, 1 per earlier endpoint
     picks = []
     for values, is_left, offset in ((v_left, True, 0), (v_post, False, 1)):
         for i in np.flatnonzero(values == sup)[:1].tolist():
-            picks.append((2 * i + offset + int(rank[i]), int(residues[rank[i]]), float(j[i]), is_left))
+            c = int(np.searchsorted(ends, i, side="right"))
+            picks.append((2 * i + offset + c, c, float(j[i]), is_left))
     for c in np.flatnonzero(v_end == sup)[:1].tolist():
-        picks.append((2 * int(ends[c]) + c, int(residues[c]), float(z), False))
+        picks.append((2 * int(ends[c]) + c, c, float(z), False))
     _, worst_a, worst_y, is_left = min(picks)
     return DiscrepancyRecord(m, worst_a, worst_y, float(sup), is_left)
 

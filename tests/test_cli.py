@@ -150,6 +150,7 @@ def test_nan_range_is_rejected_by_name(capsys):
         (("bv-sum", "--z", "nan", "--B", "1"), "z >= 3"),
         (("discrepancy", "--z", "nan", "--m", "3"), "z must be at least 1"),
         (("psi", "--y", "nan", "--m", "3", "--a", "1"), "y must be positive"),
+        (("discrepancy", "--z", "100", "--m", "10000000000"), "m must satisfy 1 <= m <= "),
     )
     for argv, message in cases:
         code, out, err = run(capsys, *argv)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import tracemalloc
 from functools import lru_cache
 from math import fsum, gcd
 
@@ -9,7 +10,12 @@ import numpy as np
 import pytest
 
 from edgebudget import bv_sum, euler_phi, mangoldt_weight, max_discrepancy, primes_in, psi
-from edgebudget.dirichlet import DISCREPANCY_CSV_HEADER, MAX_Z, DiscrepancyRecord
+from edgebudget.dirichlet import (
+    DISCREPANCY_CSV_HEADER,
+    MAX_Z,
+    DiscrepancyRecord,
+    prime_power_jumps,
+)
 
 
 def brute_force_sup(z, m):
@@ -195,6 +201,44 @@ def test_max_discrepancy_matches_reference_loop_large_z():
     for _ in range(20):
         z, m = rng.uniform(5.8e5, 6.2e5), rng.randrange(1000, 10_001)
         assert max_discrepancy(z, m) == reference_max_discrepancy(z, m), (z, m)
+
+
+# one z in the discrepancy benchmark's range; bv_sum(Z_BV, 1) visits m = 1..57
+Z_BV = random.Random(57).uniform(5.8e5, 6.2e5)
+
+
+def test_max_discrepancy_matches_reference_loop_at_bv_sum_moduli():
+    for m in [*range(1, 13), 57, 58]:
+        assert max_discrepancy(Z_BV, m) == reference_max_discrepancy(Z_BV, m), m
+
+
+def test_bv_sum_pinned_value():
+    # the exact sum at one z: a change to the kernel's arithmetic must not move a bit
+    assert bv_sum(Z_BV, 1).hex() == "0x1.891adc9a13995p+14"
+
+
+def test_cached_jump_table_is_read_only():
+    before = psi(100, 1, 0), max_discrepancy(100, 3)
+    jumps = prime_power_jumps(100)
+    assert len(jumps) == 35  # 25 primes and 10 higher prime powers
+    for array in (jumps.j, jumps.log_p, jumps.hi, jumps.lo):
+        with pytest.raises(ValueError):
+            array[:] = 0
+    assert prime_power_jumps(100.5) is jumps
+    assert (psi(100, 1, 0), max_discrepancy(100, 3)) == before
+    assert before[0] == pytest.approx(94.045, abs=1e-3)
+
+
+@pytest.mark.parametrize("m", [MAX_Z + 1, 10**10])
+def test_max_discrepancy_rejects_m_beyond_limit_before_allocating(m):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="m must satisfy"):
+            max_discrepancy(100, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_discrepancy_kernels_reject_z_beyond_exact_limit():

@@ -1,8 +1,12 @@
-"""Source hygiene: every module imports only names it uses.
+"""Source hygiene: every module imports only names it uses, and the package
+defines no private name that nothing reads.
 
-A stdlib ``ast`` check, standing in for a linter's unused-import rule. A name
-counts as used when it is read anywhere in the module (as a bare name or the
-head of an attribute chain) or re-exported through ``__all__``.
+Stdlib ``ast`` checks, standing in for a linter's unused-import and dead-code
+rules. An import counts as used when its name is read anywhere in the module
+(as a bare name or the head of an attribute chain) or re-exported through
+``__all__``. A private top-level name of the package (one leading underscore)
+counts as used when some module of the package reads it: as a bare name, as an
+attribute, or by importing it.
 """
 
 import ast
@@ -42,6 +46,37 @@ def used_names(tree: ast.Module) -> set[str]:
     return used
 
 
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each private name a module binds at top level, with the line that binds it."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node.lineno
+    return out
+
+
+def read_names(trees) -> set[str]:
+    out = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                out.update(alias.name for alias in node.names)
+    return out
+
+
 def test_the_scan_sees_every_tree():
     assert {path.parent.name for path in MODULES} == {"edgebudget", "tests", "demos"}
 
@@ -57,3 +92,24 @@ def test_no_unused_imports(path):
     bound = imported_names(tree)
     unused = sorted(set(bound) - used_names(tree), key=bound.get)
     assert not unused, [f"{path.name}:{bound[name]}: {name}" for name in unused]
+
+
+def test_the_check_catches_an_unused_private_name():
+    tree = ast.parse(
+        "_A = 1\n_B: int = 2\n__all__ = []\ndef _f():\n    return _A\n"
+        "class _C:\n    pass\ndef g():\n    return _f() + x._D\n"
+    )
+    assert set(private_definitions(tree)) - read_names([tree]) == {"_B", "_C"}
+
+
+def test_no_unused_private_names():
+    sources = [path for path in MODULES if path.parent.name == "edgebudget"]
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sources}
+    read = read_names(trees.values())
+    unused = [
+        f"{name}:{line}: {private}"
+        for name, tree in trees.items()
+        for private, line in private_definitions(tree).items()
+        if private not in read
+    ]
+    assert not unused, unused
