@@ -1,11 +1,14 @@
 """Prime generation and deterministic 64-bit primality.
 
 The arithmetic substrate for everything else in the package: a segmented
-sieve of Eratosthenes with bounded memory and a strong-pseudoprime test that
-is deterministic over the full 64-bit range. Pointwise factoring, and with it
-the von Mangoldt weight Lambda(n), lives in ``factor``.
+sieve of Eratosthenes with bounded memory and a pointwise primality test that
+is exact over the full 64-bit range. The test answers small n from the primes
+below 100, and runs Miller-Rabin on the rest with only as many prime bases as
+the published strong-pseudoprime bounds require below n. Pointwise factoring,
+and with it the von Mangoldt weight Lambda(n), lives in ``factor``.
 """
 
+import bisect
 import math
 import operator
 
@@ -16,17 +19,48 @@ SEGMENT_LENGTH = 1 << 20
 
 _U64_LIMIT = 1 << 64
 
-# Strong-pseudoprime witness bases: testing against the first twelve primes is
-# deterministic for every n < 3.3 * 10**24, which covers the 64-bit contract.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = frozenset(
+    (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+)
+# one gcd with this product does the trial division by every prime below 100
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
+# a composite below 100**2 has a prime factor below 100: there a gcd of 1 means prime
+_GCD_EXACT_LIMIT = 10**4
+
+# Strong-pseudoprime bounds, OEIS A014233: psi_k is the least odd composite
+# that is a strong probable prime to each of the first k prime bases, so those
+# k bases decide every n < psi_k exactly (Jaeschke, Math. Comp. 61 (1993);
+# Sorenson and Webster, Math. Comp. 86 (2017)).
+#
+#    k  psi_k
+#    1  2047
+#    2  1373653
+#    3  25326001
+#    4  3215031751
+#    5  2152302898747
+#    6  3474749660383
+#    7  341550071728321            (= psi_8)
+#    9  3825123056546413051        (= psi_10 = psi_11)
+#   12  318665857834031151167461   (about 3.18e23, beyond 2**64)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+    3825123056546413051,
+)
+# _TIER_BASES[bisect_right(_PSI, n)]: the bases that decide n
+_TIER_BASES = tuple(_BASES[:k] for k in (1, 2, 3, 4, 5, 6, 7, 9, 12))
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < 2**64.
 
-    Runs Miller-Rabin with a fixed published witness set, so the answer is
-    exact (no probabilistic error) over the supported range. n may be any
-    integer type, numpy's included.
+    n <= 100 is looked up among the primes below 100; a larger n sharing a
+    factor with them is composite, and one below 10**4 that shares none is
+    prime. Beyond that, Miller-Rabin runs with the first k prime bases, for
+    the least k whose bound psi_k (OEIS A014233) exceeds n: one base below
+    2047, nine below 3.8e18 and twelve up to 2**64. The answer is exact (no
+    probabilistic error) over the supported range. n may be any integer
+    type, numpy's included.
 
     Raises:
         TypeError: if n is not an integer.
@@ -35,15 +69,16 @@ def is_prime(n: int) -> bool:
     n = operator.index(n)
     if n < 0 or n >= _U64_LIMIT:
         raise ValueError("is_prime supports 0 <= n < 2**64")
-    if n < 2:
+    if n <= 100:
+        return n in _SMALL_PRIMES
+    if math.gcd(n, _SMALL_PRODUCT) != 1:
         return False
-    for p in _WITNESSES:
-        if n % p == 0:
-            return n == p
+    if n < _GCD_EXACT_LIMIT:
+        return True
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _WITNESSES:
+    for a in _TIER_BASES[bisect.bisect_right(_PSI, n)]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

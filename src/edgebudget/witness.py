@@ -207,6 +207,11 @@ def _first_in_progression(a: int, modulus: int, lo: int) -> int:
     return a + ((lo - a + modulus - 1) // modulus) * modulus
 
 
+def _primes_between(lo: int, hi: int):
+    """The primes of [lo, hi] in ascending order, each tested when it is asked for."""
+    return (v for v in range(lo, hi + 1) if sieve.is_prime(v))
+
+
 def strategy_bv(n: int, eps: float = 0.05) -> Witness | None:
     """Witness search through primes in arithmetic progressions.
 
@@ -217,7 +222,9 @@ def strategy_bv(n: int, eps: float = 0.05) -> Witness | None:
     r = a (mod pq) upward through [ceil(n/4), floor(n/2)] for a prime.
     The first hit yields the witness (k = (n-r)/p, p, q, r), which always
     validates. Returns None when every pair fails, including when the prime
-    interval holds fewer than two primes.
+    interval holds fewer than two primes. The first pair nearly always
+    succeeds, so p and q are found on demand by ``is_prime`` over the
+    interval rather than by sieving all of it.
 
     Raises:
         TypeError: if n is not an integer.
@@ -236,13 +243,10 @@ def strategy_bv(n: int, eps: float = 0.05) -> Witness | None:
     hi = math.floor(2 * width)
     if hi < lo or lo < 1:
         return None
-    ps = sieve.primes_in(lo, hi).tolist()
-    if len(ps) < 2:
-        return None
     r_lo = -(-n // 4)
     r_hi = n // 2
-    for p in ps:
-        for q in ps:
+    for p in _primes_between(lo, hi):
+        for q in _primes_between(lo, hi):
             if q == p:
                 continue
             modulus = p * q

@@ -1,8 +1,14 @@
 import hashlib
 import json
+import os
+import pathlib
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import edgebudget
 from edgebudget.cli import EXIT_ERROR, EXIT_NO_WITNESS, EXIT_OK, main
 
 
@@ -216,6 +222,25 @@ def test_invalid_parameters_exit_1(capsys):
     for flag, value in (("--alpha", "0.5"), ("--gamma", "0.5"), ("--strategies", "smooth,bv")):
         code, out, err = run(capsys, "survey", "--x", "300", "--preset", "corollary-1", flag, value)
         assert (code, out) == (EXIT_ERROR, "") and flag in err and "--preset" in err, flag
+
+
+def test_out_of_memory_is_one_error_line():
+    # an address-space cap of 1.5 GB in the child alone: the 16 GiB class
+    # table of m = 2**31 cannot be allocated, and nothing is touched
+    cap = 1_500_000 * 1024
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(edgebudget.__file__).parents[1]))
+    argv = ["discrepancy", "--z", "100", "--m", str(2**31)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "edgebudget.cli", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_ERROR, "")
+    assert proc.stderr.startswith("edgebudget: error: out of memory: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
 def test_usage_errors_exit_1_not_2():

@@ -52,6 +52,112 @@ def test_is_prime_rejects_out_of_range():
         is_prime(1 << 64)
 
 
+def test_is_prime_takes_uint64_to_the_top_of_its_range():
+    assert is_prime(np.uint64(2**64 - 59)) is True
+    assert is_prime(np.uint64(3825123056546413051)) is False  # psi_9, below
+
+
+TWELVE_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def strong_probable_prime(n: int, bases) -> bool:
+    """Miller-Rabin for odd n > max(bases): True iff n passes every base."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def twelve_base_is_prime(n: int) -> bool:
+    """is_prime before the base tiers: trial division by the twelve bases, then all twelve."""
+    if n < 2:
+        return False
+    for p in TWELVE_BASES:
+        if n % p == 0:
+            return n == p
+    return strong_probable_prime(n, TWELVE_BASES)
+
+
+# OEIS A014233: psi_k, the least odd composite that is a strong probable prime
+# to each of the first k prime bases, with its prime factors (psi_8 = psi_7).
+PSI = {
+    1: (2047, (23, 89)),
+    2: (1373653, (829, 1657)),
+    3: (25326001, (2251, 11251)),
+    4: (3215031751, (151, 751, 28351)),
+    5: (2152302898747, (6763, 10627, 29947)),
+    6: (3474749660383, (1303, 16927, 157543)),
+    7: (341550071728321, (10670053, 32010157)),
+    9: (3825123056546413051, (149491, 747451, 34233211)),
+}
+
+
+@pytest.mark.parametrize("k", sorted(PSI))
+def test_each_tier_bound_is_a_rejected_strong_pseudoprime(k):
+    # the table is tight: psi_k is composite and passes the first k bases, so
+    # k bases would not do at psi_k itself; is_prime must use more there
+    psi, factors = PSI[k]
+    assert math.prod(factors) == psi and all(trial_division_is_prime(f) for f in factors)
+    assert strong_probable_prime(psi, TWELVE_BASES[:k])
+    assert is_prime(psi) is False
+
+
+def test_is_prime_agrees_with_dense_sieve_below_2e6():
+    # covers the small-prime lookup (97, 100, 101) and the gcd-only range
+    # around its end (9409 = 97**2, 10**4, 10201 = 101**2)
+    limit = 2 * 10**6
+    expected = sieve._dense_sieve(limit - 1).tolist()
+    assert [is_prime(n) for n in range(limit)] == expected
+
+
+def test_is_prime_agrees_with_twelve_bases_on_seeded_n():
+    # half uniform on [0, 2**64), half with a uniform bit length, so that
+    # every tier of bases is reached
+    rng = random.Random(2047)
+    ns = [rng.randrange(1 << 64) for _ in range(50_000)]
+    ns += [rng.randrange(1 << rng.randrange(1, 65)) for _ in range(50_000)]
+    for n in ns:
+        assert is_prime(n) == twelve_base_is_prime(n), n
+
+
+def test_is_prime_agrees_with_twelve_bases_around_each_tier_bound():
+    for psi, _ in PSI.values():
+        for n in range(psi - 500, psi + 501):
+            assert is_prime(n) == twelve_base_is_prime(n), n
+
+
+def carmichael_numbers() -> list[int]:
+    """The Carmichael numbers below 10**5, and Chernick's (6k+1)(12k+1)(18k+1) below 2**64."""
+    small = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657,
+             52633, 62745, 63973, 75361]
+    top = 240_000  # (6k+1)(12k+1)(18k+1) < 2**64
+    flags = sieve._dense_sieve(18 * top + 1)
+    chernick = [
+        (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+        for k in range(1, top)
+        if flags[6 * k + 1] and flags[12 * k + 1] and flags[18 * k + 1]
+    ]
+    return small + [n for n in chernick if n < 1 << 64]
+
+
+def test_is_prime_rejects_carmichael_numbers():
+    numbers = carmichael_numbers()
+    assert len(numbers) > 100 and max(numbers) > 3825123056546413051
+    for n in numbers:
+        assert pow(2, n - 1, n) == 1  # a Fermat pseudoprime: base 2 alone is fooled
+        assert is_prime(n) is False and twelve_base_is_prime(n) is False, n
+
+
 def test_primes_in_examples():
     assert primes_in(10, 20).tolist() == [11, 13, 17, 19]
     assert primes_in(1, 1).tolist() == []

@@ -339,6 +339,53 @@ def test_strategy_bv_matches_independent_search():
             assert strategy_bv(n, eps) == oracle_bv(n, eps, flags), (n, eps)
 
 
+def sieved_strategy_bv(n, eps):
+    """strategy_bv as it was with p and q from a sieve of all of [lo, hi]."""
+    width = n ** (0.25 - eps)
+    snapped = round(width)
+    if snapped >= 1 and abs(width - snapped) <= 1e-9 * width:
+        width = float(snapped)
+    lo, hi = math.ceil(width), math.floor(2 * width)
+    if hi < lo or lo < 1:
+        return None
+    ps = primes_in(lo, hi).tolist()
+    if len(ps) < 2:
+        return None
+    r_lo, r_hi = -(-n // 4), n // 2
+    for p in ps:
+        for q in ps:
+            if q == p:
+                continue
+            modulus = p * q
+            a = crt_pair(n, p, q)
+            if math.gcd(a, modulus) != 1:
+                continue
+            r = a + ((r_lo - a + modulus - 1) // modulus) * modulus
+            while r <= r_hi:
+                if r >= 3 and is_prime(r):
+                    k = (n - r) // p
+                    if k < 1:
+                        break
+                    return Witness(k, p, q, r, unchecked_score(k, p, q, r))
+                r += modulus
+    return None
+
+
+def test_strategy_bv_matches_the_sieved_search():
+    rng = random.Random(1013)
+    ns = [rng.randrange(10**e, 10 ** (e + 1)) for e in range(1, 19) for _ in range(6)]
+    # every small n: among them the None cases whose [lo, hi] holds fewer
+    # than two primes, such as n = 100 at eps = 0.2 ([2, 2])
+    ns += range(1, 3000)
+    nones = 0
+    for eps in (0.0, 0.05, 0.2):
+        for n in ns:
+            w = strategy_bv(n, eps)
+            assert w == sieved_strategy_bv(n, eps), (n, eps)
+            nones += w is None
+    assert nones > 1000 and strategy_bv(100, 0.2) is None
+
+
 def test_strategy_bv_rejects_bad_eps():
     with pytest.raises(ValueError):
         strategy_bv(100, 0.25)
