@@ -56,6 +56,7 @@ from .witness import (
     build_rset,
     crt_pair,
     f_exact,
+    smooth_search,
     strategy_bv,
     strategy_smooth,
     validate,
@@ -85,6 +86,7 @@ __all__ = [
     "primes_in",
     "psi",
     "rset_density",
+    "smooth_search",
     "strategy_bv",
     "strategy_smooth",
     "survey_range",

@@ -80,8 +80,7 @@ def _cmd_witness_bv(args) -> int:
 
 
 def _cmd_witness_smooth(args) -> int:
-    config = survey.SurveyConfig(alpha=args.alpha, gamma=args.gamma, c0=args.c0)
-    w = witness.strategy_smooth(args.n, config.rset(args.n), args.gamma)
+    w = witness.smooth_search(args.n, args.alpha, args.gamma, args.c0)
     return _emit_witness(args, "smooth", w)
 
 

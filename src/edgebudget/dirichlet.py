@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import sieve
+from . import factor, sieve
 from .util import fmt9
 
 MAX_Z = 2**31
@@ -158,11 +158,14 @@ def max_discrepancy(z: float, m: int) -> DiscrepancyRecord:
     Stable-sorts the jumps by residue class and takes one exact prefix sum
     per class; each jump in a class coprime to m contributes its left limit
     and its post-jump value, and the endpoint y = z closes the final piece.
-    The record is the first maximal candidate in the order classes
-    ascending, then candidates in increasing y, left limit before post-jump
-    value, the endpoint last; so it is deterministic. m may be any integer
-    type, numpy's included; the record's m is a Python int. Memory is linear
-    in the number of jumps plus m; the shared jump table is read-only.
+    A coprime class that holds no jump contributes only its endpoint value
+    z/phi(m), with phi(m) from ``factor.euler_phi``. The record is the first
+    maximal candidate in the order classes ascending, then candidates in
+    increasing y, left limit before post-jump value, the endpoint last; so
+    it is deterministic. m may be any integer type, numpy's included; the
+    record's m is a Python int. Memory is linear in the number of jumps,
+    whatever m is: only the classes that hold a jump get arrays. The shared
+    jump table is read-only.
 
     Raises:
         TypeError: if m is not an integer.
@@ -176,12 +179,17 @@ def max_discrepancy(z: float, m: int) -> DiscrepancyRecord:
         raise ValueError("z must be at least 1")
     _check_z(z)
     jumps = prime_power_jumps(z)
-    cls = jumps.j % m
-    order = np.argsort(cls.astype(np.min_scalar_type(m - 1)), kind="stable")
-    counts = np.bincount(cls, minlength=m)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    filled = counts > 0
+    cls = (jumps.j % m).astype(np.min_scalar_type(m - 1))
+    order = np.argsort(cls, kind="stable")
+    # the classes that hold a jump: residues, first sorted index and size
+    sorted_cls = cls[order]
+    change = np.empty(order.size, dtype=bool)
+    change[:1] = True
+    np.not_equal(sorted_cls[1:], sorted_cls[:-1], out=change[1:])
+    starts = np.flatnonzero(change)
+    residues = sorted_cls[starts].astype(np.int64)
+    counts = np.diff(starts, append=order.size)
+    ends = starts + counts
 
     def class_prefix(limb):
         """Exact running sum of limb in sorted order, restarted at each class."""
@@ -191,30 +199,47 @@ def max_discrepancy(z: float, m: int) -> DiscrepancyRecord:
 
     post = _fixed_to_float(class_prefix(jumps.hi), class_prefix(jumps.lo))
     left = np.roll(post, 1)  # the previous post-jump value in the class, 0 at its start
-    left[starts[filled]] = 0.0
-    totals = np.zeros(m)
-    totals[filled] = post[ends[filled] - 1]
+    left[starts] = 0.0
 
-    coprime = np.gcd(np.arange(m), m) == 1  # only class 0 when m = 1
-    inv_phi = 1.0 / np.count_nonzero(coprime)
+    coprime = np.gcd(residues, m) == 1  # class 0 is coprime when m = 1
+    phi = factor.euler_phi(m)
+    inv_phi = 1.0 / phi
     j = jumps.j[order]
     target = j * inv_phi
     v_left, v_post = np.abs(left - target), np.abs(post - target)
-    v_end = np.abs(totals - z * inv_phi)
+    v_end = np.abs(post[ends - 1] - z * inv_phi)
     # the few jumps outside coprime classes are powers of primes dividing m
     masked = np.flatnonzero(np.repeat(~coprime, counts))
-    v_left[masked] = v_post[masked] = v_end[~coprime] = -1.0
-    sup = max(v_left.max(initial=0.0), v_post.max(initial=0.0), v_end.max())
-    # visit position: 2 per earlier jump, 1 per earlier endpoint
+    v_left[masked] = v_post[masked] = -1.0
+    v_end[~coprime] = -1.0
+    # every coprime class without a jump ends at |0 - z/phi(m)|
+    v_empty = z * inv_phi if np.count_nonzero(coprime) < phi else -1.0
+    sup = max(v_left.max(initial=0.0), v_post.max(initial=0.0), v_end.max(initial=-1.0), v_empty)
+    # visit position: 2 per earlier jump, 1 per earlier endpoint (a class's residue)
     picks = []
     for values, is_left, offset in ((v_left, True, 0), (v_post, False, 1)):
         for i in np.flatnonzero(values == sup)[:1].tolist():
-            c = int(np.searchsorted(ends, i, side="right"))
-            picks.append((2 * i + offset + c, c, float(j[i]), is_left))
+            a = int(residues[np.searchsorted(starts, i, side="right") - 1])
+            picks.append((2 * i + offset + a, a, float(j[i]), is_left))
     for c in np.flatnonzero(v_end == sup)[:1].tolist():
-        picks.append((2 * int(ends[c]) + c, c, float(z), False))
+        a = int(residues[c])
+        picks.append((2 * int(ends[c]) + a, a, float(z), False))
+    if v_empty == sup:
+        a = _first_empty_coprime(residues, m)
+        picks.append((2 * int(np.searchsorted(sorted_cls, a)) + a, a, float(z), False))
     _, worst_a, worst_y, is_left = min(picks)
     return DiscrepancyRecord(m, worst_a, worst_y, float(sup), is_left)
+
+
+def _first_empty_coprime(residues: np.ndarray, m: int) -> int:
+    """The least a in [0, m) coprime to m that is not among ``residues``; one must exist."""
+    block = 2 * residues.size + 64
+    for lo in range(0, m, block):
+        a = np.arange(lo, min(m, lo + block), dtype=np.int64)
+        free = np.flatnonzero((np.gcd(a, m) == 1) & ~np.isin(a, residues))
+        if free.size:
+            return int(a[free[0]])
+    raise AssertionError("unreachable: every coprime class holds a jump")
 
 
 def bv_cutoff(z: float, B: float) -> int:

