@@ -21,7 +21,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_WITNESS = 2
 
-WITNESS_CSV_HEADER = "n,strategy,k,p,q,r,score"
 PRESET_NAMES = tuple(survey.PRESETS)
 DEFAULTS = survey.SurveyConfig()
 
@@ -32,8 +31,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+class _Nine(float):
+    """A computed float: ``round9`` in JSON, ``fmt9`` in CSV. Echoed inputs stay plain floats."""
+
+
+def _nine(x: float) -> _Nine:
+    return _Nine(round9(x))  # json writes a float subclass through float.__repr__
+
+
+def _cell(value) -> str:
+    """One CSV cell: None is empty, a bool is 1 or 0, anything else prints as it is."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return fmt9(value) if isinstance(value, _Nine) else str(value)
 
 
 def _write(text: str, path: str | None) -> None:
@@ -44,35 +56,40 @@ def _write(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _witness_csv(n: int, strategy: str, w: witness.Witness | None) -> str:
-    if w is None:
-        return f"{WITNESS_CSV_HEADER}\n{n},{strategy},,,,,\n"
-    return f"{WITNESS_CSV_HEADER}\n{n},{strategy},{w.k},{w.p},{w.q},{w.r},{w.score}\n"
+def _emit(args, fields: str, rows: list[tuple], *, key: str | None = None, doc=None) -> None:
+    """Write a report of the comma-separated ``fields``, one tuple of values per row.
+
+    CSV is the header and one line per row. JSON is ``doc`` when given, else
+    the rows as objects: the one row itself, or every row under ``key``.
+    """
+    if args.format == "csv":
+        text = "\n".join([fields, *(",".join(map(_cell, row)) for row in rows)]) + "\n"
+    else:
+        if doc is None:
+            objects = [dict(zip(fields.split(","), row)) for row in rows]
+            doc = objects[0] if key is None else {key: objects}
+        text = json.dumps(doc, separators=(",", ":")) + "\n"
+    _write(text, args.output)
+
+
+def _emit_witness(args, strategy: str, w: witness.Witness | None, doc: dict | None = None) -> int:
+    """A witness report; JSON is ``doc``, by default the flat certificate."""
+    if doc is None:
+        doc = {"n": args.n, "strategy": strategy, "witness": None}
+        if w is not None:
+            doc = witness.witness_json(args.n, w, strategy)
+    cells = (None,) * 5 if w is None else (w.k, w.p, w.q, w.r, w.score)
+    _emit(args, "n,strategy,k,p,q,r,score", [(args.n, strategy, *cells)], doc=doc)
+    return EXIT_OK if w is not None else EXIT_NO_WITNESS
 
 
 def _cmd_f_exact(args) -> int:
     value, w = witness.f_exact(args.n)
-    if args.format == "json":
-        doc = {"n": args.n, "value": value, "witness": None}
-        if w is not None:
-            doc["witness"] = witness.witness_json(args.n, w, "exact")
-            del doc["witness"]["n"]
-        _write(_json_dumps(doc) + "\n", args.output)
-    else:
-        _write(_witness_csv(args.n, "exact", w), args.output)
-    return EXIT_OK if w is not None else EXIT_NO_WITNESS
-
-
-def _emit_witness(args, strategy: str, w: witness.Witness | None) -> int:
-    if args.format == "json":
-        if w is None:
-            doc = {"n": args.n, "strategy": strategy, "witness": None}
-        else:
-            doc = witness.witness_json(args.n, w, strategy)
-        _write(_json_dumps(doc) + "\n", args.output)
-    else:
-        _write(_witness_csv(args.n, strategy, w), args.output)
-    return EXIT_OK if w is not None else EXIT_NO_WITNESS
+    doc = {"n": args.n, "value": value, "witness": None}
+    if w is not None:
+        doc["witness"] = witness.witness_json(args.n, w, "exact")
+        del doc["witness"]["n"]
+    return _emit_witness(args, "exact", w, doc)
 
 
 def _cmd_witness_bv(args) -> int:
@@ -114,52 +131,38 @@ def _cmd_survey(args) -> int:
 
 def _cmd_rset_density(args) -> int:
     count, ratio = survey.rset_density(args.z, args.alpha)
-    if args.format == "json":
-        doc = {"z": args.z, "alpha": args.alpha, "count": count, "ratio": round9(ratio)}
-        _write(_json_dumps(doc) + "\n", args.output)
-    else:
-        _write(f"z,alpha,count,ratio\n{args.z},{args.alpha},{count},{fmt9(ratio)}\n", args.output)
+    _emit(args, "z,alpha,count,ratio", [(args.z, args.alpha, count, _nine(ratio))])
     return EXIT_OK
 
 
 def _cmd_psi(args) -> int:
     value = dirichlet.psi(args.y, args.m, args.a)
-    if args.format == "json":
-        doc = {"y": args.y, "m": args.m, "a": args.a, "psi": round9(value)}
-        _write(_json_dumps(doc) + "\n", args.output)
-    else:
-        _write(f"y,m,a,psi\n{args.y},{args.m},{args.a},{fmt9(value)}\n", args.output)
+    _emit(args, "y,m,a,psi", [(args.y, args.m, args.a, _nine(value))])
     return EXIT_OK
 
 
 def _cmd_discrepancy(args) -> int:
     rec = dirichlet.max_discrepancy(args.z, args.m)
-    if args.format == "json":
-        doc = {
-            "m": rec.m,
-            "worst_a": rec.worst_a,
-            "worst_y": round9(rec.worst_y),
-            "sup_value": round9(rec.sup_value),
-            "is_left_limit": rec.is_left_limit,
-        }
-        _write(_json_dumps(doc) + "\n", args.output)
-    else:
-        _write(f"{dirichlet.DISCREPANCY_CSV_HEADER}\n{rec.csv_row()}\n", args.output)
+    row = (rec.m, rec.worst_a, _nine(rec.worst_y), _nine(rec.sup_value), rec.is_left_limit)
+    _emit(args, "m,worst_a,worst_y,sup_value,is_left_limit", [row])
     return EXIT_OK
 
 
 def _cmd_bv_sum(args) -> int:
     value = dirichlet.bv_sum(args.z, args.B)
     cutoff = dirichlet.bv_cutoff(args.z, args.B)
-    if args.format == "json":
-        doc = {"z": args.z, "B": args.B, "cutoff": cutoff, "sum": round9(value)}
-        _write(_json_dumps(doc) + "\n", args.output)
-    else:
-        _write(f"z,B,cutoff,sum\n{args.z},{args.B},{cutoff},{fmt9(value)}\n", args.output)
+    _emit(args, "z,B,cutoff,sum", [(args.z, args.B, cutoff, _nine(value))])
     return EXIT_OK
 
 
 def _cmd_bs_experiment(args) -> int:
+    if args.n_max < 2:
+        raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
+    for flag, size in (("--size-a", args.size_a), ("--size-b", args.size_b)):
+        if not 1 <= size <= args.n_max:
+            raise ValueError(f"{flag} must lie in [1, --n-max] = [1, {args.n_max}], got {size}")
+    if args.trials < 0:
+        raise ValueError(f"--trials must be nonnegative, got {args.trials}")
     rng = random.Random(args.seed)
     log_n = math.log(args.n_max)
     rows = []
@@ -168,31 +171,10 @@ def _cmd_bs_experiment(args) -> int:
         b_vals = rng.sample(range(1, args.n_max + 1), args.size_b)
         max_p, (a, b) = survey.bs_max_pdiff(a_vals, b_vals)
         threshold = 0.05 * math.sqrt(args.size_a * args.size_b) / log_n
-        rows.append(
-            {
-                "trial": trial,
-                "seed": args.seed,
-                "size_a": args.size_a,
-                "size_b": args.size_b,
-                "n_max": args.n_max,
-                "max_p": max_p,
-                "a": a,
-                "b": b,
-                "threshold": round9(threshold),
-                "meets_threshold": max_p >= threshold,
-            }
-        )
-    if args.format == "json":
-        _write(_json_dumps({"trials": rows}) + "\n", args.output)
-    else:
-        lines = ["trial,seed,size_a,size_b,n_max,max_p,a,b,threshold,meets_threshold"]
-        for row in rows:
-            lines.append(
-                f"{row['trial']},{row['seed']},{row['size_a']},{row['size_b']},"
-                f"{row['n_max']},{row['max_p']},{row['a']},{row['b']},"
-                f"{fmt9(row['threshold'])},{1 if row['meets_threshold'] else 0}"
-            )
-        _write("\n".join(lines) + "\n", args.output)
+        rows.append((trial, args.seed, args.size_a, args.size_b, args.n_max, max_p, a, b,
+                     _nine(threshold), max_p >= threshold))
+    fields = "trial,seed,size_a,size_b,n_max,max_p,a,b,threshold,meets_threshold"
+    _emit(args, fields, rows, key="trials")
     return EXIT_OK
 
 
@@ -217,10 +199,7 @@ def _cmd_verify(args) -> int:
         raise ValueError("n, k, p, q, r and score must be JSON integers")
     w = witness.Witness(*fields, stored if stored is not None else witness.unchecked_score(*fields))
     ok = witness.validate(n, w)
-    if args.format == "json":
-        _write(_json_dumps({"n": n, "valid": ok}) + "\n", args.output)
-    else:
-        _write(f"n,valid\n{n},{1 if ok else 0}\n", args.output)
+    _emit(args, "n,valid", [(n, ok)])
     return EXIT_OK if ok else EXIT_NO_WITNESS
 
 

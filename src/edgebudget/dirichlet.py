@@ -31,15 +31,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import factor, sieve
-from .util import fmt9
 
 MAX_Z = 2**31
 _SCALE = 2.0**53  # log p * _SCALE is an integer below 2**58
 _LIMB = 32
 _MASK = (1 << _LIMB) - 1
-
-
-DISCREPANCY_CSV_HEADER = "m,worst_a,worst_y,sup_value,is_left_limit"
 
 
 @dataclass(frozen=True)
@@ -62,10 +58,6 @@ class DiscrepancyRecord:
     sup_value: float
     is_left_limit: bool
 
-    def csv_row(self) -> str:
-        flag = 1 if self.is_left_limit else 0
-        return f"{self.m},{self.worst_a},{fmt9(self.worst_y)},{fmt9(self.sup_value)},{flag}"
-
 
 @dataclass(frozen=True)
 class PrimePowerJumps:
@@ -76,13 +68,12 @@ class PrimePowerJumps:
 
     Attributes:
         j: The prime powers (int64).
-        log_p: ``math.log`` of the prime under each j (float64).
-        hi, lo: The integer log_p * 2**53 as hi * 2**32 + lo, lo < 2**32
-            (int64 limbs, the exact fixed-point weights).
+        hi, lo: The integer ``math.log(p) * 2**53`` for the prime p under
+            each j, as hi * 2**32 + lo with lo < 2**32 (int64 limbs, the
+            exact fixed-point weights).
     """
 
     j: np.ndarray
-    log_p: np.ndarray
     hi: np.ndarray
     lo: np.ndarray
 
@@ -94,6 +85,7 @@ class PrimePowerJumps:
 def _jumps_upto(top: int) -> PrimePowerJumps:
     primes = sieve.primes_in(2, top) if top >= 2 else np.zeros(0, dtype=np.int64)
     logs = np.fromiter(map(math.log, primes.tolist()), dtype=np.float64, count=primes.size)
+    weights = (logs * _SCALE).astype(np.int64)  # exact: each log is a multiple of 2**-53
     powers = [primes]  # powers[k][i] == primes[i] ** (k + 1), while that is <= top
     while powers[-1].size:
         prev = powers[-1]
@@ -101,9 +93,8 @@ def _jumps_upto(top: int) -> PrimePowerJumps:
         powers.append(prev[:n] * primes[:n])
     j = np.concatenate(powers)
     order = np.argsort(j)
-    log_p = np.concatenate([logs[: part.size] for part in powers])[order]
-    fixed = (log_p * _SCALE).astype(np.int64)
-    arrays = (j[order], log_p, fixed >> _LIMB, fixed & _MASK)
+    fixed = np.concatenate([weights[: part.size] for part in powers])[order]
+    arrays = (j[order], fixed >> _LIMB, fixed & _MASK)
     for array in arrays:
         array.flags.writeable = False
     return PrimePowerJumps(*arrays)

@@ -135,12 +135,10 @@ def lpf_table(lo: int, hi: int, *, floor: int = 0) -> np.ndarray:
     prime and is the largest factor; entries below floor are then zeroed.
 
     Raises:
-        ValueError: if lo < 1 or lo > hi.
+        ValueError: if lo < 1, lo > hi or hi >= 2**63 (``sieve.check_window``),
+            before anything is allocated.
     """
-    if lo < 1:
-        raise ValueError("interval endpoints must be positive")
-    if lo > hi:
-        raise ValueError(f"empty interval: lo={lo} > hi={hi}")
+    sieve.check_window(lo, hi)
     out = np.zeros(hi - lo + 1, dtype=np.int64)
     if floor > hi:
         return out
@@ -151,7 +149,8 @@ def lpf_table(lo: int, hi: int, *, floor: int = 0) -> np.ndarray:
         if hi - q_lo <= 2 * (hi - lo):
             primes = sieve.primes_in(q_lo, hi)
             for m in range(1, most + 1):
-                first, last = np.searchsorted(primes, (-(-lo // m), hi // m + 1))
+                # the primes in [ceil(lo / m), hi // m]; each bound fits in int64
+                first, last = np.searchsorted(primes, (-(-lo // m) - 1, hi // m), side="right")
                 out[m * primes[first:last] - lo] = primes[first:last]
             return out
     base = sieve.primes_in(1, root).tolist()

@@ -20,6 +20,7 @@ import numpy as np
 SEGMENT_LENGTH = 1 << 20
 
 _U64_LIMIT = 1 << 64
+_INT64_LIMIT = 1 << 63  # the array kernels hold window values as int64
 
 _SMALL_PRIMES = frozenset(
     (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
@@ -103,6 +104,32 @@ def _dense_sieve(limit: int) -> np.ndarray:
     return flags
 
 
+def check_window(lo: int, hi: int) -> None:
+    """Refuse a window [lo, hi] that the int64 array kernels cannot hold.
+
+    Raises:
+        ValueError: if lo < 1, lo > hi or hi >= 2**63.
+    """
+    if lo < 1:
+        raise ValueError("interval endpoints must be positive")
+    if lo > hi:
+        raise ValueError(f"empty interval: lo={lo} > hi={hi}")
+    if hi >= _INT64_LIMIT:
+        raise ValueError(f"interval must end below 2**63, the int64 limit: hi={hi}")
+
+
+def iter_primes(lo: int, hi: int):
+    """The primes of [lo, hi] in ascending order, each tested by ``is_prime`` when asked for.
+
+    2 comes first when it lies in [lo, hi]; after it only odd numbers are tested.
+    """
+    if lo <= 2 <= hi:
+        yield 2
+    for v in range(max(lo, 3) | 1, hi + 1, 2):
+        if is_prime(v):
+            yield v
+
+
 def is_narrow(lo: int, hi: int) -> bool:
     """Whether [lo, hi] is narrower than sqrt(hi) / 64.
 
@@ -124,25 +151,20 @@ def primes_in(lo: int, hi: int) -> np.ndarray:
     ``SEGMENT_LENGTH`` integers and flags only its odd ones; 2 is added when
     it lies in [lo, hi]. Memory use is bounded by ``SEGMENT_LENGTH`` (plus
     the base primes up to sqrt(hi)), not by ``hi``, so intervals near 10**9
-    are fine. A window that ``is_narrow`` is not sieved: each of its odd
-    numbers goes through ``is_prime``, so a window of a few thousand numbers
-    near 10**17 takes milliseconds, with no base primes at all.
+    are fine. A window that ``is_narrow`` is not sieved: ``iter_primes``
+    tests its odd numbers with ``is_prime``, so a window of a few thousand
+    numbers near 10**17 takes milliseconds, with no base primes at all.
 
     Raises:
-        ValueError: if lo < 1 or lo > hi.
+        ValueError: if lo < 1, lo > hi or hi >= 2**63 (``check_window``),
+            before anything is allocated.
     """
-    if lo < 1:
-        raise ValueError("interval endpoints must be positive")
-    if lo > hi:
-        raise ValueError(f"empty interval: lo={lo} > hi={hi}")
+    check_window(lo, hi)
     if hi < 2:
         return np.empty(0, dtype=np.int64)
-
-    chunks = [np.array([2], dtype=np.int64)] if lo <= 2 else []
     if is_narrow(lo, hi):
-        odd = range(max(lo, 3) | 1, hi + 1, 2)
-        chunks.append(np.array([v for v in odd if is_prime(v)], dtype=np.int64))
-        return np.concatenate(chunks)
+        return np.fromiter(iter_primes(lo, hi), dtype=np.int64)
+    chunks = [np.array([2], dtype=np.int64)] if lo <= 2 else []
     base = np.nonzero(_dense_sieve(math.isqrt(hi)))[0][1:].tolist()  # odd base primes
     for seg_lo in range(max(lo, 3) | 1, hi + 1, SEGMENT_LENGTH):
         seg_hi = min(seg_lo + SEGMENT_LENGTH - 1, hi)

@@ -209,11 +209,6 @@ def _first_in_progression(a: int, modulus: int, lo: int) -> int:
     return a + ((lo - a + modulus - 1) // modulus) * modulus
 
 
-def _primes_between(lo: int, hi: int):
-    """The primes of [lo, hi] in ascending order, each tested when it is asked for."""
-    return (v for v in range(lo, hi + 1) if sieve.is_prime(v))
-
-
 def strategy_bv(n: int, eps: float = 0.05) -> Witness | None:
     """Witness search through primes in arithmetic progressions.
 
@@ -225,8 +220,8 @@ def strategy_bv(n: int, eps: float = 0.05) -> Witness | None:
     The first hit yields the witness (k = (n-r)/p, p, q, r), which always
     validates. Returns None when every pair fails, including when the prime
     interval holds fewer than two primes. The first pair nearly always
-    succeeds, so p and q are found on demand by ``is_prime`` over the
-    interval rather than by sieving all of it.
+    succeeds, so p and q come on demand from ``sieve.iter_primes`` rather
+    than from sieving all of the interval.
 
     Raises:
         TypeError: if n is not an integer.
@@ -247,8 +242,8 @@ def strategy_bv(n: int, eps: float = 0.05) -> Witness | None:
         return None
     r_lo = -(-n // 4)
     r_hi = n // 2
-    for p in _primes_between(lo, hi):
-        for q in _primes_between(lo, hi):
+    for p in sieve.iter_primes(lo, hi):
+        for q in sieve.iter_primes(lo, hi):
             if q == p:
                 continue
             modulus = p * q
@@ -279,12 +274,9 @@ def build_rset(lo: int, hi: int, alpha: float) -> RSet:
     ``factor.largest_prime_factor``. Either way the members are the same.
 
     Raises:
-        ValueError: if lo > hi, lo < 1, or alpha is outside (0, 1].
+        ValueError: if alpha is outside (0, 1], or lo < 1, lo > hi or
+            hi >= 2**63 (``sieve.check_window``).
     """
-    if lo < 1:
-        raise ValueError("interval endpoints must be positive")
-    if lo > hi:
-        raise ValueError(f"empty interval: lo={lo} > hi={hi}")
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     primes = sieve.primes_in(lo, hi)

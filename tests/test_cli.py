@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 import edgebudget
-from edgebudget.cli import EXIT_ERROR, EXIT_NO_WITNESS, EXIT_OK, main
+from edgebudget.cli import EXIT_ERROR, EXIT_NO_WITNESS, EXIT_OK, build_parser, main
 from edgebudget.util import round9
 
 
@@ -161,6 +162,22 @@ def test_psi_and_discrepancy_and_bv_sum(capsys):
     assert doc["cutoff"] == 1 and doc["sum"] == pytest.approx(2.90565544)
 
 
+def test_discrepancy_csv_row(capsys):
+    # the record's computed floats: 9 significant digits, the JSON value a float
+    code, out, _ = run(capsys, "discrepancy", "--z", "10", "--m", "3", "--format", "csv")
+    assert (code, out) == (EXIT_OK, "m,worst_a,worst_y,sup_value,is_left_limit\n3,1,7,2.80685282,1\n")
+    code, out, _ = run(capsys, "discrepancy", "--z", "10", "--m", "3")
+    assert out == '{"m":3,"worst_a":1,"worst_y":7.0,"sup_value":2.80685282,"is_left_limit":true}\n'
+
+
+def test_echoed_inputs_keep_their_bytes(capsys):
+    # only computed floats are cut to 9 digits; an input prints as it was parsed
+    code, out, _ = run(capsys, "psi", "--y", "123456789.5", "--m", "7", "--a", "3", "--format", "csv")
+    assert code == EXIT_OK and out.splitlines()[1].startswith("123456789.5,7,3,")
+    code, out, _ = run(capsys, "psi", "--y", "123456789.5", "--m", "7", "--a", "3")
+    assert out.startswith('{"y":123456789.5,"m":7,"a":3,"psi":')
+
+
 def test_bv_sum_extreme_b(capsys):
     # a non-finite B is rejected; Infinity or NaN would not be JSON
     for b in ("inf", "nan"):
@@ -243,6 +260,17 @@ def test_invalid_parameters_exit_1(capsys):
     for flag, value in (("--alpha", "0.5"), ("--gamma", "0.5"), ("--strategies", "smooth,bv")):
         code, out, err = run(capsys, "survey", "--x", "300", "--preset", "corollary-1", flag, value)
         assert (code, out) == (EXIT_ERROR, "") and flag in err and "--preset" in err, flag
+    # bs-experiment checks its flags before sampling anything
+    for argv, flag in (
+        (("--trials", "-1"), "--trials"),
+        (("--n-max", "0", "--size-a", "0"), "--n-max"),
+        (("--n-max", "1"), "--n-max"),
+        (("--size-a", "20", "--n-max", "10"), "--size-a"),
+        (("--size-a", "0"), "--size-a"),
+        (("--size-b", "10001"), "--size-b"),
+    ):
+        code, out, err = run(capsys, "bs-experiment", *argv)
+        assert (code, out) == (EXIT_ERROR, "") and flag in err, argv
 
 
 def run_capped(*argv):
@@ -358,6 +386,15 @@ GOLDEN = [
      "trial,seed,size_a,size_b,n_max,max_p,a,b,threshold,meets_threshold\n"
      "0,0,20,20,500,419,495,76,0.160911192,1\n1,0,20,20,500,487,495,8,0.160911192,1\n"),
 ]
+
+
+def test_golden_pins_every_subcommand_in_both_formats():
+    parser = build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    pinned = {(argv[0], argv[argv.index("--format") + 1]) for argv, _, _ in GOLDEN}
+    # verify reads a certificate, so test_golden_bytes pins it on GOLDEN's witness-bv output
+    for command in set(action.choices) - {"verify"}:
+        assert {(command, "json"), (command, "csv")} <= pinned, command
 
 
 def test_golden_bytes(capsys, tmp_path):

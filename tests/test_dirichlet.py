@@ -10,12 +10,7 @@ import numpy as np
 import pytest
 
 from edgebudget import bv_sum, euler_phi, mangoldt_weight, max_discrepancy, primes_in, psi
-from edgebudget.dirichlet import (
-    DISCREPANCY_CSV_HEADER,
-    MAX_Z,
-    DiscrepancyRecord,
-    prime_power_jumps,
-)
+from edgebudget.dirichlet import MAX_Z, DiscrepancyRecord, prime_power_jumps
 
 
 def brute_force_sup(z, m):
@@ -221,7 +216,7 @@ def test_cached_jump_table_is_read_only():
     before = psi(100, 1, 0), max_discrepancy(100, 3)
     jumps = prime_power_jumps(100)
     assert len(jumps) == 35  # 25 primes and 10 higher prime powers
-    for array in (jumps.j, jumps.log_p, jumps.hi, jumps.lo):
+    for array in (jumps.j, jumps.hi, jumps.lo):
         with pytest.raises(ValueError):
             array[:] = 0
     assert prime_power_jumps(100.5) is jumps
@@ -261,8 +256,3 @@ def test_discrepancy_kernels_reject_nan_naming_the_parameter():
     with pytest.raises(ValueError, match="y must be at most"):
         psi(math.inf, 3, 1)
 
-
-def test_discrepancy_csv_row():
-    rec = max_discrepancy(10, 3)
-    assert DISCREPANCY_CSV_HEADER == "m,worst_a,worst_y,sup_value,is_left_limit"
-    assert rec.csv_row() == "3,1,7,2.80685282,1"

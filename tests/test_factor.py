@@ -104,6 +104,16 @@ def test_lpf_table_high_window():
         assert table[n - lo] == largest_prime_factor(n), n
 
 
+def test_lpf_table_refuses_windows_beyond_int64():
+    for lo, hi in ((2**63 - 10, 2**63 + 10), (2**63 - 10, 2**63)):
+        with pytest.raises(ValueError, match=r"2\*\*63, the int64 limit"):
+            lpf_table(lo, hi)
+    # the top of the range, through the large-prime path: only primes reach the floor 2**62
+    lo, hi = 2**63 - 100, 2**63 - 1
+    want = [n if sieve.is_prime(n) else 0 for n in range(lo, hi + 1)]
+    assert lpf_table(lo, hi, floor=2**62).tolist() == want and any(want)
+
+
 def test_lpf_table_floor_is_keyword_only():
     # a stale positional third argument must not silently become the floor
     with pytest.raises(TypeError):

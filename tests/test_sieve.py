@@ -173,6 +173,29 @@ def test_primes_in_rejects_empty_interval():
         primes_in(0, 10)
 
 
+def test_primes_in_refuses_windows_beyond_int64():
+    # int64 holds every value below 2**63; the window check runs before anything is allocated
+    for lo, hi in ((2**63 - 100, 2**63 + 100), (2**63 - 100, 2**63), (2**63, 2**64)):
+        with pytest.raises(ValueError, match=r"2\*\*63, the int64 limit"):
+            primes_in(lo, hi)
+    lo, hi = 2**63 - 100, 2**63 - 1
+    assert primes_in(lo, hi).tolist() == [n for n in range(lo, hi + 1) if is_prime(n)]
+
+
+def test_iter_primes_tests_only_two_and_odd_numbers(monkeypatch):
+    tested = []
+
+    def counting(n):
+        tested.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(sieve, "is_prime", counting)
+    for lo, hi in ((1, 1), (1, 2), (2, 2), (2, 3), (4, 4), (1, 100), (90, 97), (10**12, 10**12 + 200)):
+        tested.clear()
+        assert list(sieve.iter_primes(lo, hi)) == [n for n in range(lo, hi + 1) if is_prime(n)]
+        assert all(n % 2 for n in tested), (lo, hi)
+
+
 def test_primes_in_matches_is_prime_filter():
     rng = random.Random(71)
     intervals = [(1, 1000), (2, 2)] + [

@@ -407,6 +407,8 @@ def test_build_rset_examples():
         build_rset(5, 4, 0.5)
     with pytest.raises(ValueError):
         build_rset(1, 25, 0.0)
+    with pytest.raises(ValueError, match="int64 limit"):
+        build_rset(2**63, 2**63 + 100, 0.5)
 
 
 def test_build_rset_matches_pointwise_definition():
