@@ -48,12 +48,14 @@ def _cell(value) -> str:
     return fmt9(value) if isinstance(value, _Nine) else str(value)
 
 
-def _write(text: str, path: str | None) -> None:
+def _write(path: str | None, *texts: str) -> None:
+    """Write the texts one after another to the file at path, or to stdout."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        for text in texts:
+            sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(texts)
 
 
 def _emit(args, fields: str, rows: list[tuple], *, key: str | None = None, doc=None) -> None:
@@ -69,7 +71,7 @@ def _emit(args, fields: str, rows: list[tuple], *, key: str | None = None, doc=N
             objects = [dict(zip(fields.split(","), row)) for row in rows]
             doc = objects[0] if key is None else {key: objects}
         text = json.dumps(doc, separators=(",", ":")) + "\n"
-    _write(text, args.output)
+    _write(args.output, text)
 
 
 def _emit_witness(args, strategy: str, w: witness.Witness | None, doc: dict | None = None) -> int:
@@ -124,8 +126,11 @@ def _survey_config(args) -> survey.SurveyConfig:
 
 def _cmd_survey(args) -> int:
     report = survey.survey_range(args.x, _survey_config(args))
-    text = report.to_json() + "\n" if args.format == "json" else report.to_csv()
-    _write(text, args.output)
+    if args.format == "json":
+        # the newline goes apart: appending it would copy the whole report
+        _write(args.output, report.to_json(), "\n")
+    else:
+        _write(args.output, report.to_csv())
     return EXIT_OK
 
 

@@ -2,9 +2,10 @@
 
 P(k) denotes the largest prime dividing k, with P(1) = 0. One pointwise
 factorizer, ``_prime_factors``, serves P(k), phi(m) and the von Mangoldt
-weight: trial division by primes up to 10**4, a deterministic primality check
-on the cofactor, and Brent-cycle Pollard rho (with an input-derived seed, so
-the output is reproducible) for composite cofactors. Bulk values of P over an
+weight: trial division by primes up to 10**4 (skipped from 10**8 up when k
+is coprime to their product), a deterministic primality check on the
+cofactor, and Brent-cycle Pollard rho (with an input-derived seed, so the
+output is reproducible) for composite cofactors. Bulk values of P over an
 interval come from a segmented sieve that divides out every prime up to
 sqrt(hi); a caller that needs only P(n) >= floor > sqrt(hi) gets them by
 writing each prime in [floor, hi] onto its multiples.
@@ -23,8 +24,10 @@ TRIAL_LIMIT = 10_000
 
 
 @functools.cache
-def _small_primes() -> list[int]:
-    return sieve.primes_in(2, TRIAL_LIMIT).tolist()
+def _small_primes() -> tuple[list[int], int]:
+    """The primes below TRIAL_LIMIT, and their product."""
+    primes = sieve.primes_in(2, TRIAL_LIMIT).tolist()
+    return primes, math.prod(primes)
 
 
 def _pollard_rho(n: int) -> int:
@@ -73,13 +76,17 @@ def _rough_prime_factors(m: int) -> set[int]:
 def _prime_factors(k: int) -> list[int]:
     """The distinct primes dividing k >= 1, ascending ([] for k = 1)."""
     out = []
-    for p in _small_primes():
-        if p * p > k:
-            break
-        if k % p == 0:
-            out.append(p)
-            while k % p == 0:
-                k //= p
+    primes, product = _small_primes()
+    # one gcd rules out every small prime at once; below TRIAL_LIMIT**2 the
+    # loop stops at sqrt(k) and costs less than that gcd
+    if k < TRIAL_LIMIT**2 or math.gcd(k, product) > 1:
+        for p in primes:
+            if p * p > k:
+                break
+            if k % p == 0:
+                out.append(p)
+                while k % p == 0:
+                    k //= p
     if k > 1:
         # k is prime, or composite with every prime factor above TRIAL_LIMIT
         out.extend(sorted(_rough_prime_factors(k)))

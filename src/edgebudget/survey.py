@@ -12,13 +12,12 @@ largest-prime-factor-of-differences experiment.
 import json
 import math
 import operator
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import factor
-from .util import compare_power, json9, power_floor, round9
+from .util import compare_power, exact_int, fmt9, json9, power_floor, round9
 from .witness import F_EXACT_MAX_N, RSet, build_rset, prime_r_scores, strategy_bv
 
 SURVEY_CSV_HEADER = "n,strategy,k,p,q,r,score,beta,exceptional"
@@ -77,6 +76,79 @@ PRESETS = {
 
 # a row's strategy tag indexes this; 0 marks an exceptional n
 _TAGS = (None, "smooth", "bv")
+# the same names as ASCII rows padded with byte 0, for the text kernel
+_NAMES = np.array([(t or "").encode() for t in _TAGS], dtype="S")
+_NAMES = _NAMES.view(np.uint8).reshape(len(_TAGS), -1)
+
+# rows per block of the text kernel: its byte matrix stays near 2 MB at any x
+TEXT_BLOCK = 16384
+# a beta whose scaled fraction lies this close to .5 is formatted exactly:
+# b * 1e8 is off by at most 6e-8 from the true product when 1 <= b < 10
+TIE_BAND = 1e-6
+
+# The row layouts of the text kernel: the separator written before every row
+# but the first, then three runs of pieces (a bytes literal or a column name):
+# the cells of every row, then the witness cells, or the exceptional cells
+# where n is exceptional.
+_JSON_ROW = (
+    b",",
+    (b'{"n":', "n"),
+    (b',"strategy":"', "strategy", b'","k":', "k", b',"p":', "p", b',"q":', "q", b',"r":', "r",
+     b',"score":', "score", b',"beta":', "beta", b',"exceptional":false}'),
+    (b',"exceptional":true}',),
+)
+_CSV_ROW = (
+    b"",
+    ("n", b","),
+    ("strategy", b",", "k", b",", "p", b",", "q", b",", "r", b",", "score", b",", "beta", b",0\n"),
+    (b",,,,,,,1\n",),
+)
+
+
+def _digits(values: np.ndarray) -> np.ndarray:
+    """The decimal digits of int64 values >= 0 as a (width, len(values))
+    uint8 matrix of ASCII: one column per value, right-aligned, with the
+    leading zeros as byte 0."""
+    width = len(str(int(values.max()))) if values.size else 1
+    cells = np.empty((width, values.size), dtype=np.uint8)
+    rest = values
+    for j in range(width - 1, -1, -1):
+        quot = rest // 10  # not np.divmod, which is several times slower
+        cells[j] = rest - 10 * quot
+        cells[j] += ord("0")
+        if j < width - 1:
+            cells[j] *= rest > 0
+        rest = quot
+    return cells
+
+
+def _beta_cells(beta: np.ndarray, found: np.ndarray, csv: bool) -> np.ndarray:
+    """``fmt9`` (CSV) or ``json9`` (JSON) of each beta where found, as a
+    (width, len(beta)) uint8 matrix of ASCII padded with byte 0.
+
+    For 1 <= b < 10 the nine significant digits are b * 1e8 rounded; any
+    other b, one that rounds to 10, and one within ``TIE_BAND`` of a
+    rounding tie (``.9g`` breaks exact ties to even) is formatted per entry.
+    """
+    scaled = beta * 1e8
+    nearest = np.rint(scaled)
+    fast = found & (beta >= 1) & (nearest < 1e9)
+    fast &= np.abs(scaled - np.floor(scaled) - 0.5) > TIE_BAND
+    # elsewhere 1e8, whose text ("1.0", "1") every per-entry text overwrites
+    nines = np.where(fast, nearest, 1e8).astype(np.int64)
+    digits = _digits(nines)
+    # the fraction drops its trailing zeros: in CSV all of them, and the point
+    # with them; JSON keeps the first ("1.0"), as json9 does
+    for j in range(1 if csv else 2, 9):
+        digits[j] *= nines % 10 ** (9 - j) != 0
+    point = np.where(digits[1] != 0, ord("."), 0).astype(np.uint8)
+    slow = np.flatnonzero(found & ~fast)
+    texts = [(fmt9 if csv else json9)(b).encode() for b in beta[slow].tolist()]
+    cells = np.zeros((max([10, *map(len, texts)]), beta.size), dtype=np.uint8)
+    cells[:10] = np.concatenate([digits[:1], point[None], digits[1:]])
+    for i, text in zip(slow.tolist(), texts):
+        cells[: len(text), i] = np.frombuffer(text, dtype=np.uint8)
+    return cells
 
 
 class SurveyReport:
@@ -89,6 +161,15 @@ class SurveyReport:
     is (min, median, mean) of beta over the n with a witness, or None when
     there is none. The columns are the report: ``to_json`` and ``to_csv``
     serialize them, and no per-n object is ever built.
+
+    The text comes from one kernel that works on blocks of ``TEXT_BLOCK``
+    rows. For each block it fills a uint8 matrix with one matrix row per
+    text column (the literal separators, the right-aligned digits of each
+    int64 column, the strategy name, the beta text), padded with byte 0;
+    then it transposes the matrix once, drops the padding and decodes it.
+    Beta takes its nine digits from b * 1e8, except near a rounding tie or
+    outside [1, 10), where ``json9``/``fmt9`` format it exactly. The bytes
+    are those of a per-row ``json.dumps`` or ``.9g`` writer.
     """
 
     def __init__(self, x: int, config: SurveyConfig, n, tag, wit, beta):
@@ -96,15 +177,48 @@ class SurveyReport:
         self.n, self.tag, self.beta = n, tag, beta
         self.k, self.p, self.q, self.r, self.score = wit
         self.exceptional_count = int(np.count_nonzero(tag == 0))
-        betas = beta[~np.isnan(beta)].tolist()
-        if betas:
-            self.beta_stats = (min(betas), statistics.median(betas), statistics.fmean(betas))
+        betas = beta[~np.isnan(beta)]
+        if betas.size:
+            # the values of statistics.median and statistics.fmean: np.median
+            # takes (a + b) / 2 of a middle pair, and fmean is fsum / count
+            mean = math.fsum(betas.tolist()) / betas.size
+            self.beta_stats = (float(betas.min()), float(np.median(betas)), mean)
         else:
             self.beta_stats = None
 
-    def _rows(self):
-        cols = (self.n, self.tag, self.k, self.p, self.q, self.r, self.score, self.beta)
-        return zip(*(c.tolist() for c in cols))
+    def _cells(self, piece, rows: slice, csv: bool) -> np.ndarray:
+        """One piece of a row layout over ``rows``: a uint8 matrix of ASCII
+        with one column per row, padded with byte 0."""
+        tag = self.tag[rows]
+        if isinstance(piece, bytes):
+            literal = np.frombuffer(piece, dtype=np.uint8)[:, None]
+            return np.broadcast_to(literal, (len(piece), tag.size))
+        if piece == "strategy":
+            return _NAMES[tag].T
+        if piece == "beta":
+            return _beta_cells(self.beta[rows], tag != 0, csv)
+        return _digits(getattr(self, piece)[rows])
+
+    def _text(self, csv: bool) -> list[str]:
+        """The rows as text in the layout of ``to_csv`` or ``to_json``, one
+        string per block of ``TEXT_BLOCK`` rows."""
+        sep, *runs = _CSV_ROW if csv else _JSON_ROW
+        blocks = []
+        for lo in range(0, self.n.size, TEXT_BLOCK):
+            rows = slice(lo, lo + TEXT_BLOCK)
+            shared, witness, exceptional = (
+                [self._cells(piece, rows, csv) for piece in run] for run in runs
+            )
+            matrix = np.concatenate([self._cells(sep, rows, csv), *shared, *witness, *exceptional])
+            found = self.tag[rows] != 0
+            start = len(sep) + sum(len(c) for c in shared)
+            stop = start + sum(len(c) for c in witness)
+            matrix[start:stop] *= found
+            matrix[stop:] *= ~found
+            if lo == 0:
+                matrix[: len(sep), 0] = 0
+            blocks.append(matrix.T.tobytes().translate(None, b"\0").decode("ascii"))
+        return blocks
 
     def to_json(self) -> str:
         stats = None
@@ -125,22 +239,10 @@ class SurveyReport:
             },
             separators=(",", ":"),
         )
-        rows = [
-            f'{{"n":{n},"strategy":"{_TAGS[t]}","k":{k},"p":{p},"q":{q},"r":{r},'
-            f'"score":{s},"beta":{json9(b)},"exceptional":false}}'
-            if t
-            else f'{{"n":{n},"exceptional":true}}'
-            for n, t, k, p, q, r, s, b in self._rows()
-        ]
-        return f'{head[:-1]},"records":[{",".join(rows)}]}}'
+        return "".join([head[:-1], ',"records":[', *self._text(csv=False), "]}"])
 
     def to_csv(self) -> str:
-        lines = [SURVEY_CSV_HEADER]
-        lines.extend(
-            f"{n},{_TAGS[t]},{k},{p},{q},{r},{s},{b:.9g},0" if t else f"{n},,,,,,,,1"
-            for n, t, k, p, q, r, s, b in self._rows()
-        )
-        return "\n".join(lines) + "\n"
+        return "".join([SURVEY_CSV_HEADER, "\n", *self._text(csv=True)])
 
 
 def _smooth_scan(n_lo: int, n_hi: int, rset: RSet, gamma: float):
@@ -174,6 +276,17 @@ def _smooth_scan(n_lo: int, n_hi: int, rset: RSet, gamma: float):
     n, r, q = ns[found], members[which], rset.q[which]
     p, s = prime_r_scores(n, r, q, lpf, lo)
     return found, (n - r) // p, p, q, r, s
+
+
+def _log(values: np.ndarray) -> np.ndarray:
+    """math.log of each int64 value, as float64.
+
+    Not np.log: its SIMD loops can differ from math.log in the last bit,
+    which would move beta's ninth digit. int64 to float64 rounds as Python's
+    int to float does, so each entry equals math.log of the int.
+    """
+    floats = values.astype(np.float64).tolist()
+    return np.fromiter(map(math.log, floats), dtype=np.float64, count=len(floats))
 
 
 def survey_range(x: int, config: SurveyConfig | None = None) -> SurveyReport:
@@ -215,9 +328,7 @@ def survey_range(x: int, config: SurveyConfig | None = None) -> SurveyReport:
                 wit[:, i] = (w.k, w.p, w.q, w.r, w.score)
     found = np.flatnonzero(tag)
     beta = np.full(ns.size, math.nan)
-    beta[found] = [
-        math.log(s) / math.log(n) for n, s in zip(ns[found].tolist(), wit[4, found].tolist())
-    ]
+    beta[found] = _log(wit[4, found]) / _log(ns[found])
     return SurveyReport(x, config, ns, tag, wit, beta)
 
 
@@ -253,11 +364,11 @@ def bs_max_pdiff(a_set, b_set) -> tuple[int, tuple[int, int]]:
     smallest a with a - d in B, then the smallest a with a + d in B.
 
     Raises:
-        ValueError: if either set is empty, holds non-positive values, or
-            every pair has a = b.
+        ValueError: if either set is empty, holds a bool, a non-integral or a
+            non-positive value, or every pair has a = b.
     """
-    a_sorted = sorted(set(int(v) for v in a_set))
-    b_sorted = sorted(set(int(v) for v in b_set))
+    a_sorted = sorted(set(map(exact_int, a_set)))
+    b_sorted = sorted(set(map(exact_int, b_set)))
     if not a_sorted or not b_sorted:
         raise ValueError("both sets must be nonempty")
     if a_sorted[0] < 1 or b_sorted[0] < 1:

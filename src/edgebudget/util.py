@@ -1,5 +1,5 @@
-"""Shared numeric plumbing: guarded real-exponent comparisons and
-9-significant-digit serialization."""
+"""Shared numeric plumbing: exact integer inputs, guarded real-exponent
+comparisons and 9-significant-digit serialization."""
 
 import math
 from fractions import Fraction
@@ -8,6 +8,23 @@ import numpy as np
 
 # relative width of the band in which compare_power's log test defers to exact powers
 GUARD = 1e-12
+
+
+def exact_int(value) -> int:
+    """value as an int, when it is an integer or an exactly integral float.
+
+    Raises:
+        TypeError: if int() cannot convert value.
+        ValueError: if value is a bool (int(True) is 1, but a flag is not a
+            count), or not integral.
+        OverflowError: if value is an infinite float.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{value!r} is a bool, not an integer")
+    out = int(value)
+    if out != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return out
 
 
 def compare_power(value, base, exponent: float):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import factor, sieve
-from .util import compare_power, power_floor
+from .util import compare_power, exact_int, power_floor
 
 
 @dataclass(frozen=True)
@@ -77,15 +77,6 @@ def prime_r_scores(n, r: np.ndarray, q: np.ndarray, lpf: np.ndarray, lo: int):
     return p, np.minimum(np.minimum(p * d, d * r), q * r)
 
 
-def _exact_int(value) -> int:
-    if isinstance(value, (bool, np.bool_)):  # int(True) is 1, but a flag is not a count
-        raise ValueError(f"{value!r} is a bool, not an integer")
-    out = int(value)
-    if out != value:
-        raise ValueError(f"{value!r} is not an integer")
-    return out
-
-
 def validate(n: int, w: Witness) -> bool:
     """True iff w certifies n.
 
@@ -96,7 +87,7 @@ def validate(n: int, w: Witness) -> bool:
     is a prime beyond the 2**64 range of ``sieve.is_prime``.
     """
     try:
-        k, p, q, r, s = (_exact_int(v) for v in (w.k, w.p, w.q, w.r, w.score))
+        k, p, q, r, s = (exact_int(v) for v in (w.k, w.p, w.q, w.r, w.score))
     except (AttributeError, TypeError, ValueError, OverflowError):  # int(inf) overflows
         return False
     if k < 1 or p < 2 or q < 2 or r < 3:

@@ -359,6 +359,18 @@ GOLDEN = [
      "sha256:06796a36847879dba91bb48c4e70139ffe2614be000ba83f6b79164e6de38887"),
     (("survey", "--x", "20011", "--strategies", "smooth,bv", "--format", "csv"), 0,
      "sha256:a5f4655bc1276f70533ca409b522206c3409595b43805993fb323430e01ca52f"),
+    # 35001 rows: several blocks of the survey's text kernel; the second run
+    # has 37 exceptional rows and 11287 bv rows
+    (("survey", "--x", "70001", "--preset", "corollary-1", "--format", "json"), 0,
+     "sha256:d0a90c466e2116e37ace8062d182a405939aab3f7ec3950dda5382490d5700d3"),
+    (("survey", "--x", "70001", "--preset", "corollary-1", "--format", "csv"), 0,
+     "sha256:c8107456c3497a8d22134530d634eb983d1112d10e8ea807d620336b79cfd965"),
+    (("survey", "--x", "70001", "--strategies", "smooth,bv", "--c0", "0.24", "--gamma", "0.9",
+      "--format", "json"), 0,
+     "sha256:6f689bca90af8c72530830c95d2208f39027b9ab2896537223454184e5324ae7"),
+    (("survey", "--x", "70001", "--strategies", "smooth,bv", "--c0", "0.24", "--gamma", "0.9",
+      "--format", "csv"), 0,
+     "sha256:ab5547d569aa0026879fb1bdb0510da5021ad22a1b044d77e11e60fd5c2b903a"),
     (("rset-density", "--z", "1000", "--alpha", "0.6", "--format", "json"), 0,
      '{"z":1000,"alpha":0.6,"count":62,"ratio":0.428280827}\n'),
     (("rset-density", "--z", "1000", "--alpha", "0.6", "--format", "csv"), 0,

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from edgebudget import euler_phi, largest_prime_factor, lpf_table, sieve
+from edgebudget import euler_phi, factor, largest_prime_factor, lpf_table, sieve
 
 
 def trial_division_lpf(k: int) -> int:
@@ -64,6 +64,53 @@ def test_lpf_large_cofactors():
     assert largest_prime_factor(6 * p1 * p1) == p1
     # determinism of the rho path
     assert largest_prime_factor(p1 * p2) == largest_prime_factor(p1 * p2)
+
+
+def random_prime(rng, lo, hi):
+    """The first prime at or after a seeded start in [lo, hi], wrapping to lo."""
+    p = rng.randrange(lo, hi + 1)
+    while not sieve.is_prime(p):
+        p = p + 1 if p < hi else lo
+    return p
+
+
+def test_prime_factors_in_every_decade_to_2_64():
+    # From TRIAL_LIMIT**2 up, one gcd with the product of the small primes
+    # decides whether the trial-division loop runs. Per decade: a seeded k of
+    # small primes only, of primes above TRIAL_LIMIT only (one, and two), of
+    # both, and a random k checked against plain trial division.
+    rng = random.Random(14)
+    trial = factor.TRIAL_LIMIT
+    small = sieve.primes_in(2, trial).tolist()
+    for e in range(1, 20):
+        lo, hi = 10**e, min(10 ** (e + 1), 2**64) - 1
+        cases = []
+        k, primes = 1, set()
+        while k < lo:
+            p = rng.choice([p for p in small if p <= hi // k])
+            k, primes = k * p, primes | {p}
+        cases.append((k, primes))
+        if hi > trial:
+            p = random_prime(rng, max(lo, trial + 1), hi)
+            cases.append((p, {p}))
+        if math.isqrt(hi) > trial:
+            p = random_prime(rng, trial + 1, math.isqrt(hi))
+            q = random_prime(rng, max(trial + 1, -(-lo // p)), hi // p)
+            cases.append((p * q, {p, q}))
+        if hi > 4 * trial:
+            s = rng.choice([s for s in (2, 6, 7**3, 9973, 2 * 3 * 9973) if s <= hi // (2 * trial)])
+            r = random_prime(rng, max(trial + 1, -(-lo // s)), hi // s)
+            cases.append((s * r, set(trial_division_primes(s)) | {r}))
+        if hi < 10**10:
+            k = rng.randrange(lo, hi + 1)
+            cases.append((k, set(trial_division_primes(k))))
+        for k, primes in cases:
+            assert lo <= k <= hi, (e, k)
+            assert factor._prime_factors(k) == sorted(primes), k
+            assert largest_prime_factor(k) == max(primes), k
+    # at the gate: a k just below it, its first k, and a rough square above it
+    for k in (trial**2 - 1, trial**2, 10_007**2):
+        assert factor._prime_factors(k) == trial_division_primes(k), k
 
 
 def test_lpf_table_examples():

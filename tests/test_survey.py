@@ -3,6 +3,7 @@ import json
 import math
 import random
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from edgebudget import (
     survey_range,
     validate,
 )
-from edgebudget.survey import SURVEY_CSV_HEADER, SurveyReport
+from edgebudget.survey import SURVEY_CSV_HEADER, TEXT_BLOCK, SurveyReport
 from edgebudget.util import json9, round9
 from edgebudget.witness import F_EXACT_MAX_N
 
@@ -235,6 +236,13 @@ def test_bs_max_pdiff_examples():
         bs_max_pdiff(set(), {1})
     with pytest.raises(ValueError):
         bs_max_pdiff({0, 3}, {1})
+    # numpy ints and integral floats are integers; a fraction or a bool is not
+    assert bs_max_pdiff([np.int64(9), 2.0], [np.int32(2)]) == (7, (9, 2))
+    for bad in ([1.5], [True], [np.True_], [3, 4.25]):
+        with pytest.raises(ValueError):
+            bs_max_pdiff(bad, [3])
+        with pytest.raises(ValueError):
+            bs_max_pdiff([3], bad)
 
 
 def test_bs_max_pdiff_matches_exhaustive_small_sets():
@@ -326,6 +334,65 @@ def test_columns_and_records_emit_the_same_bytes():
             assert report.n.tolist() == list(range(-(-x // 2), x + 1)), (x, config)
             assert report.to_json() == records_json(report), (x, config)
             assert report.to_csv() == records_csv(report), (x, config)
+
+
+def first_difference(got, want):
+    """None for equal texts, else where they part and 40 characters around it
+    (a plain == on megabyte strings makes pytest diff them for minutes)."""
+    if got == want:
+        return None
+    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    return i, got[max(0, i - 40) : i + 40], want[max(0, i - 40) : i + 40]
+
+
+def test_text_kernel_edge_cases_match_the_per_row_writers():
+    # beta values the kernel must hand to json9/fmt9, or format like them:
+    ties = [1 + 1 / 512, 1 + 3 / 512]  # exact 9-digit ties: .9g rounds half to even
+    # one ulp above and one below a decimal tie, where b * 1e8 lands on the tie itself
+    near_ties = [3.742819985, 4.849745755]
+    other = [9.9999999996, 0.5, 1e-05, 123456789012.0, 1.0, 1.5, 2.0 - 2**-52]
+    size = TEXT_BLOCK + 3
+    rng = random.Random(14)
+    ns = list(range(10**4 - 100, 10**4 - 100 + size))  # digit widths change inside a block
+    scores = [rng.choice([7, 10, 100, rng.randrange(1, 10**12)]) for _ in ns]
+    betas = [1 + rng.random() for _ in ns]
+    betas[1 : 1 + len(ties + near_ties + other)] = ties + near_ties + other
+    # exceptional: the first row, both sides of the block boundary, and all of the last block
+    for i in (0, TEXT_BLOCK - 1, *range(TEXT_BLOCK, size)):
+        scores[i], betas[i] = 0, math.nan
+    report = smooth_report(ns[-1], ns, scores, betas)
+    text_json, text_csv = report.to_json(), report.to_csv()
+    assert first_difference(text_json, records_json(report)) is None
+    assert first_difference(text_csv, records_csv(report)) is None
+    for b, want_json, want_csv in (
+        (ties[0], "1.00195312", "1.00195312"),
+        (ties[1], "1.00585938", "1.00585938"),
+        (near_ties[0], "3.74281999", "3.74281999"),
+        (near_ties[1], "4.84974575", "4.84974575"),
+        (9.9999999996, "10.0", "10"),
+        (123456789012.0, "123456789000.0", "1.23456789e+11"),
+        (1.0, "1.0", "1"),
+    ):
+        assert f'"beta":{want_json},' in text_json, b
+        assert f",{want_csv},0\n" in text_csv, b
+    empty = smooth_report(10, [], [], [])
+    assert empty.to_json() == records_json(empty)
+    assert empty.to_json().endswith(',"beta_stats":null,"records":[]}')
+    assert empty.to_csv() == records_csv(empty) == SURVEY_CSV_HEADER + "\n"
+
+
+def test_to_json_peaks_near_twice_its_length():
+    # The final join holds the blocks and the joined text at once, so twice
+    # the text is the floor; 64 KiB covers the object headers. A byte matrix
+    # over the whole report would add more than the text's length again.
+    report = survey_range(100_003, PRESETS["corollary-1"])
+    tracemalloc.start()
+    try:
+        text = report.to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(text) + 2**16, (peak, len(text))
 
 
 @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
