@@ -2,10 +2,10 @@
 
 P(k) denotes the largest prime dividing k, with P(1) = 0. One pointwise
 factorizer, ``_prime_factors``, serves P(k), phi(m) and the von Mangoldt
-weight: trial division by primes up to 10**4 (skipped from 10**8 up when k
-is coprime to their product), a deterministic primality check on the
-cofactor, and Brent-cycle Pollard rho (with an input-derived seed, so the
-output is reproducible) for composite cofactors. Bulk values of P over an
+weight: trial division by primes up to 10**4 (from 10**8 up, only by the
+primes that divide gcd(k, their product)), a deterministic primality check
+on the cofactor, and Brent-cycle Pollard rho (with an input-derived seed, so
+the output is reproducible) for composite cofactors. Bulk values of P over an
 interval come from a segmented sieve that divides out every prime up to
 sqrt(hi); a caller that needs only P(n) >= floor > sqrt(hi) gets them by
 writing each prime in [floor, hi] onto its multiples.
@@ -75,21 +75,29 @@ def _rough_prime_factors(m: int) -> set[int]:
 
 def _prime_factors(k: int) -> list[int]:
     """The distinct primes dividing k >= 1, ascending ([] for k = 1)."""
-    out = []
     primes, product = _small_primes()
-    # one gcd rules out every small prime at once; below TRIAL_LIMIT**2 the
-    # loop stops at sqrt(k) and costs less than that gcd
-    if k < TRIAL_LIMIT**2 or math.gcd(k, product) > 1:
-        for p in primes:
-            if p * p > k:
-                break
-            if k % p == 0:
-                out.append(p)
-                while k % p == 0:
-                    k //= p
-    if k > 1:
-        # k is prime, or composite with every prime factor above TRIAL_LIMIT
-        out.extend(sorted(_rough_prime_factors(k)))
+    # Below TRIAL_LIMIT**2 the loop divides k itself up to sqrt(k), which costs
+    # less than a gcd with the product. From there up it divides only
+    # g = gcd(k, product): squarefree, 1 for a k with no small factor, and
+    # done at sqrt(g).
+    m = k if k < TRIAL_LIMIT**2 else math.gcd(k, product)
+    out = []
+    for p in primes:
+        if p * p > m:
+            break
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+    if m > 1:
+        out.append(m)  # prime: no prime up to its square root divides it
+    if k >= TRIAL_LIMIT**2:
+        for p in out:
+            while k % p == 0:
+                k //= p
+        if k > 1:
+            # k is prime, or composite with every prime factor above TRIAL_LIMIT
+            out.extend(sorted(_rough_prime_factors(k)))
     return out
 
 

@@ -75,10 +75,10 @@ def random_prime(rng, lo, hi):
 
 
 def test_prime_factors_in_every_decade_to_2_64():
-    # From TRIAL_LIMIT**2 up, one gcd with the product of the small primes
-    # decides whether the trial-division loop runs. Per decade: a seeded k of
-    # small primes only, of primes above TRIAL_LIMIT only (one, and two), of
-    # both, and a random k checked against plain trial division.
+    # From TRIAL_LIMIT**2 up, trial division runs only on the gcd of k with the
+    # product of the small primes. Per decade: a seeded k of small primes only,
+    # of primes above TRIAL_LIMIT only (one, and two), of both, and a random k
+    # checked against plain trial division.
     rng = random.Random(14)
     trial = factor.TRIAL_LIMIT
     small = sieve.primes_in(2, trial).tolist()
@@ -98,7 +98,7 @@ def test_prime_factors_in_every_decade_to_2_64():
             q = random_prime(rng, max(trial + 1, -(-lo // p)), hi // p)
             cases.append((p * q, {p, q}))
         if hi > 4 * trial:
-            s = rng.choice([s for s in (2, 6, 7**3, 9973, 2 * 3 * 9973) if s <= hi // (2 * trial)])
+            s = rng.choice([s for s in (2, 6, 7**3, 2**20, 9973, 2 * 3 * 9973) if s <= hi // (2 * trial)])
             r = random_prime(rng, max(trial + 1, -(-lo // s)), hi // s)
             cases.append((s * r, set(trial_division_primes(s)) | {r}))
         if hi < 10**10:
