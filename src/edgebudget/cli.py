@@ -110,18 +110,10 @@ def _survey_config(args) -> survey.SurveyConfig:
     if args.preset is not None and given:
         flags = ", ".join(f"--{name}" for name in given)
         raise ValueError(f"{flags} cannot be combined with --preset")
-    names = given.pop("strategies", "smooth").split(",")
-    for name in names:
-        if name not in ("smooth", "bv"):
-            raise ValueError(f"unknown strategy {name!r}")
-    return dataclasses.replace(
-        DEFAULTS if args.preset is None else survey.PRESETS[args.preset],
-        c0=args.c0,
-        eps=args.eps,
-        use_smooth="smooth" in names,
-        use_bv="bv" in names,
-        **given,
-    )
+    if "strategies" in given:
+        given["strategies"] = tuple(given["strategies"].split(","))
+    base = DEFAULTS if args.preset is None else survey.PRESETS[args.preset]
+    return dataclasses.replace(base, c0=args.c0, eps=args.eps, **given)
 
 
 def _cmd_survey(args) -> int:
@@ -242,7 +234,8 @@ def build_parser() -> _Parser:
     for name in ("alpha", "gamma"):
         p.add_argument(f"--{name}", type=float, help=f"default {getattr(DEFAULTS, name)}")
     knobs(p, "c0", "eps")
-    p.add_argument("--strategies", help="comma list from {smooth,bv} (default: smooth)")
+    p.add_argument("--strategies", help=f"comma list from {{{','.join(survey._TAGS[1:])}}}, "
+                   f"in any order (default: {','.join(DEFAULTS.strategies)})")
     p.add_argument("--preset", choices=sorted(PRESET_NAMES), default=None,
                    help="fixes alpha, gamma and strategies")
     common(p)

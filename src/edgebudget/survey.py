@@ -17,27 +17,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import factor
-from .util import compare_power, exact_int, fmt9, json9, power_floor, round9
+from .util import compare_power, exact_int, fmt9, power_floor, round9
 from .witness import F_EXACT_MAX_N, RSet, build_rset, prime_r_scores, strategy_bv
 
 SURVEY_CSV_HEADER = "n,strategy,k,p,q,r,score,beta,exceptional"
+
+# a row's strategy tag indexes this; 0 marks an exceptional n
+_TAGS = (None, "smooth", "bv")
 
 
 @dataclass(frozen=True)
 class SurveyConfig:
     """Knobs for a survey run: thresholds, interval constant, strategies.
 
+    ``strategies`` names the witness strategies to run, from ("smooth",
+    "bv"); it is stored in that order with repeats dropped, so configs that
+    differ only in the order or repeats of their names compare equal.
+
     Raises:
         ValueError: on construction, if alpha or gamma is outside (0, 1], c0
-            outside (0, 1/4), eps outside [0, 1/4), or no strategy is enabled.
+            outside (0, 1/4), eps outside [0, 1/4), strategies is a str, names
+            an unknown strategy, or names none.
     """
 
     alpha: float = 0.677
     gamma: float = 0.677
     c0: float = 0.05
     eps: float = 0.05
-    use_smooth: bool = True
-    use_bv: bool = False
+    strategies: tuple[str, ...] = ("smooth",)
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha <= 1:
@@ -48,23 +55,21 @@ class SurveyConfig:
             raise ValueError("c0 must lie in (0, 1/4)")
         if not 0 <= self.eps < 0.25:
             raise ValueError("eps must lie in [0, 1/4)")
-        if not (self.use_smooth or self.use_bv):
+        if isinstance(self.strategies, str):
+            raise ValueError("strategies must be a sequence of names, not a str")
+        for name in self.strategies:
+            if name not in _TAGS[1:]:
+                raise ValueError(f"unknown strategy {name!r}")
+        if not self.strategies:
             raise ValueError("at least one strategy must be enabled")
+        names = tuple(t for t in _TAGS[1:] if t in self.strategies)
+        object.__setattr__(self, "strategies", names)
 
     def rset(self, x: int) -> RSet:
         """The RSet over [ceil(c0 x), floor(x/4)]; empty when that interval is."""
         lo, hi = max(1, math.ceil(self.c0 * x)), x // 4
         empty = np.zeros(0, dtype=np.int64)
         return build_rset(lo, hi, self.alpha) if lo <= hi else RSet(empty, empty)
-
-    @property
-    def strategies(self) -> tuple[str, ...]:
-        out = []
-        if self.use_smooth:
-            out.append("smooth")
-        if self.use_bv:
-            out.append("bv")
-        return tuple(out)
 
 
 # gamma presets matching the two headline parameter choices
@@ -74,8 +79,6 @@ PRESETS = {
 }
 
 
-# a row's strategy tag indexes this; 0 marks an exceptional n
-_TAGS = (None, "smooth", "bv")
 # the same names as ASCII rows padded with byte 0, for the text kernel
 _NAMES = np.array([(t or "").encode() for t in _TAGS], dtype="S")
 _NAMES = _NAMES.view(np.uint8).reshape(len(_TAGS), -1)
@@ -123,8 +126,9 @@ def _digits(values: np.ndarray) -> np.ndarray:
 
 
 def _beta_cells(beta: np.ndarray, found: np.ndarray, csv: bool) -> np.ndarray:
-    """``fmt9`` (CSV) or ``json9`` (JSON) of each beta where found, as a
-    (width, len(beta)) uint8 matrix of ASCII padded with byte 0.
+    """``fmt9(b)`` (CSV) or ``json.dumps(round9(b))`` (JSON) of each beta b
+    where found, as a (width, len(beta)) uint8 matrix of ASCII padded with
+    byte 0.
 
     For 1 <= b < 10 the nine significant digits are b * 1e8 rounded; any
     other b, one that rounds to 10, and one within ``TIE_BAND`` of a
@@ -138,12 +142,12 @@ def _beta_cells(beta: np.ndarray, found: np.ndarray, csv: bool) -> np.ndarray:
     nines = np.where(fast, nearest, 1e8).astype(np.int64)
     digits = _digits(nines)
     # the fraction drops its trailing zeros: in CSV all of them, and the point
-    # with them; JSON keeps the first ("1.0"), as json9 does
+    # with them; JSON keeps the first ("1.0"), as json.dumps does
     for j in range(1 if csv else 2, 9):
         digits[j] *= nines % 10 ** (9 - j) != 0
     point = np.where(digits[1] != 0, ord("."), 0).astype(np.uint8)
     slow = np.flatnonzero(found & ~fast)
-    texts = [(fmt9 if csv else json9)(b).encode() for b in beta[slow].tolist()]
+    texts = [(fmt9(b) if csv else json.dumps(round9(b))).encode() for b in beta[slow].tolist()]
     cells = np.zeros((max([10, *map(len, texts)]), beta.size), dtype=np.uint8)
     cells[:10] = np.concatenate([digits[:1], point[None], digits[1:]])
     for i, text in zip(slow.tolist(), texts):
@@ -168,8 +172,9 @@ class SurveyReport:
     int64 column, the strategy name, the beta text), padded with byte 0;
     then it transposes the matrix once, drops the padding and decodes it.
     Beta takes its nine digits from b * 1e8, except near a rounding tie or
-    outside [1, 10), where ``json9``/``fmt9`` format it exactly. The bytes
-    are those of a per-row ``json.dumps`` or ``.9g`` writer.
+    outside [1, 10), where ``json.dumps(round9(b))`` or ``fmt9`` formats it
+    exactly. The bytes are those of a per-row ``json.dumps`` or ``.9g``
+    writer.
     """
 
     def __init__(self, x: int, config: SurveyConfig, n, tag, wit, beta):
@@ -316,11 +321,11 @@ def survey_range(x: int, config: SurveyConfig | None = None) -> SurveyReport:
     ns = np.arange(n_lo, x + 1, dtype=np.int64)
     tag = np.zeros(ns.size, dtype=np.int8)
     wit = np.zeros((5, ns.size), dtype=np.int64)  # k, p, q, r, score
-    if config.use_smooth:
+    if "smooth" in config.strategies:
         found, *fields = _smooth_scan(n_lo, x, config.rset(x), config.gamma)
         tag[found] = _TAGS.index("smooth")
         wit[:, found] = fields
-    if config.use_bv:
+    if "bv" in config.strategies:
         for i in np.flatnonzero(tag == 0).tolist():
             w = strategy_bv(n_lo + i, config.eps)
             if w is not None:

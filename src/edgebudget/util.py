@@ -79,16 +79,3 @@ def round9(x: float) -> float:
 def fmt9(x: float) -> str:
     """Render a float with 9 significant digits."""
     return f"{x:.9g}"
-
-
-def json9(x: float) -> str:
-    """``json.dumps(round9(x))`` for a finite float x.
-
-    The 9-digit string holds the digits of repr(round9(x)); only the layout
-    differs: repr writes magnitudes from 1e9 up to 1e16 without an exponent,
-    and ends a float with no point in ".0".
-    """
-    text = f"{x:.9g}"
-    if "e" in text:
-        return repr(float(text))
-    return text if "." in text else text + ".0"

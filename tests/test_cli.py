@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -254,8 +255,8 @@ def test_invalid_parameters_exit_1(capsys):
     assert code == EXIT_ERROR and "alpha" in err
     code, _, err = run(capsys, "psi", "--y", "10", "--m", "3", "--a", "7")
     assert code == EXIT_ERROR
-    code, _, err = run(capsys, "survey", "--x", "100", "--strategies", "warp")
-    assert code == EXIT_ERROR
+    code, out, err = run(capsys, "survey", "--x", "100", "--strategies", "warp")
+    assert (code, out) == (EXIT_ERROR, "") and "unknown strategy 'warp'" in err
     # a preset fixes alpha, gamma and the strategies: an explicit one is refused, not dropped
     for flag, value in (("--alpha", "0.5"), ("--gamma", "0.5"), ("--strategies", "smooth,bv")):
         code, out, err = run(capsys, "survey", "--x", "300", "--preset", "corollary-1", flag, value)
@@ -397,6 +398,19 @@ GOLDEN = [
       "--format", "csv"), 0,
      "trial,seed,size_a,size_b,n_max,max_p,a,b,threshold,meets_threshold\n"
      "0,0,20,20,500,419,495,76,0.160911192,1\n1,0,20,20,500,487,495,8,0.160911192,1\n"),
+    # the order and repeats of --strategies names do not change a byte
+    (("survey", "--x", "300", "--strategies", "bv,smooth", "--format", "json"), 0,
+     "sha256:2ffc1683056b6f376177d55b345eb27b2bf32b671777345e3ee7a179c22095f2"),
+    (("survey", "--x", "300", "--strategies", "bv,smooth", "--format", "csv"), 0,
+     "sha256:27a44ac237ea609edf642ded1bceb6c026c24d38a7a6a81a36f59cc63d0350a2"),
+    (("survey", "--x", "300", "--strategies", "smooth,smooth,bv", "--format", "json"), 0,
+     "sha256:2ffc1683056b6f376177d55b345eb27b2bf32b671777345e3ee7a179c22095f2"),
+    (("survey", "--x", "300", "--strategies", "smooth,smooth,bv", "--format", "csv"), 0,
+     "sha256:27a44ac237ea609edf642ded1bceb6c026c24d38a7a6a81a36f59cc63d0350a2"),
+    (("survey", "--x", "300", "--strategies", "bv", "--format", "json"), 0,
+     "sha256:3145f61b9f6b49959f0f5727787047fd5b8149fb82414474b93a7c6de98ed8b1"),
+    (("survey", "--x", "300", "--strategies", "bv", "--format", "csv"), 0,
+     "sha256:caccd6f61aa32bcce382333869d13f021675527e267fd9dde895de0806975b37"),
 ]
 
 
@@ -407,6 +421,14 @@ def test_golden_pins_every_subcommand_in_both_formats():
     # verify reads a certificate, so test_golden_bytes pins it on GOLDEN's witness-bv output
     for command in set(action.choices) - {"verify"}:
         assert {(command, "json"), (command, "csv")} <= pinned, command
+
+
+def test_every_survey_config_field_is_a_survey_flag():
+    parser = build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for a in action.choices["survey"]._actions} - {"help"}
+    fields = {f.name for f in dataclasses.fields(edgebudget.SurveyConfig)}
+    assert fields == dests - {"x", "preset", "format", "output"}
 
 
 def test_golden_bytes(capsys, tmp_path):

@@ -1,12 +1,15 @@
 """Source hygiene: every module imports only names it uses, and the package
-defines no private name that nothing reads.
+defines no name that nothing reads.
 
 Stdlib ``ast`` checks, standing in for a linter's unused-import and dead-code
 rules. An import counts as used when its name is read anywhere in the module
 (as a bare name or the head of an attribute chain) or re-exported through
 ``__all__``. A private top-level name of the package (one leading underscore)
 counts as used when some module of the package reads it: as a bare name, as an
-attribute, or by importing it.
+attribute, or by importing it. A public top-level name counts as used when
+some module of the package, the tests or the demos reads it the same way; the
+package's own re-export in ``__init__`` and a listing in ``__all__`` do not
+count, so an exported name that nothing tests is flagged.
 """
 
 import ast
@@ -46,8 +49,8 @@ def used_names(tree: ast.Module) -> set[str]:
     return used
 
 
-def private_definitions(tree: ast.Module) -> dict[str, int]:
-    """Each private name a module binds at top level, with the line that binds it."""
+def definitions(tree: ast.Module) -> dict[str, int]:
+    """Each name a module binds at top level, with the line that binds it."""
     out = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -58,10 +61,26 @@ def private_definitions(tree: ast.Module) -> dict[str, int]:
             names = [node.target.id]
         else:
             continue
-        for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                out[name] = node.lineno
+        out.update(dict.fromkeys(names, node.lineno))
     return out
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    return {
+        name: line
+        for name, line in definitions(tree).items()
+        if name.startswith("_") and not name.startswith("__")
+    }
+
+
+def public_definitions(tree: ast.Module) -> dict[str, int]:
+    return {name: line for name, line in definitions(tree).items() if not name.startswith("_")}
+
+
+def without_reexports(tree: ast.Module) -> ast.Module:
+    """The module without its top-level ``from ... import``: a package's re-export is no read."""
+    body = [node for node in tree.body if not isinstance(node, ast.ImportFrom)]
+    return ast.Module(body=body, type_ignores=[])
 
 
 def read_names(trees) -> set[str]:
@@ -111,5 +130,32 @@ def test_no_unused_private_names():
         for name, tree in trees.items()
         for private, line in private_definitions(tree).items()
         if private not in read
+    ]
+    assert not unused, unused
+
+
+def test_the_check_catches_an_unused_public_name():
+    module = ast.parse(
+        "A = 1\nB: int = 2\n_P = 3\ndef f():\n    return A\n"
+        "class C:\n    pass\ndef g():\n    return 0\n"
+    )
+    init = ast.parse("from .module import C, f, g\n__all__ = ['C', 'f', 'g']\n")
+    user = ast.parse("import pkg\nfrom pkg.module import B\npkg.f()\n")
+    read = read_names([module, without_reexports(init), user])
+    assert set(public_definitions(module)) - read == {"C", "g"}
+
+
+def test_no_unused_public_names():
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    read = read_names(
+        without_reexports(tree) if path.name == "__init__.py" else tree
+        for path, tree in trees.items()
+    )
+    unused = [
+        f"{path.name}:{line}: {public}"
+        for path, tree in trees.items()
+        if path.parent.name == "edgebudget"
+        for public, line in public_definitions(tree).items()
+        if public not in read
     ]
     assert not unused, unused

@@ -7,8 +7,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from edgebudget import (
     PRESETS,
@@ -24,7 +22,7 @@ from edgebudget import (
     validate,
 )
 from edgebudget.survey import SURVEY_CSV_HEADER, TEXT_BLOCK, SurveyReport
-from edgebudget.util import json9, round9
+from edgebudget.util import round9
 from edgebudget.witness import F_EXACT_MAX_N
 
 
@@ -97,7 +95,7 @@ def test_survey_matches_brute_force_double_loop():
 
 def test_survey_bv_fallback_fills_smooth_misses():
     smooth_only = survey_range(1000, SurveyConfig())
-    both = survey_range(1000, SurveyConfig(use_bv=True))
+    both = survey_range(1000, SurveyConfig(strategies=("smooth", "bv")))
     assert both.exceptional_count <= smooth_only.exceptional_count
     for n, strategy, w, _ in report_rows(both):
         if strategy == "bv":
@@ -126,12 +124,22 @@ def test_survey_config_checks_itself_on_construction():
         ({"gamma": 0.0}, "gamma must lie in"),
         ({"c0": 0.3}, "c0 must lie in"),
         ({"eps": -0.1}, "eps must lie in"),
-        ({"use_smooth": False, "use_bv": False}, "at least one strategy"),
+        ({"strategies": ()}, "at least one strategy"),
+        ({"strategies": "smooth"}, "strategies"),
+        ({"strategies": ("smooth", "exact")}, "unknown strategy 'exact'"),
+        ({"strategies": ("warp", "exact")}, "unknown strategy 'warp'"),
     ):
         with pytest.raises(ValueError, match=message):
             SurveyConfig(**fields)
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(SurveyConfig(), **fields)
+    # the names are stored in registry order with repeats dropped
+    both = SurveyConfig(strategies=("smooth", "bv"))
+    assert both.strategies == ("smooth", "bv")
+    assert SurveyConfig(strategies=("bv", "smooth")) == both
+    assert SurveyConfig(strategies=["smooth", "smooth", "bv"]) == both
+    assert dataclasses.replace(SurveyConfig(), strategies=("bv", "bv")).strategies == ("bv",)
+    assert SurveyConfig().strategies == ("smooth",)
 
 
 def per_n_survey(x, config):
@@ -143,10 +151,10 @@ def per_n_survey(x, config):
     rows = []
     for n in range(-(-x // 2), x + 1):
         w, tag = None, None
-        if config.use_smooth:
+        if "smooth" in config.strategies:
             w = strategy_smooth(n, rset, config.gamma)
             tag = "smooth" if w is not None else None
-        if w is None and config.use_bv:
+        if w is None and "bv" in config.strategies:
             w = strategy_bv(n, config.eps)
             tag = "bv" if w is not None else None
         beta = math.log(w.score) / math.log(n) if w is not None else None
@@ -159,7 +167,7 @@ def test_survey_matches_per_n_strategies():
     configs = (
         PRESETS["corollary-1"],
         PRESETS["corollary-2"],
-        SurveyConfig(alpha=0.5, gamma=0.5, c0=0.2, use_bv=True),
+        SurveyConfig(alpha=0.5, gamma=0.5, c0=0.2, strategies=("smooth", "bv")),
     )
     # at x = 12, gamma = 0.5: n = 9 is settled by P(n - r) = 3 = n**gamma exactly
     for x in [8, 12, 3000] + [rng.randrange(8, 3001) for _ in range(6)]:
@@ -172,7 +180,7 @@ def test_survey_with_empty_rset_interval():
     config = SurveyConfig(c0=0.249)
     report = survey_range(101, config)
     assert report.exceptional_count == 101 - 51 + 1
-    both = survey_range(101, SurveyConfig(c0=0.249, use_bv=True))
+    both = survey_range(101, SurveyConfig(c0=0.249, strategies=("smooth", "bv")))
     assert [w for _, _, w, _ in report_rows(both)] == [strategy_bv(n, 0.05) for n in range(51, 102)]
     assert report_rows(both) == per_n_survey(101, both.config)
 
@@ -322,10 +330,10 @@ def test_columns_and_records_emit_the_same_bytes():
     configs = (
         PRESETS["corollary-1"],
         PRESETS["corollary-2"],
-        SurveyConfig(use_bv=True),
-        SurveyConfig(alpha=0.5, gamma=0.5, c0=0.2, use_bv=True),
+        SurveyConfig(strategies=("smooth", "bv")),
+        SurveyConfig(alpha=0.5, gamma=0.5, c0=0.2, strategies=("smooth", "bv")),
         SurveyConfig(c0=0.249),
-        SurveyConfig(c0=0.249, use_bv=True),
+        SurveyConfig(c0=0.249, strategies=("smooth", "bv")),
     )
     # at x = 12, gamma = 0.5: n = 9 is settled by P(n - r) = 3 = n**gamma exactly
     for x in (12, 101, 300, 3000):
@@ -346,7 +354,7 @@ def first_difference(got, want):
 
 
 def test_text_kernel_edge_cases_match_the_per_row_writers():
-    # beta values the kernel must hand to json9/fmt9, or format like them:
+    # beta values the kernel must format per entry, or format like the per-entry writers:
     ties = [1 + 1 / 512, 1 + 3 / 512]  # exact 9-digit ties: .9g rounds half to even
     # one ulp above and one below a decimal tie, where b * 1e8 lands on the tie itself
     near_ties = [3.742819985, 4.849745755]
@@ -393,13 +401,3 @@ def test_to_json_peaks_near_twice_its_length():
     finally:
         tracemalloc.stop()
     assert peak < 2 * len(text) + 2**16, (peak, len(text))
-
-
-@given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
-@example(1.0)
-@example(2.0)
-@example(1e-05)
-@example(1e16)
-@example(123456789012.0)  # .9g gives 1.23456789e+11; JSON holds 123456789000.0
-def test_json9_matches_json_dumps_of_round9(b):
-    assert json9(b) == json.dumps(round9(b))
