@@ -21,7 +21,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_WITNESS = 2
 
-PRESET_NAMES = tuple(survey.PRESETS)
 DEFAULTS = survey.SurveyConfig()
 
 
@@ -236,7 +235,7 @@ def build_parser() -> _Parser:
     knobs(p, "c0", "eps")
     p.add_argument("--strategies", help=f"comma list from {{{','.join(survey._TAGS[1:])}}}, "
                    f"in any order (default: {','.join(DEFAULTS.strategies)})")
-    p.add_argument("--preset", choices=sorted(PRESET_NAMES), default=None,
+    p.add_argument("--preset", choices=sorted(survey.PRESETS), default=None,
                    help="fixes alpha, gamma and strategies")
     common(p)
     p.set_defaults(fn=_cmd_survey)
@@ -288,7 +287,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"edgebudget: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except MemoryError as exc:

@@ -31,6 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import factor, sieve
+from .util import log_each
 
 MAX_Z = 2**31
 _SCALE = 2.0**53  # log p * _SCALE is an integer below 2**58
@@ -84,7 +85,7 @@ class PrimePowerJumps:
 @lru_cache(maxsize=4)
 def _jumps_upto(top: int) -> PrimePowerJumps:
     primes = sieve.primes_in(2, top) if top >= 2 else np.zeros(0, dtype=np.int64)
-    logs = np.fromiter(map(math.log, primes.tolist()), dtype=np.float64, count=primes.size)
+    logs = log_each(primes)
     weights = (logs * _SCALE).astype(np.int64)  # exact: each log is a multiple of 2**-53
     powers = [primes]  # powers[k][i] == primes[i] ** (k + 1), while that is <= top
     while powers[-1].size:

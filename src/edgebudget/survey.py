@@ -12,13 +12,13 @@ largest-prime-factor-of-differences experiment.
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import factor
-from .util import compare_power, exact_int, fmt9, power_floor, round9
-from .witness import F_EXACT_MAX_N, RSet, build_rset, prime_r_scores, strategy_bv
+from .util import compare_power, exact_int, fmt9, log_each, power_floor, round9
+from .witness import F_EXACT_MAX_N, RSet, _rset_interval, build_rset, prime_r_scores, strategy_bv
 
 SURVEY_CSV_HEADER = "n,strategy,k,p,q,r,score,beta,exceptional"
 
@@ -64,12 +64,6 @@ class SurveyConfig:
             raise ValueError("at least one strategy must be enabled")
         names = tuple(t for t in _TAGS[1:] if t in self.strategies)
         object.__setattr__(self, "strategies", names)
-
-    def rset(self, x: int) -> RSet:
-        """The RSet over [ceil(c0 x), floor(x/4)]; empty when that interval is."""
-        lo, hi = max(1, math.ceil(self.c0 * x)), x // 4
-        empty = np.zeros(0, dtype=np.int64)
-        return build_rset(lo, hi, self.alpha) if lo <= hi else RSet(empty, empty)
 
 
 # gamma presets matching the two headline parameter choices
@@ -232,13 +226,7 @@ class SurveyReport:
         head = json.dumps(
             {
                 "x": self.x,
-                "config": {
-                    "alpha": self.config.alpha,
-                    "gamma": self.config.gamma,
-                    "c0": self.config.c0,
-                    "eps": self.config.eps,
-                    "strategies": list(self.config.strategies),
-                },
+                "config": asdict(self.config),
                 "exceptional_count": self.exceptional_count,
                 "beta_stats": stats,
             },
@@ -250,25 +238,25 @@ class SurveyReport:
         return "".join([SURVEY_CSV_HEADER, "\n", *self._text(csv=True)])
 
 
-def _smooth_scan(n_lo: int, n_hi: int, rset: RSet, gamma: float):
-    """``strategy_smooth`` for every n in [n_lo, n_hi] at once, as columns.
+def _smooth_scan(ns: np.ndarray, rset: RSet, gamma: float, tag: np.ndarray, wit: np.ndarray):
+    """``strategy_smooth`` for every n of the report's ``ns`` with tag 0 at
+    once, written in place into its ``tag`` and ``wit`` columns.
 
     Walks the members in increasing order and tests only the n still
     unresolved, reading P(n - r) from one table covering every difference;
     each n keeps the first member r with P(n - r) >= n**gamma, exactly as the
-    per-n scan would. The table keeps only P >= ``power_floor(n_lo, gamma)``,
-    which every accepted P(n - r) reaches. Returns int64 arrays (index, k, p,
-    q, r, score): the offsets n - n_lo of the n that found a witness, and its
-    fields.
+    per-n scan would. The table keeps only P >= ``power_floor(ns[0], gamma)``,
+    which every accepted P(n - r) reaches. Every member is at most
+    x // 4 < ceil(x/2) = ns[0], so the table starts at 1 or above.
     """
     members = rset.members
     if not members.size:
-        return (np.zeros(0, dtype=np.int64),) * 6
-    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    lo = max(1, n_lo - int(members[-1]))
-    lpf = factor.lpf_table(lo, n_hi - int(members[0]), floor=power_floor(n_lo, gamma))
+        return
+    n_lo = int(ns[0])
+    lo = n_lo - int(members[-1])
+    lpf = factor.lpf_table(lo, int(ns[-1]) - int(members[0]), floor=power_floor(n_lo, gamma))
     hit = np.full(ns.size, -1, dtype=np.int64)
-    pending = np.arange(ns.size)
+    pending = np.flatnonzero(tag == 0)
     for i, r in enumerate(members):
         n = ns[pending]
         ok = compare_power(lpf[n - r - lo], n, gamma) >= 0
@@ -280,28 +268,18 @@ def _smooth_scan(n_lo: int, n_hi: int, rset: RSet, gamma: float):
     which = hit[found]
     n, r, q = ns[found], members[which], rset.q[which]
     p, s = prime_r_scores(n, r, q, lpf, lo)
-    return found, (n - r) // p, p, q, r, s
-
-
-def _log(values: np.ndarray) -> np.ndarray:
-    """math.log of each int64 value, as float64.
-
-    Not np.log: its SIMD loops can differ from math.log in the last bit,
-    which would move beta's ninth digit. int64 to float64 rounds as Python's
-    int to float does, so each entry equals math.log of the int.
-    """
-    floats = values.astype(np.float64).tolist()
-    return np.fromiter(map(math.log, floats), dtype=np.float64, count=len(floats))
+    tag[found] = _TAGS.index("smooth")
+    wit[:, found] = (n - r) // p, p, q, r, s
 
 
 def survey_range(x: int, config: SurveyConfig | None = None) -> SurveyReport:
     """Survey every n in [ceil(x/2), x] with the configured strategies.
 
-    Builds the RSet over [ceil(c0 x), floor(x/4)] once (empty when that
-    interval is, so every n is smooth-exceptional), finds each n's first
-    smooth witness in one masked scan over the members, and hands the n left
-    over to ``strategy_bv`` when enabled. The report is filled column by
-    column, never one record object per n. Runs in one process;
+    Builds the RSet over [ceil(c0 x), floor(x/4)] once (none when that
+    interval is empty, so every n is smooth-exceptional), finds each n's
+    first smooth witness in one masked scan over the members, and hands the
+    n left over to ``strategy_bv`` when enabled. Both write the report's
+    columns in place, never one record object per n. Runs in one process;
     deterministic for a given config. Every score is below x**2, so x is
     supported up to F_EXACT_MAX_N, the int64 limit of the scan.
 
@@ -321,10 +299,9 @@ def survey_range(x: int, config: SurveyConfig | None = None) -> SurveyReport:
     ns = np.arange(n_lo, x + 1, dtype=np.int64)
     tag = np.zeros(ns.size, dtype=np.int8)
     wit = np.zeros((5, ns.size), dtype=np.int64)  # k, p, q, r, score
-    if "smooth" in config.strategies:
-        found, *fields = _smooth_scan(n_lo, x, config.rset(x), config.gamma)
-        tag[found] = _TAGS.index("smooth")
-        wit[:, found] = fields
+    lo, hi = _rset_interval(x, config.c0)
+    if "smooth" in config.strategies and lo <= hi:
+        _smooth_scan(ns, build_rset(lo, hi, config.alpha), config.gamma, tag, wit)
     if "bv" in config.strategies:
         for i in np.flatnonzero(tag == 0).tolist():
             w = strategy_bv(n_lo + i, config.eps)
@@ -333,7 +310,7 @@ def survey_range(x: int, config: SurveyConfig | None = None) -> SurveyReport:
                 wit[:, i] = (w.k, w.p, w.q, w.r, w.score)
     found = np.flatnonzero(tag)
     beta = np.full(ns.size, math.nan)
-    beta[found] = _log(wit[4, found]) / _log(ns[found])
+    beta[found] = log_each(wit[4, found]) / log_each(ns[found])
     return SurveyReport(x, config, ns, tag, wit, beta)
 
 

@@ -1,5 +1,5 @@
 """Shared numeric plumbing: exact integer inputs, guarded real-exponent
-comparisons and 9-significant-digit serialization."""
+comparisons, per-element ``math.log`` and 9-significant-digit serialization."""
 
 import math
 from fractions import Fraction
@@ -69,6 +69,17 @@ def power_floor(base: int, exponent: float) -> int:
     the 1e-9 margin below also covers the rounding of ``base ** exponent``.
     """
     return math.floor(base**exponent * (1 - 1e-9))
+
+
+def log_each(values: np.ndarray) -> np.ndarray:
+    """math.log of each int64 value, as float64.
+
+    Not np.log: its SIMD loops can differ from math.log in the last bit,
+    which would move a serialized ninth digit. int64 to float64 rounds as
+    Python's int to float does, so each entry equals math.log of the int.
+    """
+    floats = values.astype(np.float64).tolist()
+    return np.fromiter(map(math.log, floats), dtype=np.float64, count=len(floats))
 
 
 def round9(x: float) -> float:

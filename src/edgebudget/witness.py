@@ -214,23 +214,26 @@ def strategy_bv(n: int, eps: float = 0.05) -> Witness | None:
     succeeds, so p and q come on demand from ``sieve.iter_primes`` rather
     than from sieving all of the interval.
 
+    n is supported below 2**65, where every r <= n/2 lies within the 2**64
+    range of ``sieve.is_prime``.
+
     Raises:
         TypeError: if n is not an integer.
-        ValueError: if n < 1 or eps is outside [0, 1/4).
+        ValueError: if eps is outside [0, 1/4), or n is outside [1, 2**65)
+            (checked before any search).
     """
     n = operator.index(n)
     if not 0 <= eps < 0.25:
         raise ValueError("eps must lie in [0, 1/4)")
-    if n < 1:
-        raise ValueError("strategy_bv requires n >= 1")
+    if not 1 <= n < 2**65:
+        raise ValueError(f"strategy_bv supports 1 <= n < 2**65, got n={n}")
+    # width >= 1, so 1 <= ceil(width) <= floor(2 width)
     width = n ** (0.25 - eps)
     snapped = round(width)
-    if snapped >= 1 and abs(width - snapped) <= 1e-9 * width:
+    if abs(width - snapped) <= 1e-9 * width:
         width = float(snapped)
     lo = math.ceil(width)
     hi = math.floor(2 * width)
-    if hi < lo or lo < 1:
-        return None
     r_lo = -(-n // 4)
     r_hi = n // 2
     for p in sieve.iter_primes(lo, hi):
@@ -244,9 +247,8 @@ def strategy_bv(n: int, eps: float = 0.05) -> Witness | None:
             r = _first_in_progression(a, modulus, r_lo)
             while r <= r_hi:
                 if r >= 3 and sieve.is_prime(r):
+                    # k >= 1: n - r >= n/2 > 2 n**(1/4) >= p for n >= 7; no pair passes below 7
                     k = (n - r) // p
-                    if k < 1:
-                        break
                     return Witness(k, p, q, r, unchecked_score(k, p, q, r))
                 r += modulus
     return None
@@ -311,6 +313,12 @@ def strategy_smooth(n: int, rset: RSet, gamma: float) -> Witness | None:
     return None
 
 
+def _rset_interval(h: int, c0: float) -> tuple[int, int]:
+    """(lo, hi) = (max(1, ceil(c0 h)), floor(h/4)): where the smooth strategy
+    takes its r for a height h; empty when lo > hi."""
+    return max(1, math.ceil(c0 * h)), h // 4
+
+
 # width of the first window that ``smooth_search`` builds; each next one is twice as wide
 FIRST_WINDOW = 4096
 
@@ -343,7 +351,7 @@ def smooth_search(n: int, alpha: float, gamma: float, c0: float) -> Witness | No
         raise ValueError("gamma must lie in (0, 1]")
     if not 0 < c0 < 0.25:
         raise ValueError("c0 must lie in (0, 1/4)")
-    lo, hi = max(1, math.ceil(c0 * n)), n // 4
+    lo, hi = _rset_interval(n, c0)
     width = FIRST_WINDOW
     while lo <= hi:
         top = min(hi, lo + width - 1)

@@ -107,6 +107,12 @@ def test_witness_smooth_refuses_n_beyond_64_bits(capsys):
     assert code == EXIT_OK and json.loads(out)["n"] == 2**64 - 1
 
 
+def test_witness_bv_refuses_n_from_2_65(capsys):
+    for n in (2**65, 2**66):
+        code, out, err = run(capsys, "witness-bv", "--n", str(n))
+        assert (code, out) == (EXIT_ERROR, "") and f"n={n}" in err, n
+
+
 def test_verify_rejects_corrupted_witness(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"n":10000,"k":649,"p":11,"q":13,"r":2863,"score":37193}')

@@ -396,6 +396,16 @@ def test_strategy_bv_rejects_bad_eps():
         strategy_bv(100, -0.01)
 
 
+def test_strategy_bv_supports_n_below_2_65():
+    # below 2**65 every r <= n/2 is within is_prime's 2**64 range
+    n = 2**65 - 1
+    w = strategy_bv(n)
+    assert w is not None and w.r < 2**64 and validate(n, w)
+    for n in (0, 2**65, 2**66 + 1):
+        with pytest.raises(ValueError, match=f"n={n}"):
+            strategy_bv(n)
+
+
 def test_build_rset_examples():
     rset = build_rset(5, 25, 0.5)
     assert [field.name for field in dataclasses.fields(rset)] == ["members", "q"]
@@ -515,9 +525,13 @@ def test_build_rset_narrow_and_sieved_windows_agree(monkeypatch, lo):
 
 
 def full_rset_witness(n, **knobs):
-    """strategy_smooth on the RSet of the whole interval [ceil(c0 n), n // 4]."""
+    """strategy_smooth on the RSet of the whole interval [ceil(c0 n), n // 4]; None
+    when that interval is empty."""
     config = SurveyConfig(**knobs)
-    return strategy_smooth(n, config.rset(n), config.gamma)
+    lo, hi = max(1, math.ceil(config.c0 * n)), n // 4
+    if lo > hi:
+        return None
+    return strategy_smooth(n, build_rset(lo, hi, config.alpha), config.gamma)
 
 
 def search(n, **knobs):
