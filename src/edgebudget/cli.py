@@ -154,6 +154,8 @@ def _cmd_bv_sum(args) -> int:
 def _cmd_bs_experiment(args) -> int:
     if args.n_max < 2:
         raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
+    if args.n_max >= 2**63:
+        raise ValueError(f"--n-max must be below 2**63, the int64 limit, got {args.n_max}")
     for flag, size in (("--size-a", args.size_a), ("--size-b", args.size_b)):
         if not 1 <= size <= args.n_max:
             raise ValueError(f"{flag} must lie in [1, --n-max] = [1, {args.n_max}], got {size}")
@@ -203,32 +205,27 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="edgebudget", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--output", default=None, help="report path (default: stdout)")
+    def command(name, fn, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        return p
 
     def knobs(p, *names):  # defaults shared with survey.SurveyConfig
         for name in names:
             p.add_argument(f"--{name}", type=float, default=getattr(DEFAULTS, name))
 
-    p = sub.add_parser("f-exact", help="exact edge budget f(n) with a maximizing witness")
+    p = command("f-exact", _cmd_f_exact, "exact edge budget f(n) with a maximizing witness")
     p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_f_exact)
 
-    p = sub.add_parser("witness-bv", help="progression-based witness search")
+    p = command("witness-bv", _cmd_witness_bv, "progression-based witness search")
     p.add_argument("--n", type=int, required=True)
     knobs(p, "eps")
-    common(p)
-    p.set_defaults(fn=_cmd_witness_bv)
 
-    p = sub.add_parser("witness-smooth", help="rough-shifted-prime witness search")
+    p = command("witness-smooth", _cmd_witness_smooth, "rough-shifted-prime witness search")
     p.add_argument("--n", type=int, required=True)
     knobs(p, "alpha", "gamma", "c0")
-    common(p)
-    p.set_defaults(fn=_cmd_witness_smooth)
 
-    p = sub.add_parser("survey", help="witness survey over [x/2, x]")
+    p = command("survey", _cmd_survey, "witness survey over [x/2, x]")
     p.add_argument("--x", type=int, required=True)
     for name in ("alpha", "gamma"):
         p.add_argument(f"--{name}", type=float, help=f"default {getattr(DEFAULTS, name)}")
@@ -237,48 +234,38 @@ def build_parser() -> _Parser:
                    f"in any order (default: {','.join(DEFAULTS.strategies)})")
     p.add_argument("--preset", choices=sorted(survey.PRESETS), default=None,
                    help="fixes alpha, gamma and strategies")
-    common(p)
-    p.set_defaults(fn=_cmd_survey)
 
-    p = sub.add_parser("rset-density", help="density of primes r <= z with rough r-1")
+    p = command("rset-density", _cmd_rset_density, "density of primes r <= z with rough r-1")
     p.add_argument("--z", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_rset_density)
 
-    p = sub.add_parser("psi", help="Chebyshev psi(y; m, a)")
+    p = command("psi", _cmd_psi, "Chebyshev psi(y; m, a)")
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_psi)
 
-    p = sub.add_parser("discrepancy", help="worst-case psi discrepancy for a modulus")
+    p = command("discrepancy", _cmd_discrepancy, "worst-case psi discrepancy for a modulus")
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--m", type=int, required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_discrepancy)
 
-    p = sub.add_parser("bv-sum", help="averaged worst-case discrepancy up to the cutoff")
+    p = command("bv-sum", _cmd_bv_sum, "averaged worst-case discrepancy up to the cutoff")
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--B", type=float, required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_bv_sum)
 
-    p = sub.add_parser("bs-experiment", help="max P(a-b) over seeded random set pairs")
+    p = command("bs-experiment", _cmd_bs_experiment, "max P(a-b) over seeded random set pairs")
     p.add_argument("--n-max", type=int, default=10_000)
     p.add_argument("--size-a", type=int, default=1000)
     p.add_argument("--size-b", type=int, default=1000)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(fn=_cmd_bs_experiment)
 
-    p = sub.add_parser("verify", help="re-validate a serialized witness certificate")
+    p = command("verify", _cmd_verify, "re-validate a serialized witness certificate")
     p.add_argument("--input", default="-", help="JSON witness path, or - for stdin")
-    common(p)
-    p.set_defaults(fn=_cmd_verify)
 
+    # every subcommand writes a report: these two come last in each help text
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--output", default=None, help="report path (default: stdout)")
     return parser
 
 

@@ -181,7 +181,6 @@ def max_discrepancy(z: float, m: int) -> DiscrepancyRecord:
     starts = np.flatnonzero(change)
     residues = sorted_cls[starts].astype(np.int64)
     counts = np.diff(starts, append=order.size)
-    ends = starts + counts
 
     def class_prefix(limb):
         """Exact running sum of limb in sorted order, restarted at each class."""
@@ -199,7 +198,7 @@ def max_discrepancy(z: float, m: int) -> DiscrepancyRecord:
     j = jumps.j[order]
     target = j * inv_phi
     v_left, v_post = np.abs(left - target), np.abs(post - target)
-    v_end = np.abs(post[ends - 1] - z * inv_phi)
+    v_end = np.abs(post[starts + counts - 1] - z * inv_phi)
     # the few jumps outside coprime classes are powers of primes dividing m
     masked = np.flatnonzero(np.repeat(~coprime, counts))
     v_left[masked] = v_post[masked] = -1.0
@@ -207,20 +206,19 @@ def max_discrepancy(z: float, m: int) -> DiscrepancyRecord:
     # every coprime class without a jump ends at |0 - z/phi(m)|
     v_empty = z * inv_phi if np.count_nonzero(coprime) < phi else -1.0
     sup = max(v_left.max(initial=0.0), v_post.max(initial=0.0), v_end.max(initial=-1.0), v_empty)
-    # visit position: 2 per earlier jump, 1 per earlier endpoint (a class's residue)
+    # a pick is (a, y, kind), kind 0 a left limit, 1 a post-jump value, 2 the endpoint:
+    # the least pick is the first maximal candidate in the order the docstring gives
     picks = []
-    for values, is_left, offset in ((v_left, True, 0), (v_post, False, 1)):
+    for values, kind in ((v_left, 0), (v_post, 1)):
         for i in np.flatnonzero(values == sup)[:1].tolist():
             a = int(residues[np.searchsorted(starts, i, side="right") - 1])
-            picks.append((2 * i + offset + a, a, float(j[i]), is_left))
+            picks.append((a, float(j[i]), kind))
     for c in np.flatnonzero(v_end == sup)[:1].tolist():
-        a = int(residues[c])
-        picks.append((2 * int(ends[c]) + a, a, float(z), False))
+        picks.append((int(residues[c]), float(z), 2))
     if v_empty == sup:
-        a = _first_empty_coprime(residues, m)
-        picks.append((2 * int(np.searchsorted(sorted_cls, a)) + a, a, float(z), False))
-    _, worst_a, worst_y, is_left = min(picks)
-    return DiscrepancyRecord(m, worst_a, worst_y, float(sup), is_left)
+        picks.append((_first_empty_coprime(residues, m), float(z), 2))
+    worst_a, worst_y, kind = min(picks)
+    return DiscrepancyRecord(m, worst_a, worst_y, float(sup), kind == 0)
 
 
 def _first_empty_coprime(residues: np.ndarray, m: int) -> int:

@@ -94,16 +94,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _dense_sieve(limit: int) -> np.ndarray:
-    """Boolean primality flags for 0..limit via plain Eratosthenes."""
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for i in range(2, math.isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i :: i] = False
-    return flags
-
-
 def check_window(lo: int, hi: int) -> None:
     """Refuse a window [lo, hi] that the int64 array kernels cannot hold.
 
@@ -149,11 +139,12 @@ def primes_in(lo: int, hi: int) -> np.ndarray:
 
     Segmented sieving of the odd numbers: each segment spans
     ``SEGMENT_LENGTH`` integers and flags only its odd ones; 2 is added when
-    it lies in [lo, hi]. Memory use is bounded by ``SEGMENT_LENGTH`` (plus
-    the base primes up to sqrt(hi)), not by ``hi``, so intervals near 10**9
-    are fine. A window that ``is_narrow`` is not sieved: ``iter_primes``
-    tests its odd numbers with ``is_prime``, so a window of a few thousand
-    numbers near 10**17 takes milliseconds, with no base primes at all.
+    it lies in [lo, hi]. The odd base primes up to sqrt(hi) come from
+    ``primes_in`` itself. Memory use is bounded by ``SEGMENT_LENGTH`` (plus
+    the base primes), not by ``hi``, so intervals near 10**9 are fine. A
+    window that ``is_narrow`` is not sieved: ``iter_primes`` tests its odd
+    numbers with ``is_prime``, so a window of a few thousand numbers near
+    10**17 takes milliseconds, with no base primes at all.
 
     Raises:
         ValueError: if lo < 1, lo > hi or hi >= 2**63 (``check_window``),
@@ -165,7 +156,8 @@ def primes_in(lo: int, hi: int) -> np.ndarray:
     if is_narrow(lo, hi):
         return np.fromiter(iter_primes(lo, hi), dtype=np.int64)
     chunks = [np.array([2], dtype=np.int64)] if lo <= 2 else []
-    base = np.nonzero(_dense_sieve(math.isqrt(hi)))[0][1:].tolist()  # odd base primes
+    root = math.isqrt(hi)
+    base = primes_in(3, root).tolist() if root >= 3 else []  # the odd base primes
     for seg_lo in range(max(lo, 3) | 1, hi + 1, SEGMENT_LENGTH):
         seg_hi = min(seg_lo + SEGMENT_LENGTH - 1, hi)
         mask = np.ones((seg_hi - seg_lo) // 2 + 1, dtype=bool)  # mask[i]: seg_lo + 2 i

@@ -347,7 +347,8 @@ def bs_max_pdiff(a_set, b_set) -> tuple[int, tuple[int, int]]:
 
     Raises:
         ValueError: if either set is empty, holds a bool, a non-integral or a
-            non-positive value, or every pair has a = b.
+            non-positive value, or a value of 2**63 or more (the int64
+            limit), or every pair has a = b.
     """
     a_sorted = sorted(set(map(exact_int, a_set)))
     b_sorted = sorted(set(map(exact_int, b_set)))
@@ -355,6 +356,8 @@ def bs_max_pdiff(a_set, b_set) -> tuple[int, tuple[int, int]]:
         raise ValueError("both sets must be nonempty")
     if a_sorted[0] < 1 or b_sorted[0] < 1:
         raise ValueError("set elements must be positive integers")
+    if max(a_sorted[-1], b_sorted[-1]) >= 2**63:
+        raise ValueError("set elements must be below 2**63, the int64 limit")
     a_vals = np.asarray(a_sorted, dtype=np.int64)
     b_vals = np.asarray(b_sorted, dtype=np.int64)
     diffs = _distinct_abs_diffs(a_vals, b_vals)

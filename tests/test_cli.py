@@ -302,6 +302,14 @@ def test_out_of_memory_is_one_error_line():
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
+def test_bs_experiment_refuses_n_max_beyond_int64():
+    # random.sample over range(1, 10**20 + 1) would raise OverflowError: refused first
+    for n_max in (2**63, 10**20):
+        proc = run_capped("bs-experiment", "--n-max", str(n_max), "--size-a", "2", "--size-b", "2")
+        assert (proc.returncode, proc.stdout) == (EXIT_ERROR, ""), n_max
+        assert proc.stderr.count("\n") == 1 and "--n-max" in proc.stderr, n_max
+
+
 def test_discrepancy_at_the_largest_modulus_fits_in_memory():
     # m = 2**31 has 2**30 coprime classes, but only the few holding a jump get arrays
     m, z = 2**31, 100
@@ -448,3 +456,54 @@ def test_golden_bytes(capsys, tmp_path):
     for fmt, want in (("json", '{"n":1000000,"valid":true}\n'), ("csv", "n,valid\n1000000,1\n")):
         code, out, _ = run(capsys, "verify", "--input", str(path), "--format", fmt)
         assert (code, out) == (EXIT_OK, want), fmt
+
+
+# Every subcommand's actions after -h, in order: (option_strings, type, default,
+# required, choices, help). Help texts vary across Python versions; this pins
+# the flags themselves, each subcommand ending in --format and --output.
+FORMAT = (("--format",), None, "json", False, ("json", "csv"), None)
+OUTPUT = (("--output",), None, None, False, None, "report path (default: stdout)")
+FLAGS = {
+    "f-exact": [(("--n",), int, None, True, None, None)],
+    "witness-bv": [(("--n",), int, None, True, None, None),
+                   (("--eps",), float, 0.05, False, None, None)],
+    "witness-smooth": [(("--n",), int, None, True, None, None),
+                       (("--alpha",), float, 0.677, False, None, None),
+                       (("--gamma",), float, 0.677, False, None, None),
+                       (("--c0",), float, 0.05, False, None, None)],
+    "survey": [(("--x",), int, None, True, None, None),
+               (("--alpha",), float, None, False, None, "default 0.677"),
+               (("--gamma",), float, None, False, None, "default 0.677"),
+               (("--c0",), float, 0.05, False, None, None),
+               (("--eps",), float, 0.05, False, None, None),
+               (("--strategies",), None, None, False, None,
+                "comma list from {smooth,bv}, in any order (default: smooth)"),
+               (("--preset",), None, None, False, ["corollary-1", "corollary-2"],
+                "fixes alpha, gamma and strategies")],
+    "rset-density": [(("--z",), int, None, True, None, None),
+                     (("--alpha",), float, None, True, None, None)],
+    "psi": [(("--y",), float, None, True, None, None), (("--m",), int, None, True, None, None),
+            (("--a",), int, None, True, None, None)],
+    "discrepancy": [(("--z",), float, None, True, None, None),
+                    (("--m",), int, None, True, None, None)],
+    "bv-sum": [(("--z",), float, None, True, None, None),
+               (("--B",), float, None, True, None, None)],
+    "bs-experiment": [(("--n-max",), int, 10_000, False, None, None),
+                      (("--size-a",), int, 1000, False, None, None),
+                      (("--size-b",), int, 1000, False, None, None),
+                      (("--trials",), int, 1, False, None, None),
+                      (("--seed",), int, 0, False, None, None)],
+    "verify": [(("--input",), None, "-", False, None, "JSON witness path, or - for stdin")],
+}
+
+
+def test_every_subcommand_keeps_its_flags():
+    parser = build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(action.choices) == list(FLAGS)
+    for command, subparser in action.choices.items():
+        help_action, *actions = subparser._actions
+        assert isinstance(help_action, argparse._HelpAction), command
+        got = [(tuple(a.option_strings), a.type, a.default, a.required, a.choices, a.help)
+               for a in actions]
+        assert got == [*FLAGS[command], FORMAT, OUTPUT], command

@@ -8,6 +8,16 @@ import pytest
 from edgebudget import is_prime, mangoldt_weight, primes_in, sieve
 
 
+def dense_sieve(limit: int) -> np.ndarray:
+    """Boolean primality flags for 0..limit via plain Eratosthenes: the reference sieve."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for i in range(2, math.isqrt(limit) + 1):
+        if flags[i]:
+            flags[i * i :: i] = False
+    return flags
+
+
 def trial_division_is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -117,7 +127,7 @@ def test_is_prime_agrees_with_dense_sieve_below_2e6():
     # covers the small-prime lookup (97, 100, 101) and the gcd-only range
     # around its end (9409 = 97**2, 10**4, 10201 = 101**2)
     limit = 2 * 10**6
-    expected = sieve._dense_sieve(limit - 1).tolist()
+    expected = dense_sieve(limit - 1).tolist()
     assert [is_prime(n) for n in range(limit)] == expected
 
 
@@ -142,7 +152,7 @@ def carmichael_numbers() -> list[int]:
     small = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657,
              52633, 62745, 63973, 75361]
     top = 240_000  # (6k+1)(12k+1)(18k+1) < 2**64
-    flags = sieve._dense_sieve(18 * top + 1)
+    flags = dense_sieve(18 * top + 1)
     chernick = [
         (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
         for k in range(1, top)

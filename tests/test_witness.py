@@ -495,6 +495,8 @@ def test_strategy_smooth_rejects_members_at_or_above_n():
         strategy_smooth(10, rset, 0.5)
     with pytest.raises(ValueError):
         strategy_smooth(100, rset, 1.5)
+    with pytest.raises(ValueError, match="n >= 1"):
+        strategy_smooth(0, rset, 0.5)
 
 
 def test_strategy_scores_never_exceed_exact_budget():
