@@ -14,6 +14,7 @@ Runs in a few seconds. Output is deterministic.
 import math
 
 from edgebudget import bv_sum, euler_phi, max_discrepancy, psi
+from edgebudget.dirichlet import bv_cutoff
 
 
 def banner(title):
@@ -49,7 +50,7 @@ def main():
     banner("3. Averaged discrepancy over moduli (cutoff sqrt(z)/(log z)^B)")
     print(f"  {'z':>8} {'cutoff':>7} {'bv_sum(z,1)':>12} {'scaled: *log z/z':>17}")
     for z in (10**3, 10**4, 10**5):
-        cutoff = math.floor(math.sqrt(z) / math.log(z))
+        cutoff = bv_cutoff(z, 1)
         total = bv_sum(z, 1)
         print(f"  {z:>8} {cutoff:>7} {total:>12.3f} {total * math.log(z) / z:>17.6f}")
     print("  with the cutoff exponent fixed at B = 1 the scaled average hovers")
@@ -61,7 +62,7 @@ def main():
     z = 10**4
     print(f"  {'B':>5} {'cutoff':>7} {'bv_sum':>12}")
     for b in (0.0, 0.5, 1.0, 1.5, 2.0, 4.0):
-        cutoff = math.floor(math.sqrt(z) / math.log(z) ** b)
+        cutoff = bv_cutoff(z, b)
         print(f"  {b:>5.1f} {cutoff:>7} {bv_sum(z, b):>12.3f}")
 
 

@@ -274,7 +274,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, RecursionError) as exc:  # deeply nested JSON recurses
         print(f"edgebudget: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except MemoryError as exc:

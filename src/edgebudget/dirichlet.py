@@ -211,8 +211,7 @@ def max_discrepancy(z: float, m: int) -> DiscrepancyRecord:
     picks = []
     for values, kind in ((v_left, 0), (v_post, 1)):
         for i in np.flatnonzero(values == sup)[:1].tolist():
-            a = int(residues[np.searchsorted(starts, i, side="right") - 1])
-            picks.append((a, float(j[i]), kind))
+            picks.append((int(sorted_cls[i]), float(j[i]), kind))
     for c in np.flatnonzero(v_end == sup)[:1].tolist():
         picks.append((int(residues[c]), float(z), 2))
     if v_empty == sup:

@@ -104,9 +104,13 @@ def _prime_factors(k: int) -> list[int]:
 def largest_prime_factor(k: int) -> int:
     """P(k): the largest prime dividing k, with P(1) = 0.
 
+    k is supported when what is left of it after dividing out every prime
+    below TRIAL_LIMIT = 10**4 is below 2**64, the range of ``sieve.is_prime``:
+    every k < 2**64 is, and so is 2**70, but 2**64 + 1 is not.
+
     Raises:
         TypeError: if k is not an integer.
-        ValueError: if k < 1.
+        ValueError: if k < 1, or what is left is 2**64 or more.
     """
     k = operator.index(k)
     if k < 1:
@@ -115,7 +119,12 @@ def largest_prime_factor(k: int) -> int:
 
 
 def euler_phi(m: int) -> int:
-    """Euler's totient: the count of 1 <= a <= m coprime to m."""
+    """Euler's totient: the count of 1 <= a <= m coprime to m.
+
+    Raises:
+        TypeError: if m is not an integer.
+        ValueError: if m < 1, or m is outside ``largest_prime_factor``'s range.
+    """
     m = operator.index(m)
     if m < 1:
         raise ValueError("euler_phi requires m >= 1")
@@ -126,7 +135,12 @@ def euler_phi(m: int) -> int:
 
 
 def mangoldt_weight(n: int) -> float:
-    """Von Mangoldt Lambda(n): log p when n = p**j for prime p, else 0.0."""
+    """Von Mangoldt Lambda(n): log p when n = p**j for prime p, else 0.0.
+
+    Raises:
+        TypeError: if n is not an integer.
+        ValueError: if n < 1, or n is outside ``largest_prime_factor``'s range.
+    """
     n = operator.index(n)
     if n < 1:
         raise ValueError("mangoldt_weight requires n >= 1")

@@ -54,7 +54,7 @@ class RSet:
     members: np.ndarray
     q: np.ndarray
 
-    def __len__(self) -> int:
+    def __len__(self) -> int:  # perfbench's trace counts build_rset's members with len()
         return int(self.members.size)
 
 
@@ -88,31 +88,19 @@ def validate(n: int, w: Witness) -> bool:
     """
     try:
         k, p, q, r, s = (exact_int(v) for v in (w.k, w.p, w.q, w.r, w.score))
-    except (AttributeError, TypeError, ValueError, OverflowError):  # int(inf) overflows
+        # bool(): with a numpy n the chain could end in a numpy bool
+        return bool(k >= 1 and p >= 2 and q >= 2 and r >= 3
+                    and n == k * p + r and (r - 1) % q == 0
+                    and sieve.is_prime(p) and sieve.is_prime(q) and sieve.is_prime(r)
+                    and s == unchecked_score(k, p, q, r))
+    # a non-number, int(inf), or a prime outside is_prime's range: not a certificate
+    except (AttributeError, TypeError, ValueError, OverflowError):
         return False
-    if k < 1 or p < 2 or q < 2 or r < 3:
-        return False
-    if n != k * p + r or (r - 1) % q != 0:
-        return False
-    try:
-        if not (sieve.is_prime(p) and sieve.is_prime(q) and sieve.is_prime(r)):
-            return False
-    except ValueError:  # outside is_prime's range: primality cannot be certified
-        return False
-    return s == unchecked_score(k, p, q, r)
 
 
 def witness_json(n: int, w: Witness, strategy: str) -> dict:
     """The serialized certificate: {n, k, p, q, r, score, strategy}."""
-    return {
-        "n": n,
-        "k": w.k,
-        "p": w.p,
-        "q": w.q,
-        "r": w.r,
-        "score": w.score,
-        "strategy": strategy,
-    }
+    return {"n": n, **vars(w), "strategy": strategy}
 
 
 F_EXACT_MAX_N = math.isqrt(2**63 - 1)
@@ -195,11 +183,6 @@ def crt_pair(n: int, p: int, q: int) -> int:
     return a % (p * q)
 
 
-def _first_in_progression(a: int, modulus: int, lo: int) -> int:
-    """Smallest value >= lo congruent to a mod modulus."""
-    return a + ((lo - a + modulus - 1) // modulus) * modulus
-
-
 def strategy_bv(n: int, eps: float = 0.05) -> Witness | None:
     """Witness search through primes in arithmetic progressions.
 
@@ -244,7 +227,8 @@ def strategy_bv(n: int, eps: float = 0.05) -> Witness | None:
             a = crt_pair(n, p, q)
             if math.gcd(a, modulus) != 1:
                 continue
-            r = _first_in_progression(a, modulus, r_lo)
+            # the least r >= r_lo with r = a (mod pq)
+            r = a + (r_lo - a + modulus - 1) // modulus * modulus
             while r <= r_hi:
                 if r >= 3 and sieve.is_prime(r):
                     # k >= 1: n - r >= n/2 > 2 n**(1/4) >= p for n >= 7; no pair passes below 7

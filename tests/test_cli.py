@@ -143,10 +143,12 @@ def test_verify_malformed_input_exits_1(capsys, tmp_path):
         '{"n":10,"k":1,"p":5.5,"q":2,"r":5}',  # only JSON integers certify
         '{"n":10,"k":1,"p":"5","q":2,"r":5}',
         '{"n":10,"k":true,"p":5,"q":2,"r":5}',
+        "[" * 200_000 + "]" * 200_000,  # deeper than the recursion limit of json.loads
     ):
         path.write_text(text)
         code, out, err = run(capsys, "verify", "--input", str(path))
-        assert code == EXIT_ERROR and "error" in err and out == "", text
+        assert code == EXIT_ERROR and out == "", text[:40]
+        assert err.startswith("edgebudget: error: ") and err.count("\n") == 1, err[:200]
 
 
 def test_witness_csv_format(capsys):

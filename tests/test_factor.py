@@ -48,6 +48,10 @@ def test_lpf_examples():
     assert largest_prime_factor(1024) == 2
     with pytest.raises(ValueError):
         largest_prime_factor(0)
+    # the range: what is left after the primes below 10**4 must be below 2**64
+    assert largest_prime_factor(2**70) == 2
+    with pytest.raises(ValueError, match=r"2\*\*64"):
+        largest_prime_factor(2**64 + 1)  # 274177 * 67280421310721
 
 
 def test_lpf_agrees_with_trial_division_to_1e5():
@@ -207,6 +211,9 @@ def test_phi_examples():
     assert euler_phi(10007 * 10009) == 10006 * 10008  # rough cofactor: Pollard rho
     with pytest.raises(ValueError):
         euler_phi(0)
+    assert euler_phi(2**70) == 2**69
+    with pytest.raises(ValueError, match=r"2\*\*64"):
+        euler_phi(2**64 + 1)
 
 
 def test_phi_matches_gcd_count():

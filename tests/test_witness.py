@@ -110,6 +110,9 @@ def test_validate_examples():
     assert validate(7, Witness(True, 2, 2, 5, 4)) is False
     assert validate(7, Witness(np.bool_(True), 2, 2, 5, 4)) is False
     assert validate(7, Witness(1, 2, 2, 5, 4)) is True
+    assert validate(10, (1, 5, 2, 5, 10)) is False  # not a Witness: no fields to read
+    assert validate(np.int64(10), Witness(1, 5, 2, 5, 10)) is True
+    assert validate(np.int64(11), Witness(1, 5, 2, 5, 10)) is False  # a bool, not numpy's
 
 
 def test_f_exact_small_values():
@@ -189,6 +192,7 @@ def test_f_exact_returns_python_ints():
     assert (value, w) == (10, Witness(1, 5, 2, 5, 10))
     assert all(type(v) is int for v in (value, w.k, w.p, w.q, w.r, w.score))
     assert json.loads(json.dumps(witness_json(10, w, "exact")))["k"] == 1
+    assert list(witness_json(10, w, "exact")) == ["n", "k", "p", "q", "r", "score", "strategy"]
     value, w = f_exact(np.int64(100_003))  # the certified path
     assert all(type(v) is int for v in (value, w.k, w.p, w.q, w.r, w.score))
 
