@@ -162,13 +162,12 @@ def _cmd_bs_experiment(args) -> int:
     if args.trials < 0:
         raise ValueError(f"--trials must be nonnegative, got {args.trials}")
     rng = random.Random(args.seed)
-    log_n = math.log(args.n_max)
+    threshold = 0.05 * math.sqrt(args.size_a * args.size_b) / math.log(args.n_max)
     rows = []
     for trial in range(args.trials):
         a_vals = rng.sample(range(1, args.n_max + 1), args.size_a)
         b_vals = rng.sample(range(1, args.n_max + 1), args.size_b)
         max_p, (a, b) = survey.bs_max_pdiff(a_vals, b_vals)
-        threshold = 0.05 * math.sqrt(args.size_a * args.size_b) / log_n
         rows.append((trial, args.seed, args.size_a, args.size_b, args.n_max, max_p, a, b,
                      _nine(threshold), max_p >= threshold))
     fields = "trial,seed,size_a,size_b,n_max,max_p,a,b,threshold,meets_threshold"

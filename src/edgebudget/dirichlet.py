@@ -235,19 +235,6 @@ def bv_cutoff(z: float, B: float) -> int:
     """The largest modulus ``bv_sum`` averages over: floor(sqrt(z) / (log z)**B).
 
     0 when (log z)**B overflows a double: with z >= 3 the quotient is then below 1.
-    """
-    try:
-        return math.floor(math.sqrt(z) / math.log(z) ** B)
-    except OverflowError:
-        return 0
-
-
-def bv_sum(z: float, B: float) -> float:
-    """Sum of per-modulus worst-case discrepancies for m up to the cutoff.
-
-    The cutoff is ``bv_cutoff(z, B)``; when it falls below 1 the sum
-    is empty and 0 is returned. The suprema are added with ``math.fsum``,
-    the correctly rounded sum, so the result is independent of their order.
 
     Raises:
         ValueError: if z < 3, z > MAX_Z, or B is negative or not finite.
@@ -257,5 +244,21 @@ def bv_sum(z: float, B: float) -> float:
     if not 0 <= B < math.inf:
         raise ValueError("B must be finite and nonnegative")
     _check_z(z)
+    try:
+        return math.floor(math.sqrt(z) / math.log(z) ** B)
+    except OverflowError:
+        return 0
+
+
+def bv_sum(z: float, B: float) -> float:
+    """Sum of per-modulus worst-case discrepancies for m up to the cutoff.
+
+    The cutoff and the checks on z and B are ``bv_cutoff``'s; a cutoff below
+    1 gives the empty sum 0. The suprema are added with ``math.fsum``, the
+    correctly rounded sum, so the result is independent of their order.
+
+    Raises:
+        ValueError: if z < 3, z > MAX_Z, or B is negative or not finite.
+    """
     cutoff = bv_cutoff(z, B)
     return math.fsum(max_discrepancy(z, m).sup_value for m in range(1, cutoff + 1))

@@ -16,7 +16,7 @@ enumeration is hopeless:
   in r - 1, looking for one where n - r also has a large prime factor; p and
   q are read off the two factorizations. Scores land near n**(1 + gamma).
   ``smooth_search`` runs it for one n over ascending windows of that set,
-  so n up to 2**64 needs only the first few thousand candidates r.
+  one number wide and then doubling, so a witness near 2**64 takes milliseconds.
 
 All searches use fixed orders, so identical inputs yield identical witnesses.
 """
@@ -303,20 +303,16 @@ def _rset_interval(h: int, c0: float) -> tuple[int, int]:
     return max(1, math.ceil(c0 * h)), h // 4
 
 
-# width of the first window that ``smooth_search`` builds; each next one is twice as wide
-FIRST_WINDOW = 4096
-
-
 def smooth_search(n: int, alpha: float, gamma: float, c0: float) -> Witness | None:
     """``strategy_smooth`` over the RSet of [ceil(c0 n), floor(n/4)], built a window at a time.
 
-    The first window holds FIRST_WINDOW numbers and each next one twice as
-    many; the search stops at the first window with a hit. A window's RSet
-    is exactly the full RSet's members in that window, so the witness (or
-    None) is the one ``strategy_smooth(n, build_rset(ceil(c0 n), n // 4,
-    alpha), gamma)`` gives. A hit nearly always comes within the first
-    window, which near 10**18 is tested pointwise in milliseconds; an n
-    with no witness visits every window, at about the cost of one full
+    The first window holds one number and each next one twice as many; the
+    search stops at the first window with a hit. A window's RSet is exactly
+    the full RSet's members in that window, so the witness (or None) is the
+    one ``strategy_smooth(n, build_rset(ceil(c0 n), n // 4, alpha), gamma)``
+    gives. The windows reach at most about twice as far past ceil(c0 n) as
+    the hit, which near 10**18 typically lies within a few hundred numbers;
+    an n with no witness visits every window, at about the cost of one full
     build of the interval. n is supported below 2**64, the range of
     ``validate``.
 
@@ -336,7 +332,7 @@ def smooth_search(n: int, alpha: float, gamma: float, c0: float) -> Witness | No
     if not 0 < c0 < 0.25:
         raise ValueError("c0 must lie in (0, 1/4)")
     lo, hi = _rset_interval(n, c0)
-    width = FIRST_WINDOW
+    width = 1
     while lo <= hi:
         top = min(hi, lo + width - 1)
         w = strategy_smooth(n, build_rset(lo, top, alpha), gamma)

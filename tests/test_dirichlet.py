@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from edgebudget import bv_sum, euler_phi, mangoldt_weight, max_discrepancy, primes_in, psi
-from edgebudget.dirichlet import MAX_Z, DiscrepancyRecord, prime_power_jumps
+from edgebudget.dirichlet import MAX_Z, DiscrepancyRecord, bv_cutoff, prime_power_jumps
 
 
 def brute_force_sup(z, m):
@@ -138,6 +138,26 @@ def test_bv_sum_rejects_bad_arguments():
         bv_sum(2, 1)
     with pytest.raises(ValueError):
         bv_sum(10, -1)
+
+
+def test_bv_cutoff_values_and_domain():
+    assert bv_cutoff(10, 1) == 1  # sqrt(10) / log 10 = 1.37
+    assert bv_cutoff(1000, 1) == 4  # 31.6 / 6.91 = 4.58
+    assert bv_cutoff(10, 1e308) == 0  # (log 10)**B overflows: the quotient is below 1
+    for z, B, message in (
+        (1, 1, "z >= 3"),  # log 1 = 0 would divide by zero
+        (0.5, 1, "z >= 3"),  # log 0.5 < 0 would give a negative cutoff
+        (math.nan, 1, "z >= 3"),
+        (10, -1, "B must be"),
+        (10, math.nan, "B must be"),
+        (10, math.inf, "B must be"),
+        (MAX_Z + 1, 1, "z must be at most"),
+        (math.inf, 1, "z must be at most"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            bv_cutoff(z, B)
+        with pytest.raises(ValueError, match=message):
+            bv_sum(z, B)
 
 
 @lru_cache(maxsize=None)

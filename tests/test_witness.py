@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from edgebudget import (
+    PRESETS,
     RSet,
     SurveyConfig,
     Witness,
@@ -569,6 +570,31 @@ def test_smooth_search_equals_the_full_rset_on_seeded_n():
         w = search(n)
         assert w == full_rset_witness(n), n
         assert w is None or validate(n, w), n
+
+
+def pointwise_smooth_witness(n, config):
+    """The smooth strategy's first hit, one prime r of [ceil(c0 n), n // 4] at a time."""
+    for r in sieve.iter_primes(max(1, math.ceil(config.c0 * n)), n // 4):
+        q = largest_prime_factor(r - 1)
+        if compare_power(q, r, config.alpha) > 0:
+            p = largest_prime_factor(n - r)
+            if compare_power(p, n, config.gamma) >= 0:
+                k = (n - r) // p
+                return Witness(k, p, q, r, min(p * p * k, p * k * r, q * r))
+    return None
+
+
+# beyond the full RSet's reach: the windows must still give the first hit
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_smooth_search_equals_the_pointwise_first_hit_at_large_n(preset):
+    config = PRESETS[preset]
+    rng = random.Random(19)
+    ns = [2**64 - 1] + [2**64 - 1 - rng.randrange(10**6) for _ in range(2)]
+    ns += [rng.randint(10**e, 2 * 10**e) for e in (9, 12, 15, 18) for _ in range(3)]
+    for n in ns:
+        want = pointwise_smooth_witness(n, config)
+        assert want is not None and validate(n, want), n
+        assert smooth_search(n, config.alpha, config.gamma, config.c0) == want, n
 
 
 def test_smooth_search_holds_a_window_not_the_interval():
