@@ -5,10 +5,13 @@ the same invocation. Exit status 0 means success, 1 means invalid parameters
 or any other error, and 2 is reserved for mathematically meaningful absence:
 no witness exists for the requested search, or a verified certificate does
 not validate. Scripts sweeping ranges can rely on 2 never signalling a crash.
+The parser is built once per process, on first use; each call parses into a
+fresh namespace, so no flag of one call carries over to the next.
 """
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import random
@@ -200,6 +203,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_NO_WITNESS
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="edgebudget", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -148,40 +148,49 @@ def mangoldt_weight(n: int) -> float:
     return math.log(primes[0]) if len(primes) == 1 else 0.0
 
 
+def _scatter(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
+    """``lpf_table(lo, hi, floor=F)`` from ``primes``, the primes of [F, hi], F > sqrt(hi).
+
+    Each n <= hi has at most one prime factor Q >= F, and if one exists it is
+    P(n): each Q is written onto its multiples m * Q in [lo, hi]. A prime
+    with no multiple there may be left out of ``primes``.
+    """
+    out = np.zeros(hi - lo + 1, dtype=np.int64)
+    most = hi // int(primes[0]) if primes.size else 0  # the largest cofactor m of any m * Q <= hi
+    for m in range(1, most + 1):
+        # the primes in [ceil(lo / m), hi // m]; each bound fits in int64
+        first, last = np.searchsorted(primes, (-(-lo // m) - 1, hi // m), side="right")
+        out[m * primes[first:last] - lo] = primes[first:last]
+    return out
+
+
 def lpf_table(lo: int, hi: int, *, floor: int = 0) -> np.ndarray:
     """P(n) for every n in [lo, hi], or 0 where P(n) < floor.
 
     Returns the int64 array ``a`` with ``a[n - lo] == P(n)``, or 0 where P(n)
     is below the floor (always 0 at n = 1). The default floor 0 gives the
-    exact table. When floor > sqrt(hi), every n <= hi has at most one prime
-    factor >= floor, and if one exists it is P(n): each prime Q >= floor
-    that has a multiple in the window is then written onto its multiples
-    m * Q <= hi, with no small-prime sieve and no division. That path is
-    skipped for a window so narrow that those primes would span more than
-    twice its width. Otherwise each segment of ``sieve.SEGMENT_LENGTH``
-    entries divides out all primes up to sqrt(hi) (once per prime-power
-    level, so multiplicities are exact); any cofactor left above 1 is itself
-    prime and is the largest factor; entries below floor are then zeroed.
+    exact table. When floor > sqrt(hi), ``_scatter`` writes the primes of
+    [floor, hi] that have a multiple in the window onto their multiples.
+    That path is skipped for a window so narrow that those primes would span
+    more than twice its width. Otherwise each segment of
+    ``sieve.SEGMENT_LENGTH`` entries divides out all primes up to sqrt(hi)
+    (once per prime-power level, so multiplicities are exact); any cofactor
+    left above 1 is itself prime and is the largest factor; entries below
+    floor are then zeroed.
 
     Raises:
         ValueError: if lo < 1, lo > hi or hi >= 2**63 (``sieve.check_window``),
             before anything is allocated.
     """
     sieve.check_window(lo, hi)
-    out = np.zeros(hi - lo + 1, dtype=np.int64)
     if floor > hi:
-        return out
+        return np.zeros(hi - lo + 1, dtype=np.int64)
     root = math.isqrt(hi)
     if floor > root:
-        most = hi // floor  # the largest cofactor m of m * Q <= hi with Q >= floor
-        q_lo = max(floor, -(-lo // most))
+        q_lo = max(floor, -(-lo // (hi // floor)))  # no prime in [floor, q_lo) has a multiple >= lo
         if hi - q_lo <= 2 * (hi - lo):
-            primes = sieve.primes_in(q_lo, hi)
-            for m in range(1, most + 1):
-                # the primes in [ceil(lo / m), hi // m]; each bound fits in int64
-                first, last = np.searchsorted(primes, (-(-lo // m) - 1, hi // m), side="right")
-                out[m * primes[first:last] - lo] = primes[first:last]
-            return out
+            return _scatter(lo, hi, sieve.primes_in(q_lo, hi))
+    out = np.zeros(hi - lo + 1, dtype=np.int64)
     base = sieve.primes_in(1, root).tolist()
     for seg_lo in range(lo, hi + 1, sieve.SEGMENT_LENGTH):
         seg_hi = min(seg_lo + sieve.SEGMENT_LENGTH - 1, hi)

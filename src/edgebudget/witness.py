@@ -119,13 +119,16 @@ def f_exact(n: int) -> tuple[int, Witness | None]:
     T = max(n // 64, isqrt(n - 1) + 1), and scores 0 where it is missing.
     Such a score is never above the true one, and equals it whenever the true
     score is >= T*n (then P(d) and P(r-1) are both >= T). So a best score
-    >= T*n is f(n), reached at the same r: the certificate. Only when the
-    best falls short (small n) does the scan run again on the exact table.
+    >= T*n is f(n), reached at the same r: the certificate. One sieve of
+    [T, n) gives the table's primes and the scanned r (an r < T scores 0
+    there). Only when the best falls short (small n) does the scan run again
+    over every prime r on the exact table.
 
     Ties are broken deterministically: the first maximizer in ascending-p,
     then ascending-k order wins, recovered from the few maximizing r alone.
     Every product is below n**2, so n is supported up to
-    F_EXACT_MAX_N = isqrt(2**63 - 1); a table holds n - 1 int64 entries.
+    F_EXACT_MAX_N = isqrt(2**63 - 1); a certified call builds one table of
+    n - 1 int64 entries.
     Every field of the witness is a Python int.
 
     Raises:
@@ -138,13 +141,16 @@ def f_exact(n: int) -> tuple[int, Witness | None]:
         raise ValueError(f"f_exact supports n <= {F_EXACT_MAX_N}")
     if n < 5:
         return 0, None
-    r = sieve.primes_in(3, n - 2)
-    for floor in (max(n // 64, math.isqrt(n - 1) + 1), 0):
-        lpf = factor.lpf_table(1, n - 1, floor=floor)  # lpf[v - 1] == P(v), or 0 where P(v) < floor
+    floor = max(n // 64, math.isqrt(n - 1) + 1)
+    big = sieve.primes_in(floor, n - 1)  # the one sieve: the table's primes and r
+    lpf = factor._scatter(1, n - 1, big)  # lpf[v - 1] == P(v), or 0 where P(v) < floor
+    r = big[: np.searchsorted(big, n - 2, side="right")]
+    _, scores = prime_r_scores(n, r, lpf[r - 2], lpf, 1)
+    best = int(scores.max())
+    if best < floor * n:  # not certified: the exact table decides
+        r, lpf = sieve.primes_in(3, n - 2), factor.lpf_table(1, n - 1)
         _, scores = prime_r_scores(n, r, lpf[r - 2], lpf, 1)
         best = int(scores.max())
-        if best >= floor * n:  # certified; always so on the exact table
-            break
     p, k, top = min(_first_split(n, v, best, lpf) for v in r[scores == best].tolist())
     return best, Witness(k, p, int(lpf[top - 2]), top, best)
 

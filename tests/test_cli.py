@@ -460,6 +460,21 @@ def test_golden_bytes(capsys, tmp_path):
         assert (code, out) == (EXIT_OK, want), fmt
 
 
+def test_one_parser_serves_every_call(capsys, tmp_path):
+    # the parser is built once per process: no flag of one call reaches the next
+    assert build_parser() is build_parser()
+    path = tmp_path / "f.csv"
+    code, out, _ = run(capsys, "f-exact", "--n", "100", "--format", "csv", "--output", str(path))
+    assert (code, out, path.read_text()) == (EXIT_OK, "", GOLDEN[1][2])
+    path.unlink()
+    with pytest.raises(SystemExit) as info:
+        main(["f-exact", "--format", "csv"])  # missing --n
+    assert info.value.code == EXIT_ERROR
+    capsys.readouterr()
+    assert run(capsys, "f-exact", "--n", "100") == (EXIT_OK, GOLDEN[0][2], "")
+    assert not path.exists()
+
+
 # Every subcommand's actions after -h, in order: (option_strings, type, default,
 # required, choices, help). Help texts vary across Python versions; this pins
 # the flags themselves, each subcommand ending in --format and --output.

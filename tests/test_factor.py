@@ -192,6 +192,20 @@ def test_lpf_table_floor_matches_truncated_full_table():
             assert np.array_equal(table, expected), (lo, hi, floor)
 
 
+def test_scatter_matches_floored_table():
+    # the large-prime kernel on its own, fed the primes of [floor, hi]
+    rng = random.Random(43)
+    windows = []
+    for _ in range(4):
+        hi = rng.randrange(10**4, 2 * 10**6)
+        windows += [(1, hi), (rng.randrange(2, hi // 2), hi), (hi - rng.randrange(0, 300), hi)]
+    for lo, hi in windows:
+        for floor in (math.isqrt(hi) + 1, math.isqrt(hi) + 2, hi // 64):
+            table = factor._scatter(lo, hi, sieve.primes_in(floor, hi))
+            assert table.dtype == np.int64
+            assert np.array_equal(table, lpf_table(lo, hi, floor=floor)), (lo, hi, floor)
+
+
 def test_lpf_table_floor_keeps_the_boundary_prime():
     # 821 = P(21346) lies exactly at the floor and must be kept (>=, not >)
     assert lpf_table(20_174, 100_874, floor=821)[21_346 - 20_174] == 821

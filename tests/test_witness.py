@@ -3,6 +3,7 @@ import json
 import math
 import random
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -164,28 +165,56 @@ def full_table_reference(n):
 
 
 def test_f_exact_matches_full_table_reference(monkeypatch):
-    floors = []
-    real = factor.lpf_table
+    # the floored table comes from factor._scatter, the exact one from factor.lpf_table
+    tables = []
+    real_scatter, real_table = factor._scatter, factor.lpf_table
 
-    def recording(lo, hi, *args, **kwargs):
-        floors.append(kwargs.get("floor", 0))
-        return real(lo, hi, *args, **kwargs)
+    def scatter(lo, hi, primes):
+        tables.append(("floored", lo, hi, primes))
+        return real_scatter(lo, hi, primes)
 
-    monkeypatch.setattr(factor, "lpf_table", recording)
+    def table(lo, hi, *args, **kwargs):
+        tables.append(("exact", lo, hi, kwargs.get("floor", 0)))
+        return real_table(lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(factor, "_scatter", scatter)
+    monkeypatch.setattr(factor, "lpf_table", table)
     rng = random.Random(6)
     seeded = [rng.randrange(10**5, 12 * 10**5) for _ in range(6)]
     seeded = [n | 1 for n in seeded[:3]] + [n & ~1 for n in seeded[3:]]  # both parities
     certified, fallback = [], []
     for n in [*range(900, 1101), *seeded]:
-        floors.clear()
+        tables.clear()
         assert f_exact(n) == full_table_reference(n), n
-        if floors == [max(n // 64, math.isqrt(n - 1) + 1)]:
+        (kind, lo, hi, primes), *rest = tables
+        floor = max(n // 64, math.isqrt(n - 1) + 1)
+        assert (kind, lo, hi) == ("floored", 1, n - 1), n
+        assert np.array_equal(primes, primes_in(floor, n - 1)), n
+        if not rest:
             certified.append(n)
         else:
-            assert floors[1:] == [0], (n, floors)
+            assert rest == [("exact", 1, n - 1, 0)], (n, rest)
             fallback.append(n)
     assert len(certified) > 100
     assert fallback and max(fallback) == 959  # only small n need the exact table
+
+
+def test_certified_f_exact_sieves_once(monkeypatch):
+    # the spy replaces primes_in as witness and factor see it; the base-prime
+    # recursion inside sieve still calls the real function
+    calls = []
+
+    def spy(lo, hi):
+        calls.append((lo, hi))
+        return sieve.primes_in(lo, hi)
+
+    seen = types.SimpleNamespace(**{**vars(sieve), "primes_in": spy})
+    monkeypatch.setattr("edgebudget.witness.sieve", seen)
+    monkeypatch.setattr(factor, "sieve", seen)
+    for n in (100_003, 999_983):
+        calls.clear()
+        assert f_exact(n)[0] > 0
+        assert calls == [(max(n // 64, math.isqrt(n - 1) + 1), n - 1)], n
 
 
 def test_f_exact_returns_python_ints():
