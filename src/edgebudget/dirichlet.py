@@ -12,15 +12,18 @@ Every psi value is an exact sum rounded once to a double. Each weight
 ``math.log(p)`` is a double of at least log 2 > 1/2, hence a multiple of
 2**-53, so log p * 2**53 is an integer below 2**58. The per-z jump table
 holds it once, as two int64 limbs hi * 2**32 + lo with lo < 2**32. ``psi``
-sums one class's limbs; ``max_discrepancy`` takes the limbs' running sums in
-class order, restarted at each class start, and rounds each once: those are
-the post-jump values, from which the left limits and class totals are read
-off. ``bv_sum`` adds the suprema with ``math.fsum``. Reported values are
-therefore bit-reproducible. The limbs stay exact for z <= MAX_Z = 2**31:
-any run of jumps, one class or all of them, has fewer than 2**31 terms, so
-its low-limb sum stays below 2**63, and weighs at most psi(z) < 2**32
-(psi(z) < 1.04 z), so its high-limb sum, with the low limb's carry, stays
-below 2**53.
+sums one class's limbs. Per modulus, one kernel gathers each limb in class
+order, writes at each class start the limb minus the previous class's total
+(``np.add.reduceat``), and takes one cumsum in place: every partial sum is
+then a running sum within one class, and rounded once it is a post-jump
+value, from which the left limits and class totals are read off. The kernel
+writes into a workspace of four int64 words per jump, through ``out=``;
+``max_discrepancy`` makes one for its modulus, and ``bv_sum`` one for all of
+its moduli, whose suprema it adds with ``math.fsum``. Reported values are
+therefore bit-reproducible. The limbs stay exact for z <= MAX_Z = 2**31: one
+class holds fewer than 2**31 jumps, so its low-limb sum stays below 2**63,
+and weighs at most psi(z) < 2**32 (psi(z) < 1.04 z), so its high-limb sum,
+with the low limb's carry, stays below 2**53.
 """
 
 import math
@@ -111,13 +114,21 @@ def _check_z(z: float, name: str = "z") -> None:
         raise ValueError(f"{name} must be at most {MAX_Z} for exact fixed-point sums")
 
 
-def _fixed_to_float(hi, lo):
-    """round((hi * 2**32 + lo) * 2**-53) for int64 limb sums hi, lo >= 0.
+def _fixed_to_float(hi, lo, out):
+    """Write round((hi * 2**32 + lo) * 2**-53) into out, for int64 limb sums hi, lo >= 0.
 
-    Carrying lo into hi leaves hi < 2**53 and lo < 2**32 (see MAX_Z), so both
-    scaled terms are exact doubles and the one addition is the only rounding.
+    hi and lo are int64 arrays of out's shape, and out is a float64 array
+    apart from both; hi and lo are spent. Carrying lo into hi leaves hi < 2**53
+    and lo < 2**32 (see MAX_Z), so both scaled terms are exact doubles and the
+    one addition is the only rounding.
     """
-    return (hi + (lo >> _LIMB)) * 2.0 ** (_LIMB - 53) + (lo & _MASK) * 2.0**-53
+    carry = out.view(np.int64)
+    np.right_shift(lo, _LIMB, out=carry)
+    hi += carry
+    lo &= _MASK
+    np.multiply(hi, 2.0 ** (_LIMB - 53), out=out)
+    out += np.multiply(lo, 2.0**-53, out=hi.view(np.float64))
+    return out
 
 
 def psi(y: float, m: int, a: int) -> float:
@@ -141,13 +152,14 @@ def psi(y: float, m: int, a: int) -> float:
     jumps = prime_power_jumps(y)
     # every j <= MAX_Z, so a larger modulus leaves j as it is and need not fit in int64
     chosen = jumps.j % min(m, MAX_Z + 1) == a
-    return float(_fixed_to_float(jumps.hi[chosen].sum(), jumps.lo[chosen].sum()))
+    limbs = jumps.hi[chosen].sum(keepdims=True), jumps.lo[chosen].sum(keepdims=True)
+    return float(_fixed_to_float(*limbs, np.empty(1))[0])
 
 
 def max_discrepancy(z: float, m: int) -> DiscrepancyRecord:
     """Exact supremum of |psi(y;m,a) - y/phi(m)| over real y in (0, z].
 
-    Stable-sorts the jumps by residue class and takes one exact prefix sum
+    Stable-sorts the jumps by residue class and takes one exact running sum
     per class; each jump in a class coprime to m contributes its left limit
     and its post-jump value, and the endpoint y = z closes the final piece.
     A coprime class that holds no jump contributes only its endpoint value
@@ -156,8 +168,9 @@ def max_discrepancy(z: float, m: int) -> DiscrepancyRecord:
     increasing y, left limit before post-jump value, the endpoint last; so
     it is deterministic. m may be any integer type, numpy's included; the
     record's m is a Python int. Memory is linear in the number of jumps,
-    whatever m is: only the classes that hold a jump get arrays. The shared
-    jump table is read-only.
+    whatever m is: five int64 words per jump (the workspace and argsort's
+    permutation), and arrays only for the classes that hold a jump. The
+    shared jump table is read-only.
 
     Raises:
         TypeError: if m is not an integer.
@@ -171,37 +184,61 @@ def max_discrepancy(z: float, m: int) -> DiscrepancyRecord:
         raise ValueError("z must be at least 1")
     _check_z(z)
     jumps = prime_power_jumps(z)
-    cls = (jumps.j % m).astype(np.min_scalar_type(m - 1))
+    return _discrepancy(jumps, z, m, _workspace(jumps))
+
+
+def _workspace(jumps: PrimePowerJumps) -> np.ndarray:
+    """The buffers ``_discrepancy`` writes into: four int64 rows, one word per jump."""
+    return np.empty((4, len(jumps)), dtype=np.int64)
+
+
+def _discrepancy(jumps: PrimePowerJumps, z: float, m: int, work: np.ndarray) -> DiscrepancyRecord:
+    """``max_discrepancy``'s record for a checked z and m, computed in ``work``.
+
+    work is ``_workspace(jumps)``. Every jump-sized step writes into its rows
+    through ``out=``, and a row whose integers are spent is read again as
+    float64 through a view; argsort's permutation and the per-class arrays
+    are all that is allocated, so one workspace serves any number of moduli.
+    """
+    n = len(jumps)
+    j, hi, lo, spare = work  # j: the jumps in class order; hi, lo: the limb prefixes
+    small = np.min_scalar_type(m - 1)
+    cls = np.remainder(jumps.j, m, out=spare.view(small)[:n], casting="unsafe")
     order = np.argsort(cls, kind="stable")
+    # mode="clip" lets take write straight into out; every index is in range
+    np.take(jumps.j, order, out=j, mode="clip")
+    sorted_cls = np.take(cls, order, out=hi.view(small)[:n], mode="clip")
     # the classes that hold a jump: residues, first sorted index and size
-    sorted_cls = cls[order]
-    change = np.empty(order.size, dtype=bool)
+    change = lo.view(bool)[:n]
     change[:1] = True
     np.not_equal(sorted_cls[1:], sorted_cls[:-1], out=change[1:])
     starts = np.flatnonzero(change)
     residues = sorted_cls[starts].astype(np.int64)
-    counts = np.diff(starts, append=order.size)
-
-    def class_prefix(limb):
-        """Exact running sum of limb in sorted order, restarted at each class."""
-        total = np.zeros(limb.size + 1, dtype=np.int64)
-        np.cumsum(limb[order], out=total[1:])
-        return total[1:] - np.repeat(total[starts], counts)
-
-    post = _fixed_to_float(class_prefix(jumps.hi), class_prefix(jumps.lo))
-    left = np.roll(post, 1)  # the previous post-jump value in the class, 0 at its start
+    counts = np.diff(starts, append=n)
+    # each limb's running sum in class order, restarted at each class start: a start
+    # first takes off the previous class's total, so every partial sum is one class's
+    for limb, prefix in ((jumps.hi, hi), (jumps.lo, lo)):
+        np.take(limb, order, out=prefix, mode="clip")
+        if starts.size > 1:
+            prefix[starts[1:]] -= np.add.reduceat(prefix, starts)[:-1]
+        np.cumsum(prefix, out=prefix)
+    del order  # spent: the cast buffers and per-class arrays below need not stack on it
+    post = _fixed_to_float(hi, lo, spare.view(np.float64))
+    left = lo.view(np.float64)  # the previous post-jump value in the class, 0 at its start
+    left[1:] = post[:-1]
     left[starts] = 0.0
 
     coprime = np.gcd(residues, m) == 1  # class 0 is coprime when m = 1
     phi = factor.euler_phi(m)
     inv_phi = 1.0 / phi
-    j = jumps.j[order]
-    target = j * inv_phi
-    v_left, v_post = np.abs(left - target), np.abs(post - target)
+    target = np.multiply(j, inv_phi, out=hi.view(np.float64))
     v_end = np.abs(post[starts + counts - 1] - z * inv_phi)
+    v_left = np.abs(np.subtract(left, target, out=left), out=left)
+    v_post = np.abs(np.subtract(post, target, out=post), out=post)
     # the few jumps outside coprime classes are powers of primes dividing m
-    masked = np.flatnonzero(np.repeat(~coprime, counts))
-    v_left[masked] = v_post[masked] = -1.0
+    for c in np.flatnonzero(~coprime).tolist():
+        outside = slice(starts[c], starts[c] + counts[c])
+        v_left[outside] = v_post[outside] = -1.0
     v_end[~coprime] = -1.0
     # every coprime class without a jump ends at |0 - z/phi(m)|
     v_empty = z * inv_phi if np.count_nonzero(coprime) < phi else -1.0
@@ -209,11 +246,11 @@ def max_discrepancy(z: float, m: int) -> DiscrepancyRecord:
     # a pick is (a, y, kind), kind 0 a left limit, 1 a post-jump value, 2 the endpoint:
     # the least pick is the first maximal candidate in the order the docstring gives
     picks = []
-    for values, kind in ((v_left, 0), (v_post, 1)):
-        for i in np.flatnonzero(values == sup)[:1].tolist():
-            picks.append((int(sorted_cls[i]), float(j[i]), kind))
-    for c in np.flatnonzero(v_end == sup)[:1].tolist():
-        picks.append((int(residues[c]), float(z), 2))
+    for values, kind in ((v_left, 0), (v_post, 1), (v_end, 2)):
+        i = int(values.argmax()) if values.size else -1  # argmax: the first maximal entry
+        if i >= 0 and values[i] == sup:
+            a, y = (residues[i], z) if kind == 2 else (j[i] % m, j[i])
+            picks.append((int(a), float(y), kind))
     if v_empty == sup:
         picks.append((_first_empty_coprime(residues, m), float(z), 2))
     worst_a, worst_y, kind = min(picks)
@@ -254,11 +291,17 @@ def bv_sum(z: float, B: float) -> float:
     """Sum of per-modulus worst-case discrepancies for m up to the cutoff.
 
     The cutoff and the checks on z and B are ``bv_cutoff``'s; a cutoff below
-    1 gives the empty sum 0. The suprema are added with ``math.fsum``, the
-    correctly rounded sum, so the result is independent of their order.
+    1 gives the empty sum 0, before the jump table is built. Every modulus
+    runs ``max_discrepancy``'s kernel, all of them in one workspace. The
+    suprema are added with ``math.fsum``, the correctly rounded sum, so the
+    result is independent of their order.
 
     Raises:
         ValueError: if z < 3, z > MAX_Z, or B is negative or not finite.
     """
     cutoff = bv_cutoff(z, B)
-    return math.fsum(max_discrepancy(z, m).sup_value for m in range(1, cutoff + 1))
+    if cutoff < 1:
+        return 0.0
+    jumps = prime_power_jumps(z)
+    work = _workspace(jumps)
+    return math.fsum(_discrepancy(jumps, z, m, work).sup_value for m in range(1, cutoff + 1))

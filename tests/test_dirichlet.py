@@ -120,8 +120,6 @@ def test_max_discrepancy_record_dominates_every_class(s=250):
 def test_bv_sum_worked_examples():
     assert bv_sum(10, 1) == pytest.approx(7 - math.log(60), abs=1e-9)
     assert bv_sum(3, 12) == 0.0  # cutoff below 1: empty sum
-    direct = fsum(max_discrepancy(100, m).sup_value for m in range(1, 11))
-    assert bv_sum(100, 0) == pytest.approx(direct, abs=1e-9)
     # per-modulus hand candidates for m = 1 and m = 2 at z = 100
     assert max_discrepancy(100, 1).sup_value == pytest.approx(brute_force_sup(100, 1), abs=1e-9)
     assert max_discrepancy(100, 2).sup_value == pytest.approx(brute_force_sup(100, 2), abs=1e-9)
@@ -230,6 +228,46 @@ def test_max_discrepancy_matches_reference_loop_at_bv_sum_moduli():
 def test_bv_sum_pinned_value():
     # the exact sum at one z: a change to the kernel's arithmetic must not move a bit
     assert bv_sum(Z_BV, 1).hex() == "0x1.891adc9a13995p+14"
+
+
+@pytest.mark.parametrize("z", [3, 10, 100, 1000.5, Z_BV])
+@pytest.mark.parametrize("B", [0, 0.5, 1])
+def test_bv_sum_is_the_fsum_of_max_discrepancy(z, B):
+    # bv_sum runs the per-modulus kernel itself, every modulus in one workspace
+    sups = (max_discrepancy(z, m).sup_value for m in range(1, bv_cutoff(z, B) + 1))
+    assert bv_sum(z, B) == fsum(sups)
+
+
+# The ceiling on the kernel's tracemalloc peak, in bytes per jump beside the cached
+# table: the peak of max_discrepancy(Z_BV, 57) when every jump-sized temporary was
+# allocated afresh (3264727 bytes over 47916 jumps, 8.5 int64 words per jump).
+# The workspace kernel peaks near 40 bytes per jump.
+PEAK_BYTES_PER_JUMP = 68.2
+
+
+@pytest.mark.parametrize(
+    "run", [lambda: max_discrepancy(Z_BV, 57), lambda: bv_sum(Z_BV, 1)], ids=["max_discrepancy", "bv_sum"]
+)
+def test_discrepancy_kernel_peak_memory_per_jump(run):
+    jumps = len(prime_power_jumps(Z_BV))  # the table is built, and cached, before tracing
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_BYTES_PER_JUMP * jumps
+
+
+def test_bv_sum_with_empty_cutoff_returns_before_allocating():
+    # at z = 2**31 the jump table alone would take 2.5 GB
+    tracemalloc.start()
+    try:
+        assert bv_sum(2**31, 1e308) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_cached_jump_table_is_read_only():
