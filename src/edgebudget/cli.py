@@ -12,10 +12,12 @@ fresh namespace, so no flag of one call carries over to the next.
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import random
 import sys
+from collections.abc import Iterable
 
 from . import dirichlet, survey, witness
 from .util import fmt9, round9
@@ -50,8 +52,8 @@ def _cell(value) -> str:
     return fmt9(value) if isinstance(value, _Nine) else str(value)
 
 
-def _write(path: str | None, *texts: str) -> None:
-    """Write the texts one after another to the file at path, or to stdout."""
+def _write(path: str | None, texts: Iterable[str]) -> None:
+    """Write the texts one after another, as they come, to the file at path or to stdout."""
     if path is None or path == "-":
         for text in texts:
             sys.stdout.write(text)
@@ -73,7 +75,7 @@ def _emit(args, fields: str, rows: list[tuple], *, key: str | None = None, doc=N
             objects = [dict(zip(fields.split(","), row)) for row in rows]
             doc = objects[0] if key is None else {key: objects}
         text = json.dumps(doc, separators=(",", ":")) + "\n"
-    _write(args.output, text)
+    _write(args.output, [text])
 
 
 def _emit_witness(args, strategy: str, w: witness.Witness | None, doc: dict | None = None) -> int:
@@ -120,11 +122,9 @@ def _survey_config(args) -> survey.SurveyConfig:
 
 def _cmd_survey(args) -> int:
     report = survey.survey_range(args.x, _survey_config(args))
-    if args.format == "json":
-        # the newline goes apart: appending it would copy the whole report
-        _write(args.output, report.to_json(), "\n")
-    else:
-        _write(args.output, report.to_csv())
+    csv = args.format == "csv"
+    # the pieces of to_csv or to_json, each written as it is made: the whole text is never held
+    _write(args.output, itertools.chain(report._pieces(csv), [] if csv else ["\n"]))
     return EXIT_OK
 
 

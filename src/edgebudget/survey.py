@@ -9,6 +9,7 @@ shifted primes are, and ``bs_max_pdiff`` runs the
 largest-prime-factor-of-differences experiment.
 """
 
+import itertools
 import json
 import math
 import operator
@@ -77,7 +78,8 @@ PRESETS = {
 _NAMES = np.array([(t or "").encode() for t in _TAGS], dtype="S")
 _NAMES = _NAMES.view(np.uint8).reshape(len(_TAGS), -1)
 
-# rows per block of the text kernel: its byte matrix stays near 2 MB at any x
+# n per block of the survey, from the smooth scan to the text: its arrays, and
+# the text kernel's byte matrix (near 2 MB), stay that size at any x
 TEXT_BLOCK = 16384
 # a beta whose scaled fraction lies this close to .5 is formatted exactly:
 # b * 1e8 is off by at most 6e-8 from the true product when 1 <= b < 10
@@ -100,6 +102,11 @@ _CSV_ROW = (
     ("strategy", b",", "k", b",", "p", b",", "q", b",", "r", b",", "score", b",", "beta", b",0\n"),
     (b",,,,,,,1\n",),
 )
+
+
+def _block_rows(size: int):
+    """The slices of ``TEXT_BLOCK`` rows, the last one shorter, that cover ``size`` rows."""
+    return (slice(lo, lo + TEXT_BLOCK) for lo in range(0, size, TEXT_BLOCK))
 
 
 def _digits(values: np.ndarray) -> np.ndarray:
@@ -158,7 +165,9 @@ class SurveyReport:
     there is none). The exceptional n are ``n[tag == 0]``, and ``beta_stats``
     is (min, median, mean) of beta over the n with a witness, or None when
     there is none. The columns are the report: ``to_json`` and ``to_csv``
-    serialize them, and no per-n object is ever built.
+    serialize them, and no per-n object is ever built. Each is the join of
+    the pieces that ``_pieces`` yields, a block of rows at a time; the
+    ``survey`` command writes those pieces as they come, unjoined.
 
     The text comes from one kernel that works on blocks of ``TEXT_BLOCK``
     rows. For each block it fills a uint8 matrix with one matrix row per
@@ -179,9 +188,13 @@ class SurveyReport:
         betas = beta[~np.isnan(beta)]
         if betas.size:
             # the values of statistics.median and statistics.fmean: np.median
-            # takes (a + b) / 2 of a middle pair, and fmean is fsum / count
-            mean = math.fsum(betas.tolist()) / betas.size
-            self.beta_stats = (float(betas.min()), float(np.median(betas)), mean)
+            # takes (a + b) / 2 of a middle pair, and fmean is fsum / count;
+            # fsum is exact, so it may take the floats a block at a time
+            blocks = (betas[rows].tolist() for rows in _block_rows(betas.size))
+            mean = math.fsum(itertools.chain.from_iterable(blocks)) / betas.size
+            least = float(betas.min())
+            # betas is a copy already: the median may partition it in place
+            self.beta_stats = (least, float(np.median(betas, overwrite_input=True)), mean)
         else:
             self.beta_stats = None
 
@@ -198,13 +211,11 @@ class SurveyReport:
             return _beta_cells(self.beta[rows], tag != 0, csv)
         return _digits(getattr(self, piece)[rows])
 
-    def _text(self, csv: bool) -> list[str]:
-        """The rows as text in the layout of ``to_csv`` or ``to_json``, one
-        string per block of ``TEXT_BLOCK`` rows."""
+    def _blocks(self, csv: bool):
+        """Yield the rows as text in the layout of ``to_csv`` or ``to_json``,
+        one string per block of ``TEXT_BLOCK`` rows."""
         sep, *runs = _CSV_ROW if csv else _JSON_ROW
-        blocks = []
-        for lo in range(0, self.n.size, TEXT_BLOCK):
-            rows = slice(lo, lo + TEXT_BLOCK)
+        for rows in _block_rows(self.n.size):
             shared, witness, exceptional = (
                 [self._cells(piece, rows, csv) for piece in run] for run in runs
             )
@@ -214,12 +225,19 @@ class SurveyReport:
             stop = start + sum(len(c) for c in witness)
             matrix[start:stop] *= found
             matrix[stop:] *= ~found
-            if lo == 0:
+            if rows.start == 0:
                 matrix[: len(sep), 0] = 0
-            blocks.append(matrix.T.tobytes().translate(None, b"\0").decode("ascii"))
-        return blocks
+            yield matrix.T.tobytes().translate(None, b"\0").decode("ascii")
 
-    def to_json(self) -> str:
+    def _pieces(self, csv: bool):
+        """Yield the text of ``to_csv`` or ``to_json`` in order: its head, one
+        string per block of rows, and the JSON's closing brackets. Each
+        string is made only when asked for, so a writer that takes them one
+        at a time never holds the whole text."""
+        if csv:
+            yield SURVEY_CSV_HEADER + "\n"
+            yield from self._blocks(csv=True)
+            return
         stats = None
         if self.beta_stats is not None:
             stats = dict(zip(("min", "median", "mean"), map(round9, self.beta_stats)))
@@ -232,22 +250,30 @@ class SurveyReport:
             },
             separators=(",", ":"),
         )
-        return "".join([head[:-1], ',"records":[', *self._text(csv=False), "]}"])
+        yield head[:-1] + ',"records":['
+        yield from self._blocks(csv=False)
+        yield "]}"
+
+    def to_json(self) -> str:
+        return "".join(self._pieces(csv=False))
 
     def to_csv(self) -> str:
-        return "".join([SURVEY_CSV_HEADER, "\n", *self._text(csv=True)])
+        return "".join(self._pieces(csv=True))
 
 
 def _smooth_scan(ns: np.ndarray, rset: RSet, gamma: float, tag: np.ndarray, wit: np.ndarray):
-    """``strategy_smooth`` for every n of the report's ``ns`` with tag 0 at
-    once, written in place into its ``tag`` and ``wit`` columns.
+    """``strategy_smooth`` for every n of the report's ``ns`` with tag 0,
+    written in place into its ``tag`` and ``wit`` columns, a block of
+    ``TEXT_BLOCK`` n at a time.
 
-    Walks the members in increasing order and tests only the n still
-    unresolved, reading P(n - r) from one table covering every difference;
-    each n keeps the first member r with P(n - r) >= n**gamma, exactly as the
-    per-n scan would. The table keeps only P >= ``power_floor(ns[0], gamma)``,
-    which every accepted P(n - r) reaches. Every member is at most
-    x // 4 < ceil(x/2) = ns[0], so the table starts at 1 or above.
+    Per block, walks the members in increasing order and tests only the n
+    still unresolved, reading P(n - r) from one table covering every
+    difference; each n keeps the first member r with P(n - r) >= n**gamma,
+    exactly as the per-n scan would. The table keeps only P >=
+    ``power_floor(ns[0], gamma)``, which every accepted P(n - r) reaches.
+    Every member is at most x // 4 < ceil(x/2) = ns[0], so the table starts
+    at 1 or above. Only the table is as long as the window; every other
+    array is at most a block long.
     """
     members = rset.members
     if not members.size:
@@ -255,21 +281,23 @@ def _smooth_scan(ns: np.ndarray, rset: RSet, gamma: float, tag: np.ndarray, wit:
     n_lo = int(ns[0])
     lo = n_lo - int(members[-1])
     lpf = factor.lpf_table(lo, int(ns[-1]) - int(members[0]), floor=power_floor(n_lo, gamma))
-    hit = np.full(ns.size, -1, dtype=np.int64)
-    pending = np.flatnonzero(tag == 0)
-    for i, r in enumerate(members):
-        n = ns[pending]
-        ok = compare_power(lpf[n - r - lo], n, gamma) >= 0
-        hit[pending[ok]] = i
-        pending = pending[~ok]
-        if not pending.size:
-            break
-    found = np.flatnonzero(hit >= 0)
-    which = hit[found]
-    n, r, q = ns[found], members[which], rset.q[which]
-    p, s = prime_r_scores(n, r, q, lpf, lo)
-    tag[found] = _TAGS.index("smooth")
-    wit[:, found] = (n - r) // p, p, q, r, s
+    for rows in _block_rows(ns.size):
+        block = ns[rows]
+        hit = np.full(block.size, -1, dtype=np.int64)
+        pending = np.flatnonzero(tag[rows] == 0)
+        for i, r in enumerate(members):
+            if not pending.size:
+                break
+            n = block[pending]
+            ok = compare_power(lpf[n - r - lo], n, gamma) >= 0
+            hit[pending[ok]] = i
+            pending = pending[~ok]
+        found = np.flatnonzero(hit >= 0)
+        which = hit[found]
+        n, r, q = block[found], members[which], rset.q[which]
+        p, s = prime_r_scores(n, r, q, lpf, lo)
+        tag[rows][found] = _TAGS.index("smooth")
+        wit[:, rows][:, found] = (n - r) // p, p, q, r, s
 
 
 def survey_range(x: int, config: SurveyConfig | None = None) -> SurveyReport:
@@ -277,9 +305,11 @@ def survey_range(x: int, config: SurveyConfig | None = None) -> SurveyReport:
 
     Builds the RSet over [ceil(c0 x), floor(x/4)] once (none when that
     interval is empty, so every n is smooth-exceptional), finds each n's
-    first smooth witness in one masked scan over the members, and hands the
+    first smooth witness in a masked scan over the members, and hands the
     n left over to ``strategy_bv`` when enabled. Both write the report's
-    columns in place, never one record object per n. Runs in one process;
+    columns in place, never one record object per n. The scan and beta,
+    ``math.log(score, n)``, go a block of ``TEXT_BLOCK`` n at a time, so
+    their temporaries stay a block long at any x. Runs in one process;
     deterministic for a given config. Every score is below x**2, so x is
     supported up to F_EXACT_MAX_N, the int64 limit of the scan.
 
@@ -308,9 +338,10 @@ def survey_range(x: int, config: SurveyConfig | None = None) -> SurveyReport:
             if w is not None:
                 tag[i] = _TAGS.index("bv")
                 wit[:, i] = (w.k, w.p, w.q, w.r, w.score)
-    found = np.flatnonzero(tag)
     beta = np.full(ns.size, math.nan)
-    beta[found] = log_each(wit[4, found]) / log_each(ns[found])
+    for rows in _block_rows(ns.size):
+        found = np.flatnonzero(tag[rows])
+        beta[rows][found] = log_each(wit[4, rows][found], ns[rows][found])
     return SurveyReport(x, config, ns, tag, wit, beta)
 
 

@@ -71,15 +71,21 @@ def power_floor(base: int, exponent: float) -> int:
     return math.floor(base**exponent * (1 - 1e-9))
 
 
-def log_each(values: np.ndarray) -> np.ndarray:
-    """math.log of each int64 value, as float64.
+def log_each(values: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
+    """math.log of each int64 value, as float64; with ``base``, an int64
+    array of the same length, ``math.log(value, b)`` of each pair.
 
     Not np.log: its SIMD loops can differ from math.log in the last bit,
     which would move a serialized ninth digit. int64 to float64 rounds as
-    Python's int to float does, so each entry equals math.log of the int.
+    Python's int to float does, so each entry equals math.log of the int,
+    and ``math.log(v, b)`` is math.log(v) / math.log(b), one division.
     """
     floats = values.astype(np.float64).tolist()
-    return np.fromiter(map(math.log, floats), dtype=np.float64, count=len(floats))
+    if base is None:
+        logs = map(math.log, floats)
+    else:
+        logs = map(math.log, floats, base.astype(np.float64).tolist())
+    return np.fromiter(logs, dtype=np.float64, count=len(floats))
 
 
 def round9(x: float) -> float:

@@ -7,6 +7,7 @@ import pathlib
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -228,6 +229,25 @@ def test_survey_writes_report_file(capsys, tmp_path):
     )
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0] == "n,strategy,k,p,q,r,score,beta,exceptional"
+
+
+def test_survey_report_file_is_written_a_block_at_a_time(capsys, tmp_path):
+    # The file gets stdout's bytes. At x = 500001 (250001 n, 16 blocks) the
+    # JSON text is about 31 MB and the traced peak of the whole call, the
+    # report's columns and one block's text, about 22 MB: the text is never
+    # held whole, as the JSON string and a copy of it were (2.5 times its length).
+    path = tmp_path / "report"
+    for argv in (["--x", "70001", "--format", "csv"], ["--x", "500001"]):
+        code, out, _ = run(capsys, "survey", *argv)
+        tracemalloc.start()
+        try:
+            file_code = main(["survey", *argv, "--output", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, file_code) == (EXIT_OK, EXIT_OK)
+        assert path.read_bytes() == out.encode(), argv
+    assert peak < len(out), (peak, len(out))
 
 
 def test_survey_preset(capsys):

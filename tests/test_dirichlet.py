@@ -9,7 +9,15 @@ from math import fsum, gcd
 import numpy as np
 import pytest
 
-from edgebudget import bv_sum, euler_phi, mangoldt_weight, max_discrepancy, primes_in, psi
+from edgebudget import (
+    bv_sum,
+    dirichlet,
+    euler_phi,
+    mangoldt_weight,
+    max_discrepancy,
+    primes_in,
+    psi,
+)
 from edgebudget.dirichlet import MAX_Z, DiscrepancyRecord, bv_cutoff, prime_power_jumps
 
 
@@ -257,6 +265,24 @@ def test_discrepancy_kernel_peak_memory_per_jump(run):
     finally:
         tracemalloc.stop()
     assert peak <= PEAK_BYTES_PER_JUMP * jumps
+
+
+def test_jump_table_build_peaks_at_48_bytes_per_jump():
+    # the build, uncached: the primes, their logs as floats and log_each's list of
+    # Python floats are its peak; one full-length array more would pass 56
+    build = dirichlet._jumps_upto.__wrapped__
+    tracemalloc.start()
+    try:
+        jumps = build(math.floor(Z_BV))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * len(jumps), peak / len(jumps)
+    # the table itself, where the inserted powers crowd the primes: exact weights log p
+    for top in [*range(0, 130), 5000]:
+        table = build(top)
+        got = zip(table.j.tolist(), table.hi.tolist(), table.lo.tolist())
+        assert [(j, (hi << 32 | lo) / 2**53) for j, hi, lo in got] == reference_jumps(top), top
 
 
 def test_bv_sum_with_empty_cutoff_returns_before_allocating():

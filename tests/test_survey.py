@@ -23,7 +23,7 @@ from edgebudget import (
 )
 from edgebudget.survey import SURVEY_CSV_HEADER, TEXT_BLOCK, SurveyReport
 from edgebudget.util import round9
-from edgebudget.witness import F_EXACT_MAX_N
+from edgebudget.witness import F_EXACT_MAX_N, _rset_interval
 
 
 def pointwise_lpf(k):
@@ -406,3 +406,49 @@ def test_to_json_peaks_near_twice_its_length():
     finally:
         tracemalloc.stop()
     assert peak < 2 * len(text) + 2**16, (peak, len(text))
+
+
+def test_rows_at_block_boundaries_match_the_per_n_scan():
+    # x = 70001 surveys 35001 n: two full blocks and part of a third
+    x = 70001
+    n_lo = -(-x // 2)
+    size = x - n_lo + 1
+    assert size > 2 * TEXT_BLOCK
+    edges = [*range(0, size, TEXT_BLOCK), size]
+    near = {i for edge in edges for i in range(edge - 3, edge + 3) if 0 <= i < size}
+    picked = sorted(near | set(random.Random(22).sample(range(size), 40)))
+    both = SurveyConfig(strategies=("smooth", "bv"))
+    # every n of this window has a smooth witness under the three above; here
+    # each block holds smooth rows (11593 in all), bv rows (23357) and exceptional n (51)
+    mixed = SurveyConfig(alpha=0.9, gamma=0.95, c0=0.2, strategies=("smooth", "bv"))
+    configs = (PRESETS["corollary-1"], PRESETS["corollary-2"], both, mixed)
+    for config in configs:
+        rows = report_rows(survey_range(x, config))
+        rset = build_rset(*_rset_interval(x, config.c0), config.alpha)
+        for i in picked:
+            n = n_lo + i
+            w, strategy = strategy_smooth(n, rset, config.gamma), "smooth"
+            if w is None and "bv" in config.strategies:
+                w, strategy = strategy_bv(n, config.eps), "bv"
+            if w is None:
+                assert rows[i] == (n, None, None, None), (config, n)
+            else:
+                assert rows[i] == (n, strategy, w, math.log(w.score) / math.log(n)), (config, n)
+
+
+def test_survey_range_peak_is_its_columns_and_block_temporaries():
+    # Besides the report's columns, only the P(n - r) table (fewer than x
+    # entries) is as long as the window; every other temporary is at most a
+    # block long, or a Python list of a block's floats. 16 int64 blocks
+    # cover those (about 10 are used); one more int64 array over the
+    # window's 50002 n, or a list of its floats, would not fit.
+    x = 100_003
+    survey_range(1000)  # imports and caches outside the traced call
+    tracemalloc.start()
+    try:
+        report = survey_range(x, PRESETS["corollary-1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(a.nbytes for a in (report.n, report.tag, report.beta)) + 5 * report.k.nbytes
+    assert peak <= columns + 8 * x + 16 * 8 * TEXT_BLOCK, (peak, columns)
