@@ -12,7 +12,6 @@ fresh namespace, so no flag of one call carries over to the next.
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import random
@@ -122,9 +121,7 @@ def _survey_config(args) -> survey.SurveyConfig:
 
 def _cmd_survey(args) -> int:
     report = survey.survey_range(args.x, _survey_config(args))
-    csv = args.format == "csv"
-    # the pieces of to_csv or to_json, each written as it is made: the whole text is never held
-    _write(args.output, itertools.chain(report._pieces(csv), [] if csv else ["\n"]))
+    _write(args.output, report.text(args.format == "csv"))
     return EXIT_OK
 
 
@@ -192,12 +189,15 @@ def _cmd_verify(args) -> int:
     fields = [inner.get(key) for key in ("k", "p", "q", "r")]
     if n is None or any(v is None for v in fields):
         raise ValueError("witness object must carry n, k, p, q, r")
-    stored = inner.get("score")
-    values = [n, *fields] + ([] if stored is None else [stored])
-    # only JSON integers certify: bool is an int subclass, and floats and strings would coerce
-    if any(type(v) is not int for v in values):
+    given = [inner[key] for key in ("n", "score") if key in inner]
+    # only JSON integers certify: bool is an int subclass, floats and strings
+    # would coerce, and a null score is not an absent one
+    if any(type(v) is not int for v in [n, *fields, *given]):
         raise ValueError("n, k, p, q, r and score must be JSON integers")
-    w = witness.Witness(*fields, stored if stored is not None else witness.unchecked_score(*fields))
+    if inner.get("n", n) != n:
+        raise ValueError(f"the witness's n = {inner['n']} differs from the document's n = {n}")
+    score = inner["score"] if "score" in inner else witness.unchecked_score(*fields)
+    w = witness.Witness(*fields, score)
     ok = witness.validate(n, w)
     _emit(args, "n,valid", [(n, ok)])
     return EXIT_OK if ok else EXIT_NO_WITNESS

@@ -164,10 +164,10 @@ class SurveyReport:
     indexes (exceptional, "smooth", "bv") and ``beta`` is float64 (NaN where
     there is none). The exceptional n are ``n[tag == 0]``, and ``beta_stats``
     is (min, median, mean) of beta over the n with a witness, or None when
-    there is none. The columns are the report: ``to_json`` and ``to_csv``
-    serialize them, and no per-n object is ever built. Each is the join of
-    the pieces that ``_pieces`` yields, a block of rows at a time; the
-    ``survey`` command writes those pieces as they come, unjoined.
+    there is none. The columns are the report, and no per-n object is ever
+    built. ``text`` is their one way out as JSON or CSV: it yields the text a
+    block of rows at a time, so a writer that takes the pieces as they come,
+    as the ``survey`` command does, never holds the whole text.
 
     The text comes from one kernel that works on blocks of ``TEXT_BLOCK``
     rows. For each block it fills a uint8 matrix with one matrix row per
@@ -212,8 +212,8 @@ class SurveyReport:
         return _digits(getattr(self, piece)[rows])
 
     def _blocks(self, csv: bool):
-        """Yield the rows as text in the layout of ``to_csv`` or ``to_json``,
-        one string per block of ``TEXT_BLOCK`` rows."""
+        """Yield the rows as text in the CSV or JSON layout of ``text``, one
+        string per block of ``TEXT_BLOCK`` rows."""
         sep, *runs = _CSV_ROW if csv else _JSON_ROW
         for rows in _block_rows(self.n.size):
             shared, witness, exceptional = (
@@ -229,11 +229,12 @@ class SurveyReport:
                 matrix[: len(sep), 0] = 0
             yield matrix.T.tobytes().translate(None, b"\0").decode("ascii")
 
-    def _pieces(self, csv: bool):
-        """Yield the text of ``to_csv`` or ``to_json`` in order: its head, one
-        string per block of rows, and the JSON's closing brackets. Each
-        string is made only when asked for, so a writer that takes them one
-        at a time never holds the whole text."""
+    def text(self, csv: bool = False):
+        """Yield the report as JSON or, with ``csv``, as CSV, in order: the
+        head, one string per block of ``TEXT_BLOCK`` rows, then the tail
+        (the JSON's closing brackets and final newline). Each string is made
+        only when asked for; joined, they are the bytes that ``edgebudget
+        survey`` writes."""
         if csv:
             yield SURVEY_CSV_HEADER + "\n"
             yield from self._blocks(csv=True)
@@ -252,13 +253,7 @@ class SurveyReport:
         )
         yield head[:-1] + ',"records":['
         yield from self._blocks(csv=False)
-        yield "]}"
-
-    def to_json(self) -> str:
-        return "".join(self._pieces(csv=False))
-
-    def to_csv(self) -> str:
-        return "".join(self._pieces(csv=True))
+        yield "]}\n"
 
 
 def _smooth_scan(ns: np.ndarray, rset: RSet, gamma: float, tag: np.ndarray, wit: np.ndarray):
@@ -357,17 +352,6 @@ def rset_density(z: int, alpha: float) -> tuple[int, float]:
     return count, count / (z / math.log(z))
 
 
-def _distinct_abs_diffs(a_vals: np.ndarray, b_vals: np.ndarray) -> np.ndarray:
-    """Sorted distinct nonzero |a - b| over the cross product, chunked."""
-    pieces = []
-    chunk = max(1, (1 << 22) // max(1, b_vals.size))
-    for i in range(0, a_vals.size, chunk):
-        block = np.abs(a_vals[i : i + chunk, None] - b_vals[None, :]).ravel()
-        pieces.append(np.unique(block))
-    diffs = np.unique(np.concatenate(pieces))
-    return diffs[diffs > 0]
-
-
 def bs_max_pdiff(a_set, b_set) -> tuple[int, tuple[int, int]]:
     """Maximum P(|a - b|) over pairs a in A, b in B with a != b.
 
@@ -391,13 +375,18 @@ def bs_max_pdiff(a_set, b_set) -> tuple[int, tuple[int, int]]:
         raise ValueError("set elements must be below 2**63, the int64 limit")
     a_vals = np.asarray(a_sorted, dtype=np.int64)
     b_vals = np.asarray(b_sorted, dtype=np.int64)
-    diffs = _distinct_abs_diffs(a_vals, b_vals)
-    if diffs.size == 0:
+    # the largest |a - b|, attained by (a_max, b_min) or (b_max, a_min)
+    top = max(a_sorted[-1] - b_sorted[0], b_sorted[-1] - a_sorted[0])
+    if top < 1:
         raise ValueError("no pair with a != b exists")
-    pvals = factor.lpf_table(1, int(diffs[-1]))[diffs - 1]
-    idx = int(np.argmax(pvals))
-    best_d = int(diffs[idx])
-    max_p = int(pvals[idx])
+    seen = np.zeros(top + 1, dtype=bool)  # seen[d]: some pair has |a - b| = d
+    chunk = max(1, (1 << 22) // b_vals.size)
+    for i in range(0, a_vals.size, chunk):
+        seen[np.abs(a_vals[i : i + chunk, None] - b_vals[None, :])] = True
+    pvals = factor.lpf_table(1, top)
+    pvals[~seen[1:]] = 0
+    idx = int(np.argmax(pvals))  # the first maximum: the smallest maximizing d
+    best_d, max_p = idx + 1, int(pvals[idx])
     b_members = set(b_sorted)
     for a in a_sorted:
         if a - best_d in b_members:

@@ -135,6 +135,11 @@ def test_verify_accepts_nested_f_exact_document(capsys, tmp_path):
     path.write_text(out)
     code, out, _ = run(capsys, "verify", "--input", str(path))
     assert code == EXIT_OK and json.loads(out)["valid"] is True
+    # the witness may repeat the document's n, and a score left out is computed
+    for text in ('{"n":10,"witness":{"n":10,"k":1,"p":5,"q":2,"r":5,"score":10}}',
+                 '{"witness":{"n":10,"k":1,"p":5,"q":2,"r":5}}'):
+        path.write_text(text)
+        assert run(capsys, "verify", "--input", str(path)) == (EXIT_OK, '{"n":10,"valid":true}\n', "")
 
 
 def test_verify_malformed_input_exits_1(capsys, tmp_path):
@@ -144,6 +149,10 @@ def test_verify_malformed_input_exits_1(capsys, tmp_path):
         '{"n":10,"k":1,"p":5.5,"q":2,"r":5}',  # only JSON integers certify
         '{"n":10,"k":1,"p":"5","q":2,"r":5}',
         '{"n":10,"k":true,"p":5,"q":2,"r":5}',
+        '{"n":10,"k":1,"p":5,"q":2,"r":5,"score":null}',  # a null score is not an absent one
+        '{"n":10,"witness":{"n":11,"k":1,"p":5,"q":2,"r":5,"score":10}}',  # two different n
+        '{"witness": null}',  # what f-exact writes without a witness, less its n
+        "[1, 2]",
         "[" * 200_000 + "]" * 200_000,  # deeper than the recursion limit of json.loads
     ):
         path.write_text(text)
@@ -447,6 +456,8 @@ GOLDEN = [
      "sha256:3145f61b9f6b49959f0f5727787047fd5b8149fb82414474b93a7c6de98ed8b1"),
     (("survey", "--x", "300", "--strategies", "bv", "--format", "csv"), 0,
      "sha256:caccd6f61aa32bcce382333869d13f021675527e267fd9dde895de0806975b37"),
+    # no witness: an empty CSV cell for each absent field
+    (("f-exact", "--n", "4", "--format", "csv"), 2, "n,strategy,k,p,q,r,score\n4,exact,,,,,\n"),
 ]
 
 

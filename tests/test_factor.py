@@ -172,6 +172,20 @@ def test_lpf_table_floor_is_keyword_only():
     assert lpf_table(1, 20, floor=8).tolist() == [v if v >= 8 else 0 for v in lpf_table(1, 20).tolist()]
 
 
+def test_lpf_table_floor_is_an_integer():
+    # refused at the door: 11.5 used to fail deep inside primes_in, while 5.5
+    # (the sieve path) and 200.5 (above hi) gave a table
+    for floor in (11.5, 5.5, 200.5, 11.0, "11"):
+        with pytest.raises(TypeError):
+            lpf_table(1, 100, floor=floor)
+    # numpy ints, as the kernels hand them out, on the scatter path (floor > 10) and the sieve path
+    for lo, hi, floor in ((1, 100, 11), (50, 100, 7), (10**6, 10**6 + 500, 2000)):
+        for wrapped in (np.int64(floor), np.int32(floor)):
+            got = lpf_table(lo, hi, floor=wrapped)
+            assert got.dtype == np.int64
+            assert got.tolist() == lpf_table(lo, hi, floor=floor).tolist(), (lo, hi, wrapped)
+
+
 def test_lpf_table_floor_matches_truncated_full_table():
     rng = random.Random(41)
     windows = [(1, 1), (1, 2), (1, 100), (1, 30_000), (1, 10**6)]  # lo = 1

@@ -56,6 +56,11 @@ def brute_exceptional_set(x, alpha, gamma, c0):
     return out
 
 
+def joined(report, csv=False):
+    """The report's text, as ``edgebudget survey`` writes it."""
+    return "".join(report.text(csv))
+
+
 def report_rows(report):
     """The report's columns read back per n: (n, strategy, Witness, beta), or
     (n, None, None, None) where n is exceptional; every value a Python scalar."""
@@ -258,23 +263,43 @@ def test_bs_max_pdiff_examples():
             bs_max_pdiff([3], bad)
 
 
+def brute_max_pdiff(a_vals, b_vals):
+    """The largest P(|a - b|) over every pair with a != b, and the pair of
+    bs_max_pdiff's tie rule: the smallest maximizing difference d, then the
+    smallest a with a - d in B, else the smallest a with a + d in B."""
+    diffs = np.unique(np.abs(np.subtract.outer(np.asarray(a_vals), np.asarray(b_vals))))
+    lpf = {d: pointwise_lpf(d) for d in diffs[diffs > 0].tolist()}
+    max_p = max(lpf.values())
+    d = min(v for v, p in lpf.items() if p == max_p)
+    b_set = set(b_vals)
+    below = [a for a in a_vals if a - d in b_set]
+    if below:
+        return max_p, (min(below), min(below) - d)
+    above = min(a for a in a_vals if a + d in b_set)
+    return max_p, (above, above + d)
+
+
 def test_bs_max_pdiff_matches_exhaustive_small_sets():
+    # the small sets from [1, 60) make ties common: several differences d
+    # with the largest P(d), several a with a - d in B, or none
     rng = random.Random(99)
-    for _ in range(25):
-        a_vals = rng.sample(range(1, 300), rng.randrange(2, 25))
-        b_vals = rng.sample(range(1, 300), rng.randrange(2, 25))
-        pairs = [(a, b) for a in a_vals for b in b_vals if a != b]
-        if not pairs:
-            continue
-        expected = max(pointwise_lpf(abs(a - b)) for a, b in pairs)
-        max_p, (a, b) = bs_max_pdiff(a_vals, b_vals)
-        assert max_p == expected
-        assert a in a_vals and b in b_vals and pointwise_lpf(abs(a - b)) == max_p
+    for trial in range(200):
+        top, size = (300, 25) if trial % 2 else (60, 8)
+        a_vals = rng.sample(range(1, top), rng.randrange(2, size))
+        b_vals = rng.sample(range(1, top), rng.randrange(2, size))
+        assert bs_max_pdiff(a_vals, b_vals) == brute_max_pdiff(a_vals, b_vals), (a_vals, b_vals)
+
+
+def test_bs_max_pdiff_marks_the_differences_of_every_chunk():
+    # 2049 * 2048 = 4196352 > 2**22 pairs: the differences are marked in two
+    # chunks of A, and the maximum, P(10008 - 1) = 10007, comes from the second
+    a_vals, b_vals = [*range(1, 2049), 10008], list(range(1, 2049))
+    assert bs_max_pdiff(a_vals, b_vals) == brute_max_pdiff(a_vals, b_vals) == (10007, (10008, 1))
 
 
 def test_report_json_round_trip():
     report = survey_range(100, SurveyConfig(alpha=0.5, gamma=0.5))
-    doc = json.loads(report.to_json())
+    doc = json.loads(joined(report))
     assert doc["x"] == 100
     assert doc["config"]["strategies"] == ["smooth"]
     assert doc["exceptional_count"] == report.exceptional_count
@@ -288,7 +313,7 @@ def test_report_json_round_trip():
 
 def test_report_csv_shape():
     report = survey_range(100, SurveyConfig(alpha=0.5, gamma=0.5))
-    lines = report.to_csv().strip().split("\n")
+    lines = joined(report, csv=True).strip().split("\n")
     assert lines[0] == SURVEY_CSV_HEADER
     assert len(lines) == 1 + report.n.size
     exceptional = [line for line in lines[1:] if line.endswith(",1")]
@@ -319,7 +344,7 @@ def records_json(report):
         "beta_stats": stats,
         "records": rows,
     }
-    return json.dumps(doc, separators=(",", ":"))
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 def records_csv(report):
@@ -345,8 +370,8 @@ def test_columns_and_records_emit_the_same_bytes():
         for config in configs:
             report = survey_range(x, config)
             assert report.n.tolist() == list(range(-(-x // 2), x + 1)), (x, config)
-            assert report.to_json() == records_json(report), (x, config)
-            assert report.to_csv() == records_csv(report), (x, config)
+            assert joined(report) == records_json(report), (x, config)
+            assert joined(report, csv=True) == records_csv(report), (x, config)
 
 
 def first_difference(got, want):
@@ -374,7 +399,7 @@ def test_text_kernel_edge_cases_match_the_per_row_writers():
     for i in (0, TEXT_BLOCK - 1, *range(TEXT_BLOCK, size)):
         scores[i], betas[i] = 0, math.nan
     report = smooth_report(ns[-1], ns, scores, betas)
-    text_json, text_csv = report.to_json(), report.to_csv()
+    text_json, text_csv = joined(report), joined(report, csv=True)
     assert first_difference(text_json, records_json(report)) is None
     assert first_difference(text_csv, records_csv(report)) is None
     for b, want_json, want_csv in (
@@ -389,23 +414,9 @@ def test_text_kernel_edge_cases_match_the_per_row_writers():
         assert f'"beta":{want_json},' in text_json, b
         assert f",{want_csv},0\n" in text_csv, b
     empty = smooth_report(10, [], [], [])
-    assert empty.to_json() == records_json(empty)
-    assert empty.to_json().endswith(',"beta_stats":null,"records":[]}')
-    assert empty.to_csv() == records_csv(empty) == SURVEY_CSV_HEADER + "\n"
-
-
-def test_to_json_peaks_near_twice_its_length():
-    # The final join holds the blocks and the joined text at once, so twice
-    # the text is the floor; 64 KiB covers the object headers. A byte matrix
-    # over the whole report would add more than the text's length again.
-    report = survey_range(100_003, PRESETS["corollary-1"])
-    tracemalloc.start()
-    try:
-        text = report.to_json()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * len(text) + 2**16, (peak, len(text))
+    assert joined(empty) == records_json(empty)
+    assert joined(empty).endswith(',"beta_stats":null,"records":[]}\n')
+    assert joined(empty, csv=True) == records_csv(empty) == SURVEY_CSV_HEADER + "\n"
 
 
 def test_rows_at_block_boundaries_match_the_per_n_scan():

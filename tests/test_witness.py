@@ -250,7 +250,7 @@ def test_numpy_ints_give_the_int_result(func, value):
     # table hand them out, so each entry point must take them like an int
     want, got = func(value), func(np.int64(value))
     if func is survey_range:
-        assert got.to_json() == want.to_json()
+        assert "".join(got.text()) == "".join(want.text())
         return
     assert got == want and type(got) is type(want)
     witness = got[1] if func is f_exact else got
