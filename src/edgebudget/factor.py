@@ -179,12 +179,12 @@ def lpf_table(lo: int, hi: int, *, floor: int = 0) -> np.ndarray:
     floor are then zeroed.
 
     Raises:
-        TypeError: if floor is not an integer.
+        TypeError: if lo, hi or floor is not an integer.
         ValueError: if lo < 1, lo > hi or hi >= 2**63 (``sieve.check_window``),
             before anything is allocated.
     """
     floor = operator.index(floor)
-    sieve.check_window(lo, hi)
+    lo, hi = sieve.check_window(lo, hi)
     if floor > hi:
         return np.zeros(hi - lo + 1, dtype=np.int64)
     root = math.isqrt(hi)

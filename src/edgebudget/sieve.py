@@ -94,18 +94,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def check_window(lo: int, hi: int) -> None:
-    """Refuse a window [lo, hi] that the int64 array kernels cannot hold.
+def check_window(lo: int, hi: int) -> tuple[int, int]:
+    """Refuse a window [lo, hi] that the int64 array kernels cannot hold; return its ends as ints.
 
     Raises:
-        ValueError: if lo < 1, lo > hi or hi >= 2**63.
+        TypeError, ValueError: if lo or hi is not an integer, or lo < 1, lo > hi or hi >= 2**63.
     """
+    lo, hi = operator.index(lo), operator.index(hi)
     if lo < 1:
         raise ValueError("interval endpoints must be positive")
     if lo > hi:
         raise ValueError(f"empty interval: lo={lo} > hi={hi}")
     if hi >= _INT64_LIMIT:
         raise ValueError(f"interval must end below 2**63, the int64 limit: hi={hi}")
+    return lo, hi
 
 
 def iter_primes(lo: int, hi: int):
@@ -147,15 +149,12 @@ def primes_in(lo: int, hi: int) -> np.ndarray:
     10**17 takes milliseconds, with no base primes at all.
 
     Raises:
-        ValueError: if lo < 1, lo > hi or hi >= 2**63 (``check_window``),
-            before anything is allocated.
+        TypeError, ValueError: as ``check_window``, before anything is allocated.
     """
-    check_window(lo, hi)
-    if hi < 2:
-        return np.empty(0, dtype=np.int64)
+    lo, hi = check_window(lo, hi)
     if is_narrow(lo, hi):
         return np.fromiter(iter_primes(lo, hi), dtype=np.int64)
-    chunks = [np.array([2], dtype=np.int64)] if lo <= 2 else []
+    chunks = [np.array([2] if lo <= 2 <= hi else [], dtype=np.int64)]  # never empty, for concatenate
     root = math.isqrt(hi)
     base = primes_in(3, root).tolist() if root >= 3 else []  # the odd base primes
     for seg_lo in range(max(lo, 3) | 1, hi + 1, SEGMENT_LENGTH):
@@ -168,4 +167,4 @@ def primes_in(lo: int, hi: int) -> np.ndarray:
                 continue
             mask[(first - seg_lo) // 2 :: p] = False
         chunks.append(seg_lo + 2 * np.nonzero(mask)[0].astype(np.int64))
-    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    return np.concatenate(chunks)

@@ -344,7 +344,7 @@ def rset_density(z: int, alpha: float) -> tuple[int, float]:
     """How many primes r <= z have P(r-1) > r**alpha, and the z/log z ratio.
 
     Raises:
-        ValueError: if z < 2 or alpha is outside (0, 1].
+        TypeError, ValueError: if z is not an integer, z < 2 or alpha is outside (0, 1].
     """
     if z < 2:
         raise ValueError("rset_density requires z >= 2")
@@ -355,10 +355,11 @@ def rset_density(z: int, alpha: float) -> tuple[int, float]:
 def bs_max_pdiff(a_set, b_set) -> tuple[int, tuple[int, int]]:
     """Maximum P(|a - b|) over pairs a in A, b in B with a != b.
 
-    Only the prime content of the difference matters, hence the absolute
-    value. Returns the maximum together with one attaining pair, chosen
-    deterministically: among maximizing differences the smallest, then the
-    smallest a with a - d in B, then the smallest a with a + d in B.
+    Only the prime content of the difference matters, hence the absolute value. Returns the
+    maximum and one attaining pair: among the maximizing differences d the smallest, then the
+    smallest a with a - d in B, else the smallest a with a + d in B. Memory follows the
+    spread, not the number of pairs: a bool bitmap and an int64 ``lpf_table`` over
+    [1, max |a - b|], 9 bytes per unit of spread.
 
     Raises:
         ValueError: if either set is empty, holds a bool, a non-integral or a

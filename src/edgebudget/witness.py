@@ -257,8 +257,8 @@ def build_rset(lo: int, hi: int, alpha: float) -> RSet:
     ``factor.largest_prime_factor``. Either way the members are the same.
 
     Raises:
-        ValueError: if alpha is outside (0, 1], or lo < 1, lo > hi or
-            hi >= 2**63 (``sieve.check_window``).
+        TypeError: if lo or hi is not an integer (``sieve.check_window``).
+        ValueError: if alpha is outside (0, 1], or lo < 1, lo > hi or hi >= 2**63.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")

@@ -2,15 +2,14 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines alongside the test outcomes. Expected values tagged as derived were
-computed with the independent oracles embedded here (naive enumerations,
-brute-force scans) before being frozen.
+computed with independent oracles (naive enumerations and brute-force scans,
+shared with the other test files through ``oracles``) before being frozen.
 """
 
 import math
 import random
 import statistics
 import time
-from math import fsum, gcd
 
 import pytest
 
@@ -19,10 +18,8 @@ from edgebudget import (
     Witness,
     bs_max_pdiff,
     bv_sum,
-    euler_phi,
     f_exact,
     lpf_table,
-    mangoldt_weight,
     max_discrepancy,
     primes_in,
     rset_density,
@@ -30,6 +27,7 @@ from edgebudget import (
     survey_range,
     validate,
 )
+from oracles import brute_force_sup, naive_edge_budget, prime_divisor_lists, prime_flags
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -39,25 +37,10 @@ def report(num: int, ok: bool, detail: str) -> None:
 # ---------------------------------------------------------------- oracles
 
 
-def simple_sieve(limit):
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for i in range(2, int(limit**0.5) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-    return flags
-
-
 @pytest.fixture(scope="module")
 def naive_tables():
-    limit = 2000
-    flags = simple_sieve(limit)
-    divs = [[] for _ in range(limit)]
-    for p in range(2, limit):
-        if flags[p]:
-            for multiple in range(p, limit, p):
-                divs[multiple].append(p)
-    return flags, divs
+    flags = prime_flags(2000)
+    return flags, prime_divisor_lists(2000, flags)
 
 
 @pytest.fixture(scope="module")
@@ -96,18 +79,7 @@ def test_criterion_02_oracle_equivalence(naive_tables, exact_to_2000):
     t0 = time.perf_counter()
     mismatches = []
     for n in range(1, 2001):
-        best = 0
-        for p in range(2, n - 2):
-            if not flags[p]:
-                continue
-            for kp in range(p, n - 2, p):
-                r = n - kp
-                if flags[r]:
-                    for q in divs[r - 1]:
-                        s = min(p * kp, kp * r, q * r)
-                        if s > best:
-                            best = s
-        if best != exact_to_2000[n][0]:
+        if naive_edge_budget(n, flags, divs)[0] != exact_to_2000[n][0]:
             mismatches.append(n)
     elapsed = time.perf_counter() - t0
     ok = not mismatches and elapsed < 60
@@ -217,23 +189,6 @@ def test_criterion_05_exceptional_fraction_trend():
     )
     assert fractions[0] >= fractions[1] >= fractions[2]
     assert elapsed_big < 300
-
-
-def brute_force_sup(z, m):
-    phi = euler_phi(m)
-    residues = [0] if m == 1 else [a for a in range(1, m) if gcd(a, m) == 1]
-    lam = [0.0] + [mangoldt_weight(n) for n in range(1, math.floor(z) + 1)]
-    best = -1.0
-    for a in residues:
-        acc = 0.0
-        prev = 0.0
-        for y in range(1, math.floor(z) + 1):
-            if y % m == a:
-                acc = fsum([acc, lam[y]])
-            best = max(best, abs(prev - y / phi), abs(acc - y / phi))
-            prev = acc
-        best = max(best, abs(acc - z / phi))
-    return best
 
 
 def test_criterion_06_discrepancy_exactness():

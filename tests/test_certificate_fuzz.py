@@ -14,19 +14,9 @@ from hypothesis import strategies as st
 
 from edgebudget import Witness, validate
 from edgebudget.cli import EXIT_ERROR, EXIT_NO_WITNESS, EXIT_OK, main
+from oracles import trial_division_is_prime
 
 FIELDS = ("n", "k", "p", "q", "r", "score")
-
-
-def slow_is_prime(v: int) -> bool:
-    if v < 2:
-        return False
-    d = 2
-    while d * d <= v:
-        if v % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def slow_score(k, p, q, r) -> int:
@@ -38,7 +28,7 @@ def slow_valid(n, k, p, q, r, score) -> bool:
     n = k p + r, q | r - 1 and score = min{p^2 k, p k r, q r}."""
     return (
         k >= 1
-        and all(slow_is_prime(v) for v in (p, q, r))
+        and all(trial_division_is_prime(v) for v in (p, q, r))
         and n == k * p + r
         and (r - 1) % q == 0
         and score == slow_score(k, p, q, r)
@@ -62,7 +52,7 @@ def check_against_slow(doc: dict) -> None:
     assert json.loads(out) == {"n": doc["n"], "valid": want}, doc
 
 
-SMALL_PRIMES = [v for v in range(2, 400) if slow_is_prime(v)]
+SMALL_PRIMES = [v for v in range(2, 400) if trial_division_is_prime(v)]
 
 
 @st.composite

@@ -326,11 +326,16 @@ def run_capped(*argv):
 
 
 def test_out_of_memory_is_one_error_line():
-    # the 1.5e9 n of [x/2, x] at x = 3e9 need an 11 GiB column: nothing is touched
-    proc = run_capped("survey", "--x", "3000000000")
-    assert (proc.returncode, proc.stdout) == (EXIT_ERROR, "")
-    assert proc.stderr.startswith("edgebudget: error: out of memory: ")
-    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    # the 1.5e9 n of [x/2, x] at x = 3e9 need an 11 GiB column: nothing is touched;
+    # bs_max_pdiff's bitmap follows the spread of its 2500 pairs, 2.71 GiB near 3e9
+    for argv in (
+        ("survey", "--x", "3000000000"),
+        ("bs-experiment", "--n-max", "3000000000", "--size-a", "50", "--size-b", "50"),
+    ):
+        proc = run_capped(*argv)
+        assert (proc.returncode, proc.stdout) == (EXIT_ERROR, ""), argv
+        assert proc.stderr.startswith("edgebudget: error: out of memory: "), argv
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), argv
 
 
 def test_bs_experiment_refuses_n_max_beyond_int64():

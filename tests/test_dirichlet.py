@@ -13,30 +13,12 @@ from edgebudget import (
     bv_sum,
     dirichlet,
     euler_phi,
-    mangoldt_weight,
     max_discrepancy,
     primes_in,
     psi,
 )
 from edgebudget.dirichlet import MAX_Z, DiscrepancyRecord, bv_cutoff, prime_power_jumps
-
-
-def brute_force_sup(z, m):
-    """Scan every integer y plus every left limit, pointwise Lambda values."""
-    phi = euler_phi(m)
-    residues = [0] if m == 1 else [a for a in range(1, m) if gcd(a, m) == 1]
-    lam = [0.0] + [mangoldt_weight(n) for n in range(1, math.floor(z) + 1)]
-    best = -1.0
-    for a in residues:
-        acc = 0.0
-        prev = 0.0
-        for y in range(1, math.floor(z) + 1):
-            if y % m == a:
-                acc = fsum([acc, lam[y]])
-            best = max(best, abs(prev - y / phi), abs(acc - y / phi))
-            prev = acc
-        best = max(best, abs(acc - z / phi))
-    return best
+from oracles import brute_force_sup
 
 
 def test_psi_examples():

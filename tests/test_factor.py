@@ -5,31 +5,7 @@ import numpy as np
 import pytest
 
 from edgebudget import euler_phi, factor, largest_prime_factor, lpf_table, sieve
-
-
-def trial_division_lpf(k: int) -> int:
-    if k == 1:
-        return 0
-    best = 0
-    d = 2
-    while d * d <= k:
-        while k % d == 0:
-            best = d
-            k //= d
-        d += 1
-    return max(best, k if k > 1 else 0)
-
-
-def trial_division_primes(k: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            out.append(d)
-            while k % d == 0:
-                k //= d
-        d += 1
-    return out + ([k] if k > 1 else [])
+from oracles import trial_division_lpf, trial_division_primes
 
 
 def test_lpf_and_phi_match_trial_division_oracle():
@@ -178,6 +154,11 @@ def test_lpf_table_floor_is_an_integer():
     for floor in (11.5, 5.5, 200.5, 11.0, "11"):
         with pytest.raises(TypeError):
             lpf_table(1, 100, floor=floor)
+    # and so are the window's ends: (1.0, 10) used to fail only inside np.zeros
+    for lo, hi in ((1.0, 10), (1.5, 100), (1, 100.0)):
+        with pytest.raises(TypeError):
+            lpf_table(lo, hi)
+    assert lpf_table(np.int64(90), np.uint64(96)).tolist() == lpf_table(90, 96).tolist()
     # numpy ints, as the kernels hand them out, on the scatter path (floor > 10) and the sieve path
     for lo, hi, floor in ((1, 100, 11), (50, 100, 7), (10**6, 10**6 + 500, 2000)):
         for wrapped in (np.int64(floor), np.int32(floor)):

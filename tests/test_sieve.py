@@ -6,29 +6,7 @@ import numpy as np
 import pytest
 
 from edgebudget import is_prime, mangoldt_weight, primes_in, sieve
-
-
-def dense_sieve(limit: int) -> np.ndarray:
-    """Boolean primality flags for 0..limit via plain Eratosthenes: the reference sieve."""
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for i in range(2, math.isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i :: i] = False
-    return flags
-
-
-def trial_division_is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+from oracles import prime_flags, trial_division_is_prime
 
 
 @pytest.mark.parametrize(
@@ -127,8 +105,7 @@ def test_is_prime_agrees_with_dense_sieve_below_2e6():
     # covers the small-prime lookup (97, 100, 101) and the gcd-only range
     # around its end (9409 = 97**2, 10**4, 10201 = 101**2)
     limit = 2 * 10**6
-    expected = dense_sieve(limit - 1).tolist()
-    assert [is_prime(n) for n in range(limit)] == expected
+    assert [is_prime(n) for n in range(limit)] == list(prime_flags(limit - 1))
 
 
 def test_is_prime_agrees_with_twelve_bases_on_seeded_n():
@@ -152,7 +129,7 @@ def carmichael_numbers() -> list[int]:
     small = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657,
              52633, 62745, 63973, 75361]
     top = 240_000  # (6k+1)(12k+1)(18k+1) < 2**64
-    flags = dense_sieve(18 * top + 1)
+    flags = prime_flags(18 * top + 1)
     chernick = [
         (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
         for k in range(1, top)
@@ -181,6 +158,14 @@ def test_primes_in_rejects_empty_interval():
         primes_in(20, 10)
     with pytest.raises(ValueError):
         primes_in(0, 10)
+    # a non-integer end is refused at the door, where (1.5, 100) used to give the primes to 100
+    for lo, hi in ((1.5, 100), (1.0, 100), (1, 100.0), (1, "100")):
+        with pytest.raises(TypeError):
+            primes_in(lo, hi)
+    # numpy ints, as the kernels hand them out, come back as Python ints
+    ends = sieve.check_window(np.int64(10), np.uint64(20))
+    assert ends == (10, 20) and all(type(end) is int for end in ends)
+    assert primes_in(np.int64(10), np.int32(20)).tolist() == [11, 13, 17, 19]
 
 
 def test_primes_in_refuses_windows_beyond_int64():
@@ -268,6 +253,7 @@ def test_primes_in_narrow_and_sieved_windows_agree(monkeypatch, lo):
         monkeypatch.setattr(sieve, "is_narrow", lambda lo, hi, forced=forced: forced)
         assert primes_in(1, 200).tolist() == [n for n in range(1, 201) if is_prime(n)]
         assert primes_in(2, 2).tolist() == [2] and primes_in(4, 4).tolist() == []
+        assert primes_in(1, 1).tolist() == [] and primes_in(1, 1).dtype == np.int64
         monkeypatch.undo()
 
 

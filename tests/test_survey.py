@@ -24,34 +24,20 @@ from edgebudget import (
 from edgebudget.survey import SURVEY_CSV_HEADER, TEXT_BLOCK, SurveyReport
 from edgebudget.util import round9
 from edgebudget.witness import F_EXACT_MAX_N, _rset_interval
-
-
-def pointwise_lpf(k):
-    if k == 1:
-        return 0
-    best = 0
-    d = 2
-    while d * d <= k:
-        while k % d == 0:
-            best = d
-            k //= d
-        d += 1
-    return max(best, k if k > 1 else 0)
+from oracles import trial_division_is_prime, trial_division_lpf
 
 
 def brute_exceptional_set(x, alpha, gamma, c0):
     """Independent double loop over (n, r): no sieve tables, no rset reuse."""
-
-    def isp(v):
-        return v >= 2 and all(v % d for d in range(2, int(v**0.5) + 1))
-
     r_lo, r_hi = math.ceil(c0 * x), x // 4
     rough = [
-        r for r in range(max(2, r_lo), r_hi + 1) if isp(r) and pointwise_lpf(r - 1) > r**alpha
+        r
+        for r in range(max(2, r_lo), r_hi + 1)
+        if trial_division_is_prime(r) and trial_division_lpf(r - 1) > r**alpha
     ]
     out = []
     for n in range(-(-x // 2), x + 1):
-        if not any(pointwise_lpf(n - r) >= n**gamma for r in rough):
+        if not any(trial_division_lpf(n - r) >= n**gamma for r in rough):
             out.append(n)
     return out
 
@@ -237,6 +223,8 @@ def test_rset_density_examples():
     assert rset_density(2, 0.9) == (0, 0.0)
     with pytest.raises(ValueError):
         rset_density(1, 0.5)
+    with pytest.raises(TypeError):
+        rset_density(100.5, 0.5)
 
 
 def test_bs_max_pdiff_examples():
@@ -268,7 +256,7 @@ def brute_max_pdiff(a_vals, b_vals):
     bs_max_pdiff's tie rule: the smallest maximizing difference d, then the
     smallest a with a - d in B, else the smallest a with a + d in B."""
     diffs = np.unique(np.abs(np.subtract.outer(np.asarray(a_vals), np.asarray(b_vals))))
-    lpf = {d: pointwise_lpf(d) for d in diffs[diffs > 0].tolist()}
+    lpf = {d: trial_division_lpf(d) for d in diffs[diffs > 0].tolist()}
     max_p = max(lpf.values())
     d = min(v for v, p in lpf.items() if p == max_p)
     b_set = set(b_vals)

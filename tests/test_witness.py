@@ -32,43 +32,7 @@ from edgebudget import (
 from edgebudget import factor, sieve
 from edgebudget.util import compare_power, power_floor
 from edgebudget.witness import unchecked_score
-
-
-def simple_sieve(limit):
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for i in range(2, int(limit**0.5) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-    return flags
-
-
-def prime_divisor_lists(limit, flags):
-    divs = [[] for _ in range(limit + 1)]
-    for p in range(2, limit + 1):
-        if flags[p]:
-            for multiple in range(p, limit + 1, p):
-                divs[multiple].append(p)
-    return divs
-
-
-def naive_edge_budget(n, flags, divs):
-    """Fully naive: every (k, p) split and every prime divisor q of r - 1."""
-    best = 0
-    best_quad = None
-    for p in range(2, n - 2):
-        if not flags[p]:
-            continue
-        for kp in range(p, n - 2, p):
-            r = n - kp
-            if not flags[r]:
-                continue
-            for q in divs[r - 1]:
-                s = min(p * kp, kp * r, q * r)
-                if s > best:
-                    best = s
-                    best_quad = (kp // p, p, q, r)
-    return best, best_quad
+from oracles import naive_edge_budget, prime_divisor_lists, prime_flags
 
 
 def naive_first_maximizer(n, value, flags, divs):
@@ -132,7 +96,7 @@ def test_f_exact_small_values():
 
 def test_f_exact_matches_naive_all_q_enumeration():
     limit = 100_000
-    flags = simple_sieve(limit)
+    flags = prime_flags(limit)
     divs = prime_divisor_lists(limit, flags)
     rng = random.Random(2)
     for n in [*range(1, 401), *(rng.randrange(10_000, limit) for _ in range(3))]:
@@ -275,7 +239,7 @@ def test_f_exact_is_deterministic():
 def test_score_monotone_in_q():
     # only the q*r branch depends on q, so larger prime divisors of r - 1
     # can never lower the score
-    flags = simple_sieve(10_000)
+    flags = prime_flags(10_000)
     divs = prime_divisor_lists(9_999, flags)
     primes = [r for r in range(3, 10_000) if flags[r]]
     for r in primes[:: 37]:
@@ -368,7 +332,7 @@ def oracle_bv(n, eps, flags):
 def test_strategy_bv_matches_independent_search():
     import random
 
-    flags = simple_sieve(30_000)
+    flags = prime_flags(30_000)
     rng = random.Random(314)
     ns = [100, 911, 10_000, 59_049] + [rng.randrange(50, 60_000) for _ in range(60)]
     for n in ns:
@@ -453,6 +417,8 @@ def test_build_rset_examples():
         build_rset(1, 25, 0.0)
     with pytest.raises(ValueError, match="int64 limit"):
         build_rset(2**63, 2**63 + 100, 0.5)
+    with pytest.raises(TypeError):
+        build_rset(1.0, 100, 0.5)
 
 
 def test_build_rset_matches_pointwise_definition():
