@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import factor
+from . import factor, sieve
 from .util import compare_power, exact_int, fmt9, log_each, power_floor, round9
 from .witness import F_EXACT_MAX_N, RSet, _rset_interval, build_rset, prime_r_scores, strategy_bv
 
@@ -79,28 +79,32 @@ _NAMES = np.array([(t or "").encode() for t in _TAGS], dtype="S")
 _NAMES = _NAMES.view(np.uint8).reshape(len(_TAGS), -1)
 
 # n per block of the survey, from the smooth scan to the text: its arrays, and
-# the text kernel's byte matrix (near 2 MB), stay that size at any x
-TEXT_BLOCK = 16384
+# the text kernel's byte matrix (near 2 MB), stay that size at any x. Not a
+# power of two: copying the matrix into row order strides it by a block, and
+# a stride of 16384 bytes made that copy two to three times slower.
+TEXT_BLOCK = 16000
 # a beta whose scaled fraction lies this close to .5 is formatted exactly:
 # b * 1e8 is off by at most 6e-8 from the true product when 1 <= b < 10
 TIE_BAND = 1e-6
 
 # The row layouts of the text kernel: the separator written before every row
-# but the first, then three runs of pieces (a bytes literal or a column name):
-# the cells of every row, then the witness cells, or the exceptional cells
-# where n is exceptional.
+# but the first, two runs of pieces (a bytes literal or a column name), the
+# cells of every row and then the witness cells, and the exceptional cells.
+# Where n is exceptional its witness cells are zeroed and the exceptional
+# bytes written over their start; no longer than the witness run's literal
+# bytes, they always fit there.
 _JSON_ROW = (
     b",",
     (b'{"n":', "n"),
     (b',"strategy":"', "strategy", b'","k":', "k", b',"p":', "p", b',"q":', "q", b',"r":', "r",
      b',"score":', "score", b',"beta":', "beta", b',"exceptional":false}'),
-    (b',"exceptional":true}',),
+    b',"exceptional":true}',
 )
 _CSV_ROW = (
     b"",
     ("n", b","),
     ("strategy", b",", "k", b",", "p", b",", "q", b",", "r", b",", "score", b",", "beta", b",0\n"),
-    (b",,,,,,,1\n",),
+    b",,,,,,,1\n",
 )
 
 
@@ -143,9 +147,10 @@ def _beta_cells(beta: np.ndarray, found: np.ndarray, csv: bool) -> np.ndarray:
     nines = np.where(fast, nearest, 1e8).astype(np.int64)
     digits = _digits(nines)
     # the fraction drops its trailing zeros: in CSV all of them, and the point
-    # with them; JSON keeps the first ("1.0"), as json.dumps does
-    for j in range(1 if csv else 2, 9):
-        digits[j] *= nines % 10 ** (9 - j) != 0
+    # with them; JSON keeps the first ("1.0"), as json.dumps does. A digit
+    # is trailing when it and every digit after it are "0".
+    tail = digits[1 if csv else 2 :]
+    tail *= ~np.logical_and.accumulate(tail[::-1] == ord("0"))[::-1]
     point = np.where(digits[1] != 0, ord("."), 0).astype(np.uint8)
     slow = np.flatnonzero(found & ~fast)
     texts = [(fmt9(b) if csv else json.dumps(round9(b))).encode() for b in beta[slow].tolist()]
@@ -172,8 +177,10 @@ class SurveyReport:
     The text comes from one kernel that works on blocks of ``TEXT_BLOCK``
     rows. For each block it fills a uint8 matrix with one matrix row per
     text column (the literal separators, the right-aligned digits of each
-    int64 column, the strategy name, the beta text), padded with byte 0;
-    then it transposes the matrix once, drops the padding and decodes it.
+    int64 column, the strategy name, the beta text), padded with byte 0.
+    An exceptional row's witness cells are zeroed and its exceptional
+    bytes written over their start. Then the kernel copies the matrix into
+    row order once, drops the padding and decodes it.
     Beta takes its nine digits from b * 1e8, except near a rounding tie or
     outside [1, 10), where ``json.dumps(round9(b))`` or ``fmt9`` formats it
     exactly. The bytes are those of a per-row ``json.dumps`` or ``.9g``
@@ -187,14 +194,19 @@ class SurveyReport:
         self.exceptional_count = int(np.count_nonzero(tag == 0))
         betas = beta[~np.isnan(beta)]
         if betas.size:
-            # the values of statistics.median and statistics.fmean: np.median
-            # takes (a + b) / 2 of a middle pair, and fmean is fsum / count;
-            # fsum is exact, so it may take the floats a block at a time
+            # the values of statistics.median and statistics.fmean: the median
+            # is (a + b) / 2 of the middle pair (one value twice for an odd
+            # count), and fmean is fsum / count; fsum is exact, so it may take
+            # the floats a block at a time
             blocks = (betas[rows].tolist() for rows in _block_rows(betas.size))
             mean = math.fsum(itertools.chain.from_iterable(blocks)) / betas.size
             least = float(betas.min())
-            # betas is a copy already: the median may partition it in place
-            self.beta_stats = (least, float(np.median(betas, overwrite_input=True)), mean)
+            # betas is a copy already: partition it in place. Not np.median,
+            # whose first call imports numpy.ma (about 10 ms).
+            middle = ((betas.size - 1) // 2, betas.size // 2)
+            betas.partition(middle)
+            a, b = betas[list(middle)].tolist()
+            self.beta_stats = (least, (a + b) / 2, mean)
         else:
             self.beta_stats = None
 
@@ -211,23 +223,32 @@ class SurveyReport:
             return _beta_cells(self.beta[rows], tag != 0, csv)
         return _digits(getattr(self, piece)[rows])
 
-    def _blocks(self, csv: bool):
-        """Yield the rows as text in the CSV or JSON layout of ``text``, one
-        string per block of ``TEXT_BLOCK`` rows."""
-        sep, *runs = _CSV_ROW if csv else _JSON_ROW
-        for rows in _block_rows(self.n.size):
-            shared, witness, exceptional = (
-                [self._cells(piece, rows, csv) for piece in run] for run in runs
-            )
-            matrix = np.concatenate([self._cells(sep, rows, csv), *shared, *witness, *exceptional])
-            found = self.tag[rows] != 0
-            start = len(sep) + sum(len(c) for c in shared)
-            stop = start + sum(len(c) for c in witness)
-            matrix[start:stop] *= found
-            matrix[stop:] *= ~found
-            if rows.start == 0:
-                matrix[: len(sep), 0] = 0
-            yield matrix.T.tobytes().translate(None, b"\0").decode("ascii")
+    def _block_text(self, rows: slice, csv: bool) -> str:
+        """The rows as text in the CSV or JSON layout of ``text``.
+
+        Each buffer is dropped as soon as the next one is made, so at most
+        two block-sized buffers are alive at once, and none outlives the call.
+        """
+        sep, shared, witness, exceptional = _CSV_ROW if csv else _JSON_ROW
+        cells = [self._cells(piece, rows, csv) for piece in (sep, *shared, *witness)]
+        start = sum(map(len, cells[: 1 + len(shared)]))  # the first witness cell
+        matrix = np.concatenate(cells)
+        del cells
+        keep = (self.tag[rows] != 0) * np.uint8(0xFF)  # 0 where n is exceptional
+        matrix[start:] &= keep
+        matrix[start : start + len(exceptional)] |= self._cells(exceptional, rows, csv) & ~keep
+        if rows.start == 0:
+            matrix[: len(sep), 0] = 0
+        # The row-order copy goes into a bytearray, whose buffer is the
+        # matrix's size to the byte, so the unpadded copy fits in the space
+        # the matrix frees. With bytes (a 33-byte header) all three buffers
+        # took fresh pages in every block under glibc: a survey of x = 255001
+        # took 17.5k page faults, not 11.4k.
+        data = bytearray(matrix.size)
+        np.copyto(np.frombuffer(data, dtype=np.uint8).reshape(matrix.shape[::-1]), matrix.T)
+        del matrix
+        data = data.translate(None, b"\0")
+        return data.decode("ascii")
 
     def text(self, csv: bool = False):
         """Yield the report as JSON or, with ``csv``, as CSV, in order: the
@@ -237,23 +258,24 @@ class SurveyReport:
         survey`` writes."""
         if csv:
             yield SURVEY_CSV_HEADER + "\n"
-            yield from self._blocks(csv=True)
-            return
-        stats = None
-        if self.beta_stats is not None:
-            stats = dict(zip(("min", "median", "mean"), map(round9, self.beta_stats)))
-        head = json.dumps(
-            {
-                "x": self.x,
-                "config": asdict(self.config),
-                "exceptional_count": self.exceptional_count,
-                "beta_stats": stats,
-            },
-            separators=(",", ":"),
-        )
-        yield head[:-1] + ',"records":['
-        yield from self._blocks(csv=False)
-        yield "]}\n"
+        else:
+            stats = None
+            if self.beta_stats is not None:
+                stats = dict(zip(("min", "median", "mean"), map(round9, self.beta_stats)))
+            head = json.dumps(
+                {
+                    "x": self.x,
+                    "config": asdict(self.config),
+                    "exceptional_count": self.exceptional_count,
+                    "beta_stats": stats,
+                },
+                separators=(",", ":"),
+            )
+            yield head[:-1] + ',"records":['
+        for rows in _block_rows(self.n.size):
+            yield self._block_text(rows, csv)
+        if not csv:
+            yield "]}\n"
 
 
 def _smooth_scan(ns: np.ndarray, rset: RSet, gamma: float, tag: np.ndarray, wit: np.ndarray):
@@ -343,12 +365,20 @@ def survey_range(x: int, config: SurveyConfig | None = None) -> SurveyReport:
 def rset_density(z: int, alpha: float) -> tuple[int, float]:
     """How many primes r <= z have P(r-1) > r**alpha, and the z/log z ratio.
 
+    Counts the RSet window by window, ``sieve.SEGMENT_LENGTH`` numbers at a
+    time: a window's members are exactly the full RSet's members in it, so
+    the count is that of ``build_rset(1, z, alpha)`` while memory stays that
+    of one window at any z.
+
     Raises:
         TypeError, ValueError: if z is not an integer, z < 2 or alpha is outside (0, 1].
     """
+    z = operator.index(z)
     if z < 2:
         raise ValueError("rset_density requires z >= 2")
-    count = len(build_rset(1, z, alpha).members)
+    step = sieve.SEGMENT_LENGTH
+    windows = ((lo, min(lo + step - 1, z)) for lo in range(1, z + 1, step))
+    count = sum(build_rset(lo, hi, alpha).members.size for lo, hi in windows)
     return count, count / (z / math.log(z))
 
 

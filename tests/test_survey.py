@@ -21,7 +21,8 @@ from edgebudget import (
     survey_range,
     validate,
 )
-from edgebudget.survey import SURVEY_CSV_HEADER, TEXT_BLOCK, SurveyReport
+from edgebudget import sieve
+from edgebudget.survey import _CSV_ROW, _JSON_ROW, SURVEY_CSV_HEADER, TEXT_BLOCK, SurveyReport
 from edgebudget.util import round9
 from edgebudget.witness import F_EXACT_MAX_N, _rset_interval
 from oracles import trial_division_is_prime, trial_division_lpf
@@ -209,6 +210,18 @@ def test_beta_stats_degenerate_distribution():
     assert report.beta_stats == (1.0, 1.0, 1.0)
 
 
+def test_beta_stats_equal_the_statistics_module_exactly():
+    rng = random.Random(25)
+    for size in (1, 2, 3, 4, 7, 10, 1001, 1002):
+        betas = [1 + rng.random() for _ in range(size)]
+        betas[rng.randrange(size)] = math.nan  # an exceptional n, which no statistic sees
+        ns = list(range(100, 100 + size))
+        report = smooth_report(ns[-1], ns, [0 if math.isnan(b) else 7 for b in betas], betas)
+        found = [b for b in betas if not math.isnan(b)]
+        want = (min(found), statistics.median(found), statistics.fmean(found)) if found else None
+        assert report.beta_stats == want, size
+
+
 def test_beta_stats_is_none_without_a_success():
     report = smooth_report(10, [10], [0], [math.nan])
     assert report_rows(report) == [(10, None, None, None)]
@@ -225,6 +238,40 @@ def test_rset_density_examples():
         rset_density(1, 0.5)
     with pytest.raises(TypeError):
         rset_density(100.5, 0.5)
+
+
+def test_rset_density_counts_the_one_shot_rset(monkeypatch):
+    def one_shot(z, alpha):
+        count = build_rset(1, z, alpha).members.size
+        return count, count / (z / math.log(z))
+
+    # one window, a full window, and a full window plus a one-number (narrow) window
+    segment = sieve.SEGMENT_LENGTH
+    for z in (segment - 1, segment, segment + 1):
+        assert rset_density(z, 0.677) == one_shot(z, 0.677), z
+    # many windows, the last of any width; the windows read SEGMENT_LENGTH at call time
+    monkeypatch.setattr(sieve, "SEGMENT_LENGTH", 64)
+    for z in (2, 3, 63, 64, 65, 127, 128, 129, 1000, 4099):
+        for alpha in (0.3, 0.677, 1.0):
+            assert rset_density(z, alpha) == one_shot(z, alpha), (z, alpha)
+
+
+def test_rset_density_memory_is_one_window(monkeypatch):
+    # 32 windows of 4096 numbers: the count holds one window's tables at a
+    # time (about 24 bytes per number of the window), where the one-shot
+    # build_rset(1, z) holds tables over all of [1, z] (about 430 per number
+    # of one window here)
+    monkeypatch.setattr(sieve, "SEGMENT_LENGTH", 4096)
+    z = 32 * 4096
+    rset_density(z, 0.677)  # imports and caches outside the traced call
+    tracemalloc.start()
+    try:
+        count, _ = rset_density(z, 0.677)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == build_rset(1, z, 0.677).members.size
+    assert peak <= 48 * 4096, peak
 
 
 def test_bs_max_pdiff_examples():
@@ -451,3 +498,34 @@ def test_survey_range_peak_is_its_columns_and_block_temporaries():
         tracemalloc.stop()
     columns = sum(a.nbytes for a in (report.n, report.tag, report.beta)) + 5 * report.k.nbytes
     assert peak <= columns + 8 * x + 16 * 8 * TEXT_BLOCK, (peak, columns)
+
+
+def test_exceptional_cells_fit_over_the_witness_literals():
+    # an exceptional row writes its bytes over the start of its zeroed witness
+    # cells; every column cell is at least one byte wide, so bytes no longer
+    # than the witness run's literals never reach the next row
+    for *_, witness, exceptional in (_JSON_ROW, _CSV_ROW):
+        literals = sum(len(piece) for piece in witness if isinstance(piece, bytes))
+        assert 0 < len(exceptional) <= literals, exceptional
+
+
+def test_text_holds_about_two_copies_of_a_block():
+    # Iterated as the survey command writes to stdout, with the previous piece
+    # still held, the text kernel adds about two block-sized buffers to it:
+    # the cells and the matrix, the matrix and its row-order copy, that copy
+    # and the unpadded bytes, then those and the string (about 3.05 times the
+    # longest piece in all). Keeping the matrix or the padded bytes alive
+    # into the next step adds a third.
+    report = survey_range(100_003)
+    for csv in (False, True):
+        joined(report, csv)  # imports and caches outside the traced loop
+        tracemalloc.start()
+        try:
+            longest = 0
+            for piece in report.text(csv):
+                longest = max(longest, len(piece))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert longest > 800_000, (csv, longest)  # a full block of rows
+        assert peak <= 3.3 * longest, (csv, peak / longest)
