@@ -109,12 +109,10 @@ def largest_prime_factor(k: int) -> int:
     every k < 2**64 is, and so is 2**70, but 2**64 + 1 is not.
 
     Raises:
-        TypeError: if k is not an integer.
+        TypeError: if k is not an integer, or is a bool (``sieve.check_int``).
         ValueError: if k < 1, or what is left is 2**64 or more.
     """
-    k = operator.index(k)
-    if k < 1:
-        raise ValueError("largest_prime_factor requires k >= 1")
+    k = sieve.check_int(k, "largest_prime_factor", "k", 1)
     return _prime_factors(k)[-1] if k > 1 else 0
 
 
@@ -122,12 +120,10 @@ def euler_phi(m: int) -> int:
     """Euler's totient: the count of 1 <= a <= m coprime to m.
 
     Raises:
-        TypeError: if m is not an integer.
+        TypeError: if m is not an integer, or is a bool (``sieve.check_int``).
         ValueError: if m < 1, or m is outside ``largest_prime_factor``'s range.
     """
-    m = operator.index(m)
-    if m < 1:
-        raise ValueError("euler_phi requires m >= 1")
+    m = sieve.check_int(m, "euler_phi", "m", 1)
     result = m
     for p in _prime_factors(m):
         result -= result // p
@@ -138,12 +134,10 @@ def mangoldt_weight(n: int) -> float:
     """Von Mangoldt Lambda(n): log p when n = p**j for prime p, else 0.0.
 
     Raises:
-        TypeError: if n is not an integer.
+        TypeError: if n is not an integer, or is a bool (``sieve.check_int``).
         ValueError: if n < 1, or n is outside ``largest_prime_factor``'s range.
     """
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("mangoldt_weight requires n >= 1")
+    n = sieve.check_int(n, "mangoldt_weight", "n", 1)
     primes = _prime_factors(n)
     return math.log(primes[0]) if len(primes) == 1 else 0.0
 
@@ -179,7 +173,7 @@ def lpf_table(lo: int, hi: int, *, floor: int = 0) -> np.ndarray:
     floor are then zeroed.
 
     Raises:
-        TypeError: if lo, hi or floor is not an integer.
+        TypeError: if lo, hi or floor is not an integer, or lo or hi is a bool.
         ValueError: if lo < 1, lo > hi or hi >= 2**63 (``sieve.check_window``),
             before anything is allocated.
     """

@@ -94,13 +94,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_int(value, fn: str = "", name: str = "", lo: float = -math.inf,
+              hi: float = math.inf) -> int:
+    """``fn``'s parameter ``name`` as an int in [lo, hi]: the one door of a scalar integer
+    input. numpy's integers pass; a bool raises TypeError (True is an int, not a count)."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"expected an integer, not the bool {value}")
+    value = operator.index(value)
+    if value < lo:
+        raise ValueError(f"{fn} requires {name} >= {lo}")
+    if value > hi:
+        raise ValueError(f"{fn} supports {name} <= {hi}")
+    return value
+
+
 def check_window(lo: int, hi: int) -> tuple[int, int]:
     """Refuse a window [lo, hi] that the int64 array kernels cannot hold; return its ends as ints.
 
     Raises:
-        TypeError, ValueError: if lo or hi is not an integer, or lo < 1, lo > hi or hi >= 2**63.
+        TypeError, ValueError: if lo or hi is a bool or not an integer, or lo < 1, lo > hi
+            or hi >= 2**63.
     """
-    lo, hi = operator.index(lo), operator.index(hi)
+    lo, hi = check_int(lo), check_int(hi)
     if lo < 1:
         raise ValueError("interval endpoints must be positive")
     if lo > hi:

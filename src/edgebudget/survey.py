@@ -12,13 +12,12 @@ largest-prime-factor-of-differences experiment.
 import itertools
 import json
 import math
-import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import factor, sieve
-from .util import compare_power, exact_int, fmt9, log_each, power_floor, round9
+from .util import check_ranges, compare_power, exact_int, fmt9, log_each, power_floor, round9
 from .witness import F_EXACT_MAX_N, RSet, _rset_interval, build_rset, prime_r_scores, strategy_bv
 
 SURVEY_CSV_HEADER = "n,strategy,k,p,q,r,score,beta,exceptional"
@@ -48,14 +47,7 @@ class SurveyConfig:
     strategies: tuple[str, ...] = ("smooth",)
 
     def __post_init__(self) -> None:
-        if not 0 < self.alpha <= 1:
-            raise ValueError("alpha must lie in (0, 1]")
-        if not 0 < self.gamma <= 1:
-            raise ValueError("gamma must lie in (0, 1]")
-        if not 0 < self.c0 < 0.25:
-            raise ValueError("c0 must lie in (0, 1/4)")
-        if not 0 <= self.eps < 0.25:
-            raise ValueError("eps must lie in [0, 1/4)")
+        check_ranges(alpha=self.alpha, gamma=self.gamma, c0=self.c0, eps=self.eps)
         if isinstance(self.strategies, str):
             raise ValueError("strategies must be a sequence of names, not a str")
         for name in self.strategies:
@@ -331,14 +323,10 @@ def survey_range(x: int, config: SurveyConfig | None = None) -> SurveyReport:
     supported up to F_EXACT_MAX_N, the int64 limit of the scan.
 
     Raises:
-        TypeError: if x is not an integer.
+        TypeError: if x is not an integer, or is a bool (``sieve.check_int``).
         ValueError: if x < 8 or x > F_EXACT_MAX_N.
     """
-    x = operator.index(x)
-    if x < 8:
-        raise ValueError("survey_range requires x >= 8")
-    if x > F_EXACT_MAX_N:
-        raise ValueError(f"survey_range supports x <= {F_EXACT_MAX_N}")
+    x = sieve.check_int(x, "survey_range", "x", 8, F_EXACT_MAX_N)
     if config is None:
         config = SurveyConfig()
 
@@ -371,11 +359,9 @@ def rset_density(z: int, alpha: float) -> tuple[int, float]:
     of one window at any z.
 
     Raises:
-        TypeError, ValueError: if z is not an integer, z < 2 or alpha is outside (0, 1].
+        TypeError, ValueError: if z is a bool or not an integer, z < 2 or alpha is outside (0, 1].
     """
-    z = operator.index(z)
-    if z < 2:
-        raise ValueError("rset_density requires z >= 2")
+    z = sieve.check_int(z, "rset_density", "z", 2)
     step = sieve.SEGMENT_LENGTH
     windows = ((lo, min(lo + step - 1, z)) for lo in range(1, z + 1, step))
     count = sum(build_rset(lo, hi, alpha).members.size for lo, hi in windows)

@@ -1,5 +1,5 @@
-"""Shared numeric plumbing: exact integer inputs, guarded real-exponent
-comparisons, per-element ``math.log`` and 9-significant-digit serialization."""
+"""Shared numeric plumbing: exact integer inputs, the strategy parameters' ranges, guarded
+real-exponent comparisons, per-element ``math.log`` and 9-significant-digit serialization."""
 
 import math
 from fractions import Fraction
@@ -25,6 +25,21 @@ def exact_int(value) -> int:
     if out != value:
         raise ValueError(f"{value!r} is not an integer")
     return out
+
+
+# each strategy parameter's interval, as its message prints it, and a test that is False for NaN
+_RANGES = {"alpha": ("(0, 1]", lambda v: 0 < v <= 1),
+           "gamma": ("(0, 1]", lambda v: 0 < v <= 1),
+           "c0": ("(0, 1/4)", lambda v: 0 < v < 0.25),
+           "eps": ("[0, 1/4)", lambda v: 0 <= v < 0.25)}
+
+
+def check_ranges(**values: float) -> None:
+    """Raise ValueError "<name> must lie in <interval>" for the first named value out of range."""
+    for name, value in values.items():
+        interval, inside = _RANGES[name]
+        if not inside(value):
+            raise ValueError(f"{name} must lie in {interval}")
 
 
 def compare_power(value, base, exponent: float):

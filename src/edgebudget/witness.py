@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import factor, sieve
-from .util import compare_power, exact_int, power_floor
+from .util import check_ranges, compare_power, exact_int, power_floor
 
 
 @dataclass(frozen=True)
@@ -132,13 +132,10 @@ def f_exact(n: int) -> tuple[int, Witness | None]:
     Every field of the witness is a Python int.
 
     Raises:
+        TypeError: if n is not an integer, or is a bool (``sieve.check_int``).
         ValueError: if n < 1 or n > F_EXACT_MAX_N.
     """
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("f_exact requires n >= 1")
-    if n > F_EXACT_MAX_N:
-        raise ValueError(f"f_exact supports n <= {F_EXACT_MAX_N}")
+    n = sieve.check_int(n, "f_exact", "n", 1, F_EXACT_MAX_N)
     if n < 5:
         return 0, None
     floor = max(n // 64, math.isqrt(n - 1) + 1)
@@ -212,8 +209,7 @@ def strategy_bv(n: int, eps: float = 0.05) -> Witness | None:
             (checked before any search).
     """
     n = operator.index(n)
-    if not 0 <= eps < 0.25:
-        raise ValueError("eps must lie in [0, 1/4)")
+    check_ranges(eps=eps)
     if not 1 <= n < 2**65:
         raise ValueError(f"strategy_bv supports 1 <= n < 2**65, got n={n}")
     # width >= 1, so 1 <= ceil(width) <= floor(2 width)
@@ -257,11 +253,10 @@ def build_rset(lo: int, hi: int, alpha: float) -> RSet:
     ``factor.largest_prime_factor``. Either way the members are the same.
 
     Raises:
-        TypeError: if lo or hi is not an integer (``sieve.check_window``).
+        TypeError: if lo or hi is not an integer, or is a bool (``sieve.check_window``).
         ValueError: if alpha is outside (0, 1], or lo < 1, lo > hi or hi >= 2**63.
     """
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
+    check_ranges(alpha=alpha)
     primes = sieve.primes_in(lo, hi)
     if sieve.is_narrow(lo, hi):
         shifted = map(factor.largest_prime_factor, (primes - 1).tolist())
@@ -284,14 +279,11 @@ def strategy_smooth(n: int, rset: RSet, gamma: float) -> Witness | None:
     n is exceptional for this rset and gamma.
 
     Raises:
-        TypeError: if n is not an integer.
+        TypeError: if n is not an integer, or is a bool (``sieve.check_int``).
         ValueError: if n < 1, gamma is outside (0, 1] or some member is >= n.
     """
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("strategy_smooth requires n >= 1")
-    if not 0 < gamma <= 1:
-        raise ValueError("gamma must lie in (0, 1]")
+    n = sieve.check_int(n, "strategy_smooth", "n", 1)
+    check_ranges(gamma=gamma)
     if rset.members.size and rset.members[-1] >= n:
         raise ValueError("every rset member must lie below n")
     for r, q in zip(map(int, rset.members), map(int, rset.q)):
@@ -331,12 +323,7 @@ def smooth_search(n: int, alpha: float, gamma: float, c0: float) -> Witness | No
     n = operator.index(n)
     if not 1 <= n < 2**64:
         raise ValueError(f"smooth_search supports 1 <= n < 2**64, got n={n}")
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-    if not 0 < gamma <= 1:
-        raise ValueError("gamma must lie in (0, 1]")
-    if not 0 < c0 < 0.25:
-        raise ValueError("c0 must lie in (0, 1/4)")
+    check_ranges(alpha=alpha, gamma=gamma, c0=c0)
     lo, hi = _rset_interval(n, c0)
     width = 1
     while lo <= hi:

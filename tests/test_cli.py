@@ -14,6 +14,7 @@ import pytest
 import edgebudget
 from edgebudget.cli import EXIT_ERROR, EXIT_NO_WITNESS, EXIT_OK, build_parser, main
 from edgebudget.util import round9
+from test_witness import RANGES
 
 
 def run(capsys, *argv):
@@ -61,6 +62,29 @@ def test_witness_smooth_checks_c0_like_survey(capsys):
     assert code == EXIT_NO_WITNESS and json.loads(out)["witness"] is None
     code, out, err = run(capsys, "witness-smooth", "--n", "0")
     assert code == EXIT_ERROR and out == ""
+
+
+# each subcommand that takes a strategy parameter, and the flags that set one
+RANGE_FLAGS = (
+    (("survey", "--x", "100"), ("alpha", "gamma", "c0", "eps")),
+    (("witness-smooth", "--n", "100"), ("alpha", "gamma", "c0")),
+    (("witness-bv", "--n", "100"), ("eps",)),
+    (("rset-density", "--z", "100"), ("alpha",)),
+)
+
+
+def test_range_flags_are_worded_as_the_library_words_them(capsys):
+    for command, names in RANGE_FLAGS:
+        for name in names:
+            message, refused, accepted = RANGES[name]
+            # repr parses back to the same float; "=" keeps "-inf" from reading as a flag
+            for value in refused:
+                argv = (*command, f"--{name}={value!r}")
+                assert run(capsys, *argv) == (EXIT_ERROR, "", f"edgebudget: error: {message}\n"), argv
+            for value in accepted:
+                argv = (*command, f"--{name}={value!r}")
+                code, _, err = run(capsys, *argv)
+                assert code in (EXIT_OK, EXIT_NO_WITNESS) and err == "", argv
 
 
 def test_witness_bv_json_and_verify_round_trip(capsys, tmp_path, monkeypatch):

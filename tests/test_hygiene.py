@@ -1,5 +1,5 @@
 """Source hygiene: every module imports only names it uses, and the package
-defines no name that nothing reads.
+defines no name that nothing reads and raises no error message twice.
 
 Stdlib ``ast`` checks, standing in for a linter's unused-import and dead-code
 rules. An import counts as used when its name is read anywhere in the module
@@ -9,11 +9,15 @@ counts as used when some module of the package reads it: as a bare name, as an
 attribute, or by importing it. A public top-level name counts as used when
 some module of the package, the tests or the demos reads it the same way; the
 package's own re-export in ``__init__`` and a listing in ``__all__`` do not
-count, so an exported name that nothing tests is flagged.
+count, so an exported name that nothing tests is flagged. A message that two
+``raise`` statements of the package share, or that writes out by hand what one
+of the two input checks (``util.check_ranges``, ``sieve.check_int``) words, is
+flagged too.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -159,3 +163,54 @@ def test_no_unused_public_names():
         if public not in read
     ]
     assert not unused, unused
+
+
+SOURCES = [path for path in MODULES if path.parent.name == "edgebudget"]
+# a hand-written instance of a door's message: util.check_ranges's "<name> must lie in
+# <interval>", or sieve.check_int's "<fn> requires <name> >= <lo>" and "<fn> supports
+# <name> <= <hi>"; a bound written as a number ("supports 0 <= n") is none of them
+DOOR_MESSAGE = re.compile(r"[a-z_]\w* (must lie in|requires [a-z_]\w* >=|supports [a-z_]\w* <=) ")
+# bv_sum's z is real: a float or NaN reaches the check, and the integer door refuses a float
+REAL_BOUNDS = {"bv_sum requires z >= 3"}
+
+
+def raise_messages(tree: ast.Module) -> list[tuple[str, int]]:
+    """The message of each ``raise E("...")`` or ``raise E(f"...")``, each formatted
+    value as ``{}``, with the line that raises it."""
+    out = []
+    for node in ast.walk(tree):  # breadth first: sorted by line below
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
+            continue
+        message = node.exc.args[0]
+        if isinstance(message, ast.JoinedStr):
+            parts = [v.value if isinstance(v, ast.Constant) else "{}" for v in message.values]
+            out.append(("".join(parts), node.lineno))
+        elif isinstance(message, ast.Constant) and isinstance(message.value, str):
+            out.append((message.value, node.lineno))
+    return sorted(out, key=lambda pair: pair[1])
+
+
+def test_the_check_catches_a_repeated_message():
+    tree = ast.parse(
+        'def f(x):\n    if x:\n        raise ValueError("x must lie in (0, 1]")\n'
+        '    raise ValueError("x must lie in (0, 1]")\n'
+        'def g(n):\n    raise ValueError(f"g requires n >= {1}")\n'
+        'def h(n):\n    raise ValueError(f"{n} requires {n} >= {1}")\n'
+    )
+    messages = [message for message, _ in raise_messages(tree)]
+    assert messages == ["x must lie in (0, 1]"] * 2 + ["g requires n >= {}", "{} requires {} >= {}"]
+    assert [m for m in messages if DOOR_MESSAGE.match(m)] == messages[:3]
+
+
+def test_no_raise_repeats_a_message():
+    seen = {}
+    repeated = []
+    for path in SOURCES:
+        for message, line in raise_messages(ast.parse(path.read_text(), filename=str(path))):
+            if message in seen:
+                repeated.append(f"{path.name}:{line}: {message!r}, as at {seen[message]}")
+            seen.setdefault(message, f"{path.name}:{line}")
+    assert not repeated, repeated
+    # each strategy range and each integer bound has its message written once, in its door
+    hand_written = sorted(set(filter(DOOR_MESSAGE.match, seen)) - REAL_BOUNDS)
+    assert not hand_written, [f"{seen[m]}: {m!r}" for m in hand_written]

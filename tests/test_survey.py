@@ -26,6 +26,7 @@ from edgebudget.survey import _CSV_ROW, _JSON_ROW, SURVEY_CSV_HEADER, TEXT_BLOCK
 from edgebudget.util import round9
 from edgebudget.witness import F_EXACT_MAX_N, _rset_interval
 from oracles import trial_division_is_prime, trial_division_lpf
+from test_witness import assert_words_each_range
 
 
 def brute_exceptional_set(x, alpha, gamma, c0):
@@ -132,6 +133,14 @@ def test_survey_config_checks_itself_on_construction():
     assert SurveyConfig(strategies=["smooth", "smooth", "bv"]) == both
     assert dataclasses.replace(SurveyConfig(), strategies=("bv", "bv")).strategies == ("bv",)
     assert SurveyConfig().strategies == ("smooth",)
+    # NaN, both infinities and both ends of each range, worded as every other entry point words them
+    assert_words_each_range("SurveyConfig")
+    # with every range broken, the first field is named, then the next one fixed
+    broken = {"alpha": 0.0, "gamma": 0.0, "c0": 0.0, "eps": 0.25}
+    for name in list(broken):
+        with pytest.raises(ValueError, match=f"^{name} must lie in"):
+            SurveyConfig(**broken)
+        del broken[name]
 
 
 def per_n_survey(x, config):

@@ -232,6 +232,26 @@ def test_non_integers_are_type_errors():
         survey_range(300.0)
 
 
+def test_a_bool_is_not_an_integer_input():
+    # both doors, sieve.check_int and sieve.check_window, refuse a flag as a count:
+    # f_exact(True) used to return (0, None), and primes_in(True, 10) to sieve from 1
+    for call in (
+        lambda: f_exact(True),
+        lambda: primes_in(True, 10),
+        lambda: primes_in(1, np.True_),
+        lambda: largest_prime_factor(True),
+        lambda: sieve.check_int(False, "f", "n", 0),
+    ):
+        with pytest.raises(TypeError, match="bool"):
+            call()
+    # numpy's integers still pass, and come back as Python ints
+    assert f_exact(np.int64(100)) == f_exact(100)
+    assert primes_in(np.int64(1), np.uint16(10)).tolist() == [2, 3, 5, 7]
+    assert largest_prime_factor(np.int32(12)) == 3
+    value = sieve.check_int(np.uint64(7), "f", "n", 1, 7)
+    assert value == 7 and type(value) is int
+
+
 def test_f_exact_is_deterministic():
     assert f_exact(1234) == f_exact(1234)
 
@@ -623,6 +643,46 @@ def test_smooth_search_rejects_n_outside_the_range_before_allocating(n):
     assert peak < 1 << 16
 
 
+# Each strategy parameter: its range's message, the values refused (NaN, both
+# infinities, each open end and a value past each closed one) and the values
+# accepted (each closed end, and the float next to each open one, inside).
+RANGES = {
+    "alpha": ("alpha must lie in (0, 1]", (math.nan, math.inf, -math.inf, 0.0, 1.5),
+              (1.0, math.ulp(0.0))),
+    "gamma": ("gamma must lie in (0, 1]", (math.nan, math.inf, -math.inf, 0.0, 1.5),
+              (1.0, math.ulp(0.0))),
+    "c0": ("c0 must lie in (0, 1/4)", (math.nan, math.inf, -math.inf, 0.0, 0.25),
+           (math.ulp(0.0), math.nextafter(0.25, 0))),
+    "eps": ("eps must lie in [0, 1/4)", (math.nan, math.inf, -math.inf, -0.1, 0.25),
+            (0.0, math.nextafter(0.25, 0))),
+}
+SEARCH_KNOBS = {"alpha": 0.677, "gamma": 0.677, "c0": 0.05}
+# the five functions that take a strategy parameter: the ones each takes, and a
+# call with one of them set by keyword
+ENTRY_POINTS = {
+    "SurveyConfig": (("alpha", "gamma", "c0", "eps"), SurveyConfig),
+    "build_rset": (("alpha",), lambda alpha: build_rset(1, 100, alpha)),
+    "strategy_smooth": (("gamma",), lambda gamma: strategy_smooth(100, build_rset(1, 99, 0.5), gamma)),
+    "smooth_search": (("alpha", "gamma", "c0"),
+                      lambda **knob: smooth_search(100, **{**SEARCH_KNOBS, **knob})),
+    "strategy_bv": (("eps",), lambda eps: strategy_bv(100, eps)),
+}
+
+
+def assert_words_each_range(entry: str) -> None:
+    """``entry`` refuses each value of ``RANGES`` that it should, with the range's
+    message to the byte, and accepts the rest."""
+    names, call = ENTRY_POINTS[entry]
+    for name in names:
+        message, refused, accepted = RANGES[name]
+        for value in refused:
+            with pytest.raises(ValueError) as info:
+                call(**{name: value})
+            assert str(info.value) == message, (name, value)
+        for value in accepted:
+            call(**{name: value})
+
+
 def test_smooth_search_checks_its_parameters():
     assert search(np.int64(60_000)) == search(60_000)
     assert search(3) is None  # [1, 0] is empty
@@ -636,3 +696,13 @@ def test_smooth_search_checks_its_parameters():
             smooth_search(100, *knobs)
     with pytest.raises(TypeError):
         smooth_search(100.0, 0.677, 0.677, 0.05)
+    assert_words_each_range("smooth_search")
+    for knobs, name in (((0.0, 0.0, 0.0), "alpha"), ((0.5, 0.0, 0.0), "gamma")):
+        with pytest.raises(ValueError, match=f"^{name} must lie in"):
+            smooth_search(100, *knobs)  # checked in the order of the parameters
+
+
+# SurveyConfig's own test in test_survey.py, and the one above, cover the other two
+@pytest.mark.parametrize("entry", ["build_rset", "strategy_smooth", "strategy_bv"])
+def test_every_entry_point_words_each_range_alike(entry):
+    assert_words_each_range(entry)
