@@ -10,7 +10,7 @@ average.
 
 Every psi value is an exact sum rounded once to a double. Each weight
 ``math.log(p)`` is a double of at least log 2 > 1/2, hence a multiple of
-2**-53, so log p * 2**53 is an integer below 2**58. The per-z jump table
+2**-53, so log p * 2**53 is an integer below 2**58. The one kept jump table
 holds it once, as two int64 limbs hi * 2**32 + lo with lo < 2**32. ``psi``
 sums one class's limbs. Per modulus, one kernel gathers each limb in class
 order, writes at each class start the limb minus the previous class's total
@@ -27,9 +27,7 @@ with the low limb's carry, stays below 2**53.
 """
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -67,8 +65,7 @@ class DiscrepancyRecord:
 class PrimePowerJumps:
     """All prime powers j <= z, ascending, with their von Mangoldt weights.
 
-    Every array is read-only: the table is cached per floor(z) and shared by
-    every caller. ``len`` counts the jumps.
+    Every array is read-only and shared by every caller. ``len`` counts the jumps.
 
     Attributes:
         j: The prime powers (int64).
@@ -85,7 +82,6 @@ class PrimePowerJumps:
         return self.j.size
 
 
-@lru_cache(maxsize=4)
 def _jumps_upto(top: int) -> PrimePowerJumps:
     """The table for floor(z) = top, built from the sorted primes up to top.
 
@@ -118,9 +114,20 @@ def _jumps_upto(top: int) -> PrimePowerJumps:
     return PrimePowerJumps(j, fixed, lo)
 
 
+_kept = -math.inf, None  # (top, table): the one table, for the largest floor(z) asked for
+
+
 def prime_power_jumps(z: float) -> PrimePowerJumps:
-    """The read-only table of all prime powers j <= z and their weights."""
-    return _jumps_upto(math.floor(z))
+    """The read-only table of all prime powers j <= z and their weights: a view of
+    the kept table's prefix, as j ascends and each weight depends only on its prime."""
+    global _kept
+    top = math.floor(z)
+    if top > _kept[0]:
+        _kept = -math.inf, None  # drop the kept table before building the larger one
+        _kept = top, _jumps_upto(top)
+    table = _kept[1]
+    n = np.searchsorted(table.j, top, side="right")
+    return PrimePowerJumps(table.j[:n], table.hi[:n], table.lo[:n])
 
 
 def _check_z(z: float, name: str = "z") -> None:
@@ -152,10 +159,10 @@ def psi(y: float, m: int, a: int) -> float:
     psi(y) is returned. m and a may be any integer type, numpy's included.
 
     Raises:
-        TypeError: if m or a is not an integer.
+        TypeError: if m or a is not an integer, or is a bool (``sieve.check_int``).
         ValueError: if m < 1, y <= 0, y > MAX_Z, or a is outside [0, m).
     """
-    m, a = operator.index(m), operator.index(a)
+    m, a = sieve.check_int(m), sieve.check_int(a)
     if m < 1:
         raise ValueError("modulus must be positive")
     if not y > 0:  # NaN fails too
@@ -187,11 +194,11 @@ def max_discrepancy(z: float, m: int) -> DiscrepancyRecord:
     shared jump table is read-only.
 
     Raises:
-        TypeError: if m is not an integer.
+        TypeError: if m is not an integer, or is a bool (``sieve.check_int``).
         ValueError: if m is outside [1, MAX_Z] (checked before anything is
             allocated), z < 1, or z > MAX_Z.
     """
-    m = operator.index(m)
+    m = sieve.check_int(m)
     if not 1 <= m <= MAX_Z:
         raise ValueError(f"m must satisfy 1 <= m <= {MAX_Z}")
     if not z >= 1:  # NaN fails too

@@ -13,7 +13,6 @@ writing each prime in [floor, hi] onto its multiples.
 
 import functools
 import math
-import operator
 import random
 
 import numpy as np
@@ -173,11 +172,11 @@ def lpf_table(lo: int, hi: int, *, floor: int = 0) -> np.ndarray:
     floor are then zeroed.
 
     Raises:
-        TypeError: if lo, hi or floor is not an integer, or lo or hi is a bool.
+        TypeError: if lo, hi or floor is not an integer, or is a bool.
         ValueError: if lo < 1, lo > hi or hi >= 2**63 (``sieve.check_window``),
             before anything is allocated.
     """
-    floor = operator.index(floor)
+    floor = sieve.check_int(floor)
     lo, hi = sieve.check_window(lo, hi)
     if floor > hi:
         return np.zeros(hi - lo + 1, dtype=np.int64)

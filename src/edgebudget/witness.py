@@ -22,7 +22,6 @@ All searches use fixed orders, so identical inputs yield identical witnesses.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,10 +175,10 @@ def crt_pair(n: int, p: int, q: int) -> int:
     n, p, q may be any integer type, numpy's included; a is a Python int.
 
     Raises:
-        TypeError: if n, p or q is not an integer.
+        TypeError: if n, p or q is not an integer, or is a bool (``sieve.check_int``).
         ValueError: if p == q.
     """
-    n, p, q = map(operator.index, (n, p, q))
+    n, p, q = map(sieve.check_int, (n, p, q))
     if p == q:
         raise ValueError("crt_pair requires distinct primes")
     a = (n % p) * q * pow(q, -1, p) + p * pow(p, -1, q)
@@ -204,11 +203,11 @@ def strategy_bv(n: int, eps: float = 0.05) -> Witness | None:
     range of ``sieve.is_prime``.
 
     Raises:
-        TypeError: if n is not an integer.
+        TypeError: if n is not an integer, or is a bool (``sieve.check_int``).
         ValueError: if eps is outside [0, 1/4), or n is outside [1, 2**65)
             (checked before any search).
     """
-    n = operator.index(n)
+    n = sieve.check_int(n)
     check_ranges(eps=eps)
     if not 1 <= n < 2**65:
         raise ValueError(f"strategy_bv supports 1 <= n < 2**65, got n={n}")
@@ -315,12 +314,12 @@ def smooth_search(n: int, alpha: float, gamma: float, c0: float) -> Witness | No
     ``validate``.
 
     Raises:
-        TypeError: if n is not an integer.
+        TypeError: if n is not an integer, or is a bool (``sieve.check_int``).
         ValueError: if n is outside [1, 2**64) (checked before anything is
             allocated), alpha or gamma is outside (0, 1], or c0 is outside
             (0, 1/4).
     """
-    n = operator.index(n)
+    n = sieve.check_int(n)
     if not 1 <= n < 2**64:
         raise ValueError(f"smooth_search supports 1 <= n < 2**64, got n={n}")
     check_ranges(alpha=alpha, gamma=gamma, c0=c0)

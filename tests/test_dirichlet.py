@@ -40,6 +40,11 @@ def test_numpy_ints_give_the_int_result():
         max_discrepancy(1000, 7.0)
     with pytest.raises(TypeError):
         psi(1000, 7, 3.0)
+    # nor does a bool: psi(10, True, 0) used to be psi(10), and max_discrepancy(10, True) a record
+    for flag in (True, np.True_):
+        for call in (lambda: max_discrepancy(10, flag), lambda: psi(10, flag, 0), lambda: psi(10, 3, flag)):
+            with pytest.raises(TypeError, match="bool"):
+                call()
 
 
 def test_psi_rejects_bad_arguments():
@@ -250,9 +255,9 @@ def test_discrepancy_kernel_peak_memory_per_jump(run):
 
 
 def test_jump_table_build_peaks_at_48_bytes_per_jump():
-    # the build, uncached: the primes, their logs as floats and log_each's list of
+    # the build: the primes, their logs as floats and log_each's list of
     # Python floats are its peak; one full-length array more would pass 56
-    build = dirichlet._jumps_upto.__wrapped__
+    build = dirichlet._jumps_upto
     tracemalloc.start()
     try:
         jumps = build(math.floor(Z_BV))
@@ -265,6 +270,24 @@ def test_jump_table_build_peaks_at_48_bytes_per_jump():
         table = build(top)
         got = zip(table.j.tolist(), table.hi.tolist(), table.lo.tolist())
         assert [(j, (hi << 32 | lo) / 2**53) for j, hi, lo in got] == reference_jumps(top), top
+
+
+def test_a_smaller_z_reads_a_prefix_of_the_kept_table():
+    kept = prime_power_jumps(Z_BV)
+    for top in [*range(0, 131), 5000, 10**5]:
+        got, fresh = prime_power_jumps(top + 0.5), dirichlet._jumps_upto(top)
+        for name in ("j", "hi", "lo"):
+            view, want = getattr(got, name), getattr(fresh, name)
+            assert np.array_equal(view, want), (top, name)
+            assert view.size == 0 or np.shares_memory(view, getattr(kept, name)), (top, name)
+    # so a smaller z builds nothing: one table per call would take 48 bytes per jump
+    tracemalloc.start()
+    try:
+        sizes = [len(prime_power_jumps(z)) for z in (10**5, Z_BV - 1, 7.5)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes[0] == 9700 and sizes[2] == 5 and peak < 1 << 16, peak
 
 
 def test_bv_sum_with_empty_cutoff_returns_before_allocating():
@@ -285,7 +308,9 @@ def test_cached_jump_table_is_read_only():
     for array in (jumps.j, jumps.hi, jumps.lo):
         with pytest.raises(ValueError):
             array[:] = 0
-    assert prime_power_jumps(100.5) is jumps
+    again = prime_power_jumps(100.5)
+    for array, same in zip((jumps.j, jumps.hi, jumps.lo), (again.j, again.hi, again.lo)):
+        assert np.shares_memory(array, same) and np.array_equal(array, same)
     assert (psi(100, 1, 0), max_discrepancy(100, 3)) == before
     assert before[0] == pytest.approx(94.045, abs=1e-3)
 

@@ -150,8 +150,8 @@ def test_lpf_table_floor_is_keyword_only():
 
 def test_lpf_table_floor_is_an_integer():
     # refused at the door: 11.5 used to fail deep inside primes_in, while 5.5
-    # (the sieve path) and 200.5 (above hi) gave a table
-    for floor in (11.5, 5.5, 200.5, 11.0, "11"):
+    # (the sieve path), 200.5 (above hi) and True gave a table
+    for floor in (11.5, 5.5, 200.5, 11.0, "11", True, np.True_):
         with pytest.raises(TypeError):
             lpf_table(1, 100, floor=floor)
     # and so are the window's ends: (1.0, 10) used to fail only inside np.zeros

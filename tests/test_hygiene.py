@@ -12,7 +12,8 @@ package's own re-export in ``__init__`` and a listing in ``__all__`` do not
 count, so an exported name that nothing tests is flagged. A message that two
 ``raise`` statements of the package share, or that writes out by hand what one
 of the two input checks (``util.check_ranges``, ``sieve.check_int``) words, is
-flagged too.
+flagged too, and so is a ``functools.cache`` or ``lru_cache`` on a function that
+takes a parameter: each cache of the package holds one value.
 """
 
 import ast
@@ -214,3 +215,42 @@ def test_no_raise_repeats_a_message():
     # each strategy range and each integer bound has its message written once, in its door
     hand_written = sorted(set(filter(DOOR_MESSAGE.match, seen)) - REAL_BOUNDS)
     assert not hand_written, [f"{seen[m]}: {m!r}" for m in hand_written]
+
+
+def cached_with_parameters(tree: ast.Module) -> list[tuple[str, int]]:
+    """Each function under ``functools.cache`` or ``lru_cache`` (bare, called or
+    as an attribute) that takes any parameter, with the line that defines it."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        if not (args.posonlyargs or args.args or args.kwonlyargs or args.vararg or args.kwarg):
+            continue
+        for decorator in node.decorator_list:
+            target = decorator.func if isinstance(decorator, ast.Call) else decorator
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            if name in ("cache", "lru_cache"):
+                out.append((node.name, node.lineno))
+    return sorted(out, key=lambda pair: pair[1])
+
+
+def test_the_check_catches_a_cache_per_argument():
+    tree = ast.parse(
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@functools.cache\ndef a():\n    pass\n"
+        "@lru_cache(maxsize=4)\ndef b(top):\n    pass\n"
+        "@cache\ndef c(*, k=1):\n    pass\n"
+        "@functools.lru_cache\ndef d(*args):\n    pass\n"
+        "@staticmethod\ndef e(x):\n    pass\n"
+    )
+    assert [name for name, _ in cached_with_parameters(tree)] == ["b", "c", "d"]
+
+
+def test_every_cache_holds_one_value():
+    cached = [
+        f"{path.name}:{line}: {name}"
+        for path in SOURCES
+        for name, line in cached_with_parameters(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not cached, cached

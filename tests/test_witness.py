@@ -234,13 +234,21 @@ def test_non_integers_are_type_errors():
 
 def test_a_bool_is_not_an_integer_input():
     # both doors, sieve.check_int and sieve.check_window, refuse a flag as a count:
-    # f_exact(True) used to return (0, None), and primes_in(True, 10) to sieve from 1
+    # f_exact(True) used to return (0, None), primes_in(True, 10) to sieve from 1,
+    # strategy_bv(True) and smooth_search(True, ...) None, and crt_pair(True, 3, 5) 1
     for call in (
         lambda: f_exact(True),
         lambda: primes_in(True, 10),
         lambda: primes_in(1, np.True_),
         lambda: largest_prime_factor(True),
         lambda: sieve.check_int(False, "f", "n", 0),
+        lambda: strategy_bv(True),
+        lambda: strategy_bv(np.True_),
+        lambda: smooth_search(True, 0.5, 0.5, 0.05),
+        lambda: smooth_search(np.True_, 0.5, 0.5, 0.05),
+        lambda: crt_pair(True, 3, 5),
+        lambda: crt_pair(7, np.True_, 5),
+        lambda: crt_pair(7, 3, True),
     ):
         with pytest.raises(TypeError, match="bool"):
             call()
