@@ -3,7 +3,7 @@
 
 Walks the core objects at desk scale:
 
-  1. f(n) for small n by exhaustive enumeration, with maximizing witnesses;
+  1. f(n) for small n by the exact best-first search, with maximizing witnesses;
   2. anatomy of a witness quadruple (k, p, q, r) and its score;
   3. the two constructive strategies on concrete inputs, checked against
      the exact values where those are affordable;

@@ -23,10 +23,16 @@ TRIAL_LIMIT = 10_000
 
 
 @functools.cache
-def _small_primes() -> tuple[list[int], int]:
-    """The primes below TRIAL_LIMIT, and their product."""
-    primes = sieve.primes_in(2, TRIAL_LIMIT).tolist()
-    return primes, math.prod(primes)
+def _small_primes() -> list[int]:
+    """The primes below TRIAL_LIMIT."""
+    return sieve.primes_in(2, TRIAL_LIMIT).tolist()
+
+
+@functools.cache
+def _small_product() -> int:
+    """The product of the primes below TRIAL_LIMIT. It takes about 0.7 ms to
+    form, five times the sieve, so only a k that needs it pays for it."""
+    return math.prod(_small_primes())
 
 
 def _pollard_rho(n: int) -> int:
@@ -74,14 +80,13 @@ def _rough_prime_factors(m: int) -> set[int]:
 
 def _prime_factors(k: int) -> list[int]:
     """The distinct primes dividing k >= 1, ascending ([] for k = 1)."""
-    primes, product = _small_primes()
     # Below TRIAL_LIMIT**2 the loop divides k itself up to sqrt(k), which costs
     # less than a gcd with the product. From there up it divides only
     # g = gcd(k, product): squarefree, 1 for a k with no small factor, and
     # done at sqrt(g).
-    m = k if k < TRIAL_LIMIT**2 else math.gcd(k, product)
+    m = k if k < TRIAL_LIMIT**2 else math.gcd(k, _small_product())
     out = []
-    for p in primes:
+    for p in _small_primes():
         if p * p > m:
             break
         if m % p == 0:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import factor, sieve
 from .util import check_ranges, compare_power, exact_int, fmt9, log_each, power_floor, round9
-from .witness import F_EXACT_MAX_N, RSet, _rset_interval, build_rset, prime_r_scores, strategy_bv
+from .witness import SCAN_MAX_N, RSet, _rset_interval, build_rset, prime_r_scores, strategy_bv
 
 SURVEY_CSV_HEADER = "n,strategy,k,p,q,r,score,beta,exceptional"
 
@@ -320,13 +320,13 @@ def survey_range(x: int, config: SurveyConfig | None = None) -> SurveyReport:
     ``math.log(score, n)``, go a block of ``TEXT_BLOCK`` n at a time, so
     their temporaries stay a block long at any x. Runs in one process;
     deterministic for a given config. Every score is below x**2, so x is
-    supported up to F_EXACT_MAX_N, the int64 limit of the scan.
+    supported up to SCAN_MAX_N, the int64 limit of the scan.
 
     Raises:
         TypeError: if x is not an integer, or is a bool (``sieve.check_int``).
-        ValueError: if x < 8 or x > F_EXACT_MAX_N.
+        ValueError: if x < 8 or x > SCAN_MAX_N.
     """
-    x = sieve.check_int(x, "survey_range", "x", 8, F_EXACT_MAX_N)
+    x = sieve.check_int(x, "survey_range", "x", 8, SCAN_MAX_N)
     if config is None:
         config = SurveyConfig()
 

@@ -21,6 +21,7 @@ enumeration is hopeless:
 All searches use fixed orders, so identical inputs yield identical witnesses.
 """
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -62,14 +63,16 @@ def unchecked_score(k: int, p: int, q: int, r: int) -> int:
     return min(p * p * k, p * k * r, q * r)
 
 
+SCAN_MAX_N = math.isqrt(2**63 - 1)
+
+
 def prime_r_scores(n, r: np.ndarray, q: np.ndarray, lpf: np.ndarray, lo: int):
     """(p, scores) with p = P(n - r) for primes r < n and q = P(r-1).
 
-    The int64 array form of ``unchecked_score`` with k p = n - r, shared by
-    ``f_exact`` and the survey's smooth scan; p is read from ``lpf``, an
-    ``lpf_table`` array that starts at ``lo`` and must cover every n - r.
-    Each product is below n**2, so the scores are exact for
-    n <= F_EXACT_MAX_N.
+    The int64 array form of ``unchecked_score`` with k p = n - r, for the
+    survey's smooth scan; p is read from ``lpf``, an ``lpf_table`` array that
+    starts at ``lo`` and must cover every n - r. Each product is below n**2,
+    so the scores are exact for n <= SCAN_MAX_N.
     """
     d = n - r
     p = lpf[d - lo]
@@ -102,70 +105,136 @@ def witness_json(n: int, w: Witness, strategy: str) -> dict:
     return {"n": n, **vars(w), "strategy": strategy}
 
 
-F_EXACT_MAX_N = math.isqrt(2**63 - 1)
-
-
 def f_exact(n: int) -> tuple[int, Witness | None]:
-    """The exact edge budget f(n) with one maximizing witness.
+    """The exact edge budget f(n) with one maximizing witness, for 1 <= n < 2**64.
 
-    For a prime r with d = n - r the score min{p*d, d*r, q*r} never decreases
-    as the prime p | d or the prime q | r - 1 grows, so p = P(d), q = P(r-1)
-    are optimal (tested against full enumeration of every p and q) and f(n)
-    is the maximum of min{P(d)*d, d*r, P(r-1)*r} over primes 3 <= r <= n - 2.
-    Returns (0, None) when no quadruple exists at all.
+    Write a witness as n - r = k*p and r - 1 = m*q. Over the progression of r
+    that a pair (k, m) allows (r = n mod k, r = 1 mod m), the score of a prime
+    triple (r, p, q) is env(r) = min(d*(d/k), d*r, r*((r-1)/m)) with d = n - r,
+    which along the progression rises strictly and then falls, never to rise
+    again. It never exceeds the pair's bound ceil(n**2 / (k + m + 2*isqrt(k*m))), which
+    falls as k or m grows.
 
-    The scan first reads P from a table of 1..n-1 that keeps only P(v) >= T,
-    T = max(n // 64, isqrt(n - 1) + 1), and scores 0 where it is missing.
-    Such a score is never above the true one, and equals it whenever the true
-    score is >= T*n (then P(d) and P(r-1) are both >= T). So a best score
-    >= T*n is f(n), reached at the same r: the certificate. One sieve of
-    [T, n) gives the table's primes and the scanned r (an r < T scores 0
-    there). Only when the best falls short (small n) does the scan run again
-    over every prime r on the exact table.
+    The search is best-first: a heap holds, for each admitted pair, the next
+    member of its progression on each side of its peak (found by an integer
+    bisection), keyed by env; a pair is admitted once its bound reaches the
+    heap top. Candidates therefore pop in descending env, and the first prime
+    triple popped scores f(n). A pair whose progression puts a small prime l
+    into r, p or q at every member (``_obstruction``) offers only the r that
+    make that member l itself. Every comparison is exact integer arithmetic,
+    and nothing is allocated in proportion to n: about 9300 candidates are
+    tested at 10**18 + 7. Returns (0, None) when no quadruple exists (n < 5).
 
-    Ties are broken deterministically: the first maximizer in ascending-p,
-    then ascending-k order wins, recovered from the few maximizing r alone.
-    Every product is below n**2, so n is supported up to
-    F_EXACT_MAX_N = isqrt(2**63 - 1); a certified call builds one table of
-    n - 1 int64 entries.
-    Every field of the witness is a Python int.
+    Ties are broken deterministically: every candidate with env = f(n) is
+    popped, and over those maximizing r the witness takes q = P(r-1) and the
+    first (p, k) in ascending-p, then ascending-k order, so the least prime
+    p | n - r with p * (n - r) >= f(n). Every field is a Python int.
 
     Raises:
         TypeError: if n is not an integer, or is a bool (``sieve.check_int``).
-        ValueError: if n < 1 or n > F_EXACT_MAX_N.
+        ValueError: if n < 1 or n >= 2**64.
     """
-    n = sieve.check_int(n, "f_exact", "n", 1, F_EXACT_MAX_N)
+    n = sieve.check_int(n, "f_exact", "n", 1, 2**64 - 1)
     if n < 5:
         return 0, None
-    floor = max(n // 64, math.isqrt(n - 1) + 1)
-    big = sieve.primes_in(floor, n - 1)  # the one sieve: the table's primes and r
-    lpf = factor._scatter(1, n - 1, big)  # lpf[v - 1] == P(v), or 0 where P(v) < floor
-    r = big[: np.searchsorted(big, n - 2, side="right")]
-    _, scores = prime_r_scores(n, r, lpf[r - 2], lpf, 1)
-    best = int(scores.max())
-    if best < floor * n:  # not certified: the exact table decides
-        r, lpf = sieve.primes_in(3, n - 2), factor.lpf_table(1, n - 1)
-        _, scores = prime_r_scores(n, r, lpf[r - 2], lpf, 1)
-        best = int(scores.max())
-    p, k, top = min(_first_split(n, v, best, lpf) for v in r[scores == best].tolist())
-    return best, Witness(k, p, int(lpf[top - 2]), top, best)
+    pairs = [(-_pair_bound(n, 1, 1), 1, 1)]  # the unadmitted pairs' frontier
+    heap = []  # (-env(r), r, step, k, m, last): a side of a pair, walking from its peak
+    best, tops = 0, set()
+    while True:
+        while -pairs[0][0] >= max(best, -heap[0][0] if heap else 0):
+            _, k, m = heapq.heappop(pairs)
+            heapq.heappush(pairs, (-_pair_bound(n, k, m + 1), k, m + 1))
+            if m == 1:
+                heapq.heappush(pairs, (-_pair_bound(n, k + 1, 1), k + 1, 1))
+            for entry in _sides(n, k, m):
+                heapq.heappush(heap, entry)
+        if not heap or -heap[0][0] < best:
+            break
+        env, r, step, k, m, last = heapq.heappop(heap)
+        if _is_triple(n, k, m, r):
+            best = -env
+            tops.add(r)
+        if r != last:
+            heapq.heappush(heap, (-_env(n, k, m, r + step), r + step, step, k, m, last))
+    p, k, r = min(_first_split(n, r, best) for r in tops)
+    return best, Witness(k, p, factor.largest_prime_factor(r - 1), r, best)
 
 
-def _first_split(n: int, r: int, best: int, lpf: np.ndarray) -> tuple[int, int, int]:
-    """(p, k, r) for the least prime p | n - r = k*p with p * (n - r) >= best.
+def _pair_bound(n: int, k: int, m: int) -> int:
+    """ceil(n**2 / (k + m + 2*isqrt(k*m))): at least n**2 / (sqrt k + sqrt m)**2 >= env."""
+    return -(-n * n // (k + m + 2 * math.isqrt(k * m)))
 
-    P of the shrinking cofactor yields the prime divisors of n - r in
-    descending order, so the scan stops at the first one that falls short.
-    A table with a floor reads 0 for every prime below it; each prime p with
-    p * (n - r) >= best >= floor * n is above the floor, so the scan stops at
-    the same place.
-    """
+
+def _env(n: int, k: int, m: int, r: int) -> int:
+    """``unchecked_score(k, (n-r)/k, (r-1)/m, r)``, written out for the search's inner loop."""
     d = n - r
-    p, m = 0, d
-    while m > 1 and lpf[m - 1] * d >= best:
-        p = int(lpf[m - 1])
-        while m % p == 0:
-            m //= p
+    return min(d * (d // k), d * r, r * ((r - 1) // m))
+
+
+def _is_triple(n: int, k: int, m: int, r: int) -> bool:
+    """Whether r, p = (n-r)/k and q = (r-1)/m are all prime."""
+    return sieve.is_prime(r) and sieve.is_prime((n - r) // k) and sieve.is_prime((r - 1) // m)
+
+
+def _sides(n: int, k: int, m: int) -> list[tuple]:
+    """The heap entries a pair (k, m) starts with.
+
+    Its members are the r in [max(3, 2m + 1), n - 2k] (so p, q >= 2) with
+    r = n (mod k) and r = 1 (mod m), none unless gcd(k, m) | n - 1. An
+    obstructed pair offers its exceptions one by one; any other offers its
+    peak, walking down, and the member above the peak, walking up.
+    """
+    g = math.gcd(k, m)
+    if (n - 1) % g:
+        return []
+    step = k * m // g
+    # r = n + k*t with k*t = 1 - n (mod m)
+    t = (1 - n) // g * pow(k // g, -1, m // g) % (m // g)
+    lo, hi = max(3, 2 * m + 1), n - 2 * k
+    first = lo + (n + k * t - lo) % step
+    if first > hi:
+        return []
+    last = first + (hi - first) // step * step
+    exceptions = _obstruction(n, k, m, first, step)
+    if exceptions is not None:
+        members = {r for r in exceptions if first <= r <= last and (r - first) % step == 0}
+        return [(-_env(n, k, m, r), r, 0, k, m, r) for r in members]
+    # env(r + step) <= env(r) is false up to the peak and true from there on
+    below, above = 0, (last - first) // step
+    while below < above:
+        mid = (below + above) // 2
+        r = first + mid * step
+        if _env(n, k, m, r + step) <= _env(n, k, m, r):
+            above = mid
+        else:
+            below = mid + 1
+    peak = first + below * step
+    sides = [(-_env(n, k, m, peak), peak, -step, k, m, first)]
+    if peak != last:
+        sides.append((-_env(n, k, m, peak + step), peak + step, step, k, m, last))
+    return sides
+
+
+def _obstruction(n: int, k: int, m: int, first: int, step: int) -> tuple[int, int, int] | None:
+    """The only r that can give a prime triple, when a prime l divides r*p*q at every member.
+
+    Then r, p or q is l itself: r is l, n - k*l or m*l + 1. Members l apart
+    agree mod l in r, p and q, so l consecutive members decide. A prime
+    l >= 5 that divides neither k nor m is never such an l: r, p and q then
+    each vanish mod l at one residue of the member index, three of l.
+    None when no prime obstructs.
+    """
+    for l in factor._prime_factors(6 * k * m):
+        if all(r % l == 0 or (n - r) // k % l == 0 or (r - 1) // m % l == 0
+               for r in range(first, first + l * step, step)):
+            return l, n - k * l, m * l + 1
+    return None
+
+
+def _first_split(n: int, r: int, best: int) -> tuple[int, int, int]:
+    """(p, k, r) for the least prime p | n - r = k*p with p * (n - r) >= best."""
+    d = n - r
+    p = next(p for p in factor._prime_factors(d) if p * d >= best)
     return p, d // p, r
 
 

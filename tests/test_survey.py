@@ -24,7 +24,7 @@ from edgebudget import (
 from edgebudget import sieve
 from edgebudget.survey import _CSV_ROW, _JSON_ROW, SURVEY_CSV_HEADER, TEXT_BLOCK, SurveyReport
 from edgebudget.util import round9
-from edgebudget.witness import F_EXACT_MAX_N, _rset_interval
+from edgebudget.witness import SCAN_MAX_N, _rset_interval
 from oracles import trial_division_is_prime, trial_division_lpf
 from test_witness import assert_words_each_range
 
@@ -104,7 +104,7 @@ def test_survey_minimum_range():
 def test_survey_rejects_x_beyond_int64_range_before_allocating():
     # a table of ~1.5e9 int64 entries would be attempted without the guard
     with pytest.raises(ValueError, match="x <="):
-        survey_range(F_EXACT_MAX_N + 1)
+        survey_range(SCAN_MAX_N + 1)
 
 
 def test_survey_rejects_bad_input():

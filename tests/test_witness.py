@@ -3,7 +3,6 @@ import json
 import math
 import random
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -90,8 +89,21 @@ def test_f_exact_small_values():
     assert value == 10 and w == Witness(1, 5, 2, 5, 10)
     with pytest.raises(ValueError):
         f_exact(0)
-    with pytest.raises(ValueError):
-        f_exact(3_037_000_500)  # n**2 would overflow int64
+    with pytest.raises(ValueError, match="n <= 18446744073709551615"):
+        f_exact(2**64)  # beyond is_prime's range
+    n = 3_037_000_500  # one past the int64 scan's limit: the search has none
+    value, w = f_exact(n)
+    assert value == w.score > 0 and validate(n, w)
+
+
+def test_f_exact_at_large_n():
+    # both values agree with two independent searches: best-first on Fraction keys,
+    # and an outward scan over the pairs (k, m)
+    assert f_exact(10**18 + 7)[0] == 50510257216816262010574640918556004
+    assert f_exact(2**64 - 1)[0] == 29191612045398586118499081527380391639
+    for n in (10**12 + 7, 10**18 + 7, 2**64 - 1):
+        value, w = f_exact(n)
+        assert value == w.score and validate(n, w), n
 
 
 def test_f_exact_matches_naive_all_q_enumeration():
@@ -99,7 +111,7 @@ def test_f_exact_matches_naive_all_q_enumeration():
     flags = prime_flags(limit)
     divs = prime_divisor_lists(limit, flags)
     rng = random.Random(2)
-    for n in [*range(1, 401), *(rng.randrange(10_000, limit) for _ in range(3))]:
+    for n in [*range(1, 2001), *(rng.randrange(10_000, limit) for _ in range(3))]:
         value, w = f_exact(n)
         expected, _ = naive_edge_budget(n, flags, divs)
         assert value == expected, n
@@ -128,57 +140,37 @@ def full_table_reference(n):
     return best, Witness(k, p, q, top, best)
 
 
-def test_f_exact_matches_full_table_reference(monkeypatch):
-    # the floored table comes from factor._scatter, the exact one from factor.lpf_table
-    tables = []
-    real_scatter, real_table = factor._scatter, factor.lpf_table
-
-    def scatter(lo, hi, primes):
-        tables.append(("floored", lo, hi, primes))
-        return real_scatter(lo, hi, primes)
-
-    def table(lo, hi, *args, **kwargs):
-        tables.append(("exact", lo, hi, kwargs.get("floor", 0)))
-        return real_table(lo, hi, *args, **kwargs)
-
-    monkeypatch.setattr(factor, "_scatter", scatter)
-    monkeypatch.setattr(factor, "lpf_table", table)
+def test_f_exact_matches_full_table_reference():
     rng = random.Random(6)
-    seeded = [rng.randrange(10**5, 12 * 10**5) for _ in range(6)]
-    seeded = [n | 1 for n in seeded[:3]] + [n & ~1 for n in seeded[3:]]  # both parities
-    certified, fallback = [], []
-    for n in [*range(900, 1101), *seeded]:
-        tables.clear()
+    seeded = [rng.randrange(10**5, 3 * 10**6) for _ in range(8)]
+    seeded = [n | 1 for n in seeded[:4]] + [n & ~1 for n in seeded[4:]]  # both parities
+    for n in [*range(5, 5001), *seeded]:
         assert f_exact(n) == full_table_reference(n), n
-        (kind, lo, hi, primes), *rest = tables
-        floor = max(n // 64, math.isqrt(n - 1) + 1)
-        assert (kind, lo, hi) == ("floored", 1, n - 1), n
-        assert np.array_equal(primes, primes_in(floor, n - 1)), n
-        if not rest:
-            certified.append(n)
-        else:
-            assert rest == [("exact", 1, n - 1, 0)], (n, rest)
-            fallback.append(n)
-    assert len(certified) > 100
-    assert fallback and max(fallback) == 959  # only small n need the exact table
 
 
-def test_certified_f_exact_sieves_once(monkeypatch):
-    # the spy replaces primes_in as witness and factor see it; the base-prime
-    # recursion inside sieve still calls the real function
+def test_f_exact_builds_no_table(monkeypatch):
+    # the search tests its candidates one by one: no sieve and no table of P.
+    # factor's trial-division primes come from primes_in once per process, so
+    # that cache is filled before the spies go in
     calls = []
-
-    def spy(lo, hi):
-        calls.append((lo, hi))
-        return sieve.primes_in(lo, hi)
-
-    seen = types.SimpleNamespace(**{**vars(sieve), "primes_in": spy})
-    monkeypatch.setattr("edgebudget.witness.sieve", seen)
-    monkeypatch.setattr(factor, "sieve", seen)
-    for n in (100_003, 999_983):
-        calls.clear()
+    factor._small_primes()
+    monkeypatch.setattr(sieve, "primes_in", lambda *args: calls.append(("primes_in", args)))
+    monkeypatch.setattr(factor, "lpf_table", lambda *args, **kw: calls.append(("lpf_table", args)))
+    for n in (10, 100_003, 999_983, 10**12 + 7):
         assert f_exact(n)[0] > 0
-        assert calls == [(max(n // 64, math.isqrt(n - 1) + 1), n - 1)], n
+    assert calls == []
+
+
+def test_f_exact_allocates_nothing_in_proportion_to_n():
+    factor._small_primes()  # the process-wide trial-division primes, as above
+    tracemalloc.start()
+    try:
+        value, w = f_exact(3 * 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert validate(3 * 10**7, w) and value == w.score
+    assert peak < 2**20, peak  # a table of n int64 entries would take 240 MB
 
 
 def test_f_exact_returns_python_ints():
@@ -187,7 +179,7 @@ def test_f_exact_returns_python_ints():
     assert all(type(v) is int for v in (value, w.k, w.p, w.q, w.r, w.score))
     assert json.loads(json.dumps(witness_json(10, w, "exact")))["k"] == 1
     assert list(witness_json(10, w, "exact")) == ["n", "k", "p", "q", "r", "score", "strategy"]
-    value, w = f_exact(np.int64(100_003))  # the certified path
+    value, w = f_exact(np.int64(100_003))  # witness fields from pointwise factorizations
     assert all(type(v) is int for v in (value, w.k, w.p, w.q, w.r, w.score))
 
 
