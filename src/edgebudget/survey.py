@@ -18,7 +18,10 @@ import numpy as np
 
 from . import factor, sieve
 from .util import check_ranges, compare_power, exact_int, fmt9, log_each, power_floor, round9
-from .witness import SCAN_MAX_N, RSet, _rset_interval, build_rset, prime_r_scores, strategy_bv
+from .witness import RSet, _rset_interval, build_rset, strategy_bv
+
+# the largest x whose scores, all below x**2, int64 holds exactly
+SCAN_MAX_N = math.isqrt(2**63 - 1)
 
 SURVEY_CSV_HEADER = "n,strategy,k,p,q,r,score,beta,exceptional"
 
@@ -304,9 +307,11 @@ def _smooth_scan(ns: np.ndarray, rset: RSet, gamma: float, tag: np.ndarray, wit:
         found = np.flatnonzero(hit >= 0)
         which = hit[found]
         n, r, q = block[found], members[which], rset.q[which]
-        p, s = prime_r_scores(n, r, q, lpf, lo)
+        d = n - r
+        p = lpf[d - lo]
         tag[rows][found] = _TAGS.index("smooth")
-        wit[:, rows][:, found] = (n - r) // p, p, q, r, s
+        # unchecked_score(d // p, p, q, r) over int64 arrays
+        wit[:, rows][:, found] = d // p, p, q, r, np.minimum(np.minimum(p * d, d * r), q * r)
 
 
 def survey_range(x: int, config: SurveyConfig | None = None) -> SurveyReport:

@@ -63,22 +63,6 @@ def unchecked_score(k: int, p: int, q: int, r: int) -> int:
     return min(p * p * k, p * k * r, q * r)
 
 
-SCAN_MAX_N = math.isqrt(2**63 - 1)
-
-
-def prime_r_scores(n, r: np.ndarray, q: np.ndarray, lpf: np.ndarray, lo: int):
-    """(p, scores) with p = P(n - r) for primes r < n and q = P(r-1).
-
-    The int64 array form of ``unchecked_score`` with k p = n - r, for the
-    survey's smooth scan; p is read from ``lpf``, an ``lpf_table`` array that
-    starts at ``lo`` and must cover every n - r. Each product is below n**2,
-    so the scores are exact for n <= SCAN_MAX_N.
-    """
-    d = n - r
-    p = lpf[d - lo]
-    return p, np.minimum(np.minimum(p * d, d * r), q * r)
-
-
 def validate(n: int, w: Witness) -> bool:
     """True iff w certifies n.
 
@@ -115,20 +99,20 @@ def f_exact(n: int) -> tuple[int, Witness | None]:
     again. It never exceeds the pair's bound ceil(n**2 / (k + m + 2*isqrt(k*m))), which
     falls as k or m grows.
 
-    The search is best-first: a heap holds, for each admitted pair, the next
+    The search is best-first on one heap: it holds the pairs not yet
+    admitted, keyed by their bound, and for each admitted pair the next
     member of its progression on each side of its peak (found by an integer
-    bisection), keyed by env; a pair is admitted once its bound reaches the
-    heap top. Candidates therefore pop in descending env, and the first prime
-    triple popped scores f(n). A pair whose progression puts a small prime l
-    into r, p or q at every member (``_obstruction``) offers only the r that
-    make that member l itself. Every comparison is exact integer arithmetic,
-    and nothing is allocated in proportion to n: about 9300 candidates are
-    tested at 10**18 + 7. Returns (0, None) when no quadruple exists (n < 5).
+    bisection), keyed by env; popping a pair admits it. Candidates therefore
+    pop in descending env, and the first prime triple popped scores f(n). A
+    pair whose progression puts a small prime l into r, p or q at every
+    member (``_obstruction``) offers only the r that make that member l
+    itself. Every comparison is exact integer arithmetic, and nothing is
+    allocated in proportion to n: about 9300 candidates are tested at
+    10**18 + 7. Returns (0, None) when no quadruple exists (n < 5).
 
     Ties are broken deterministically: every candidate with env = f(n) is
-    popped, and over those maximizing r the witness takes q = P(r-1) and the
-    first (p, k) in ascending-p, then ascending-k order, so the least prime
-    p | n - r with p * (n - r) >= f(n). Every field is a Python int.
+    popped, and the witness is the least (p, k, r) among the prime triples
+    popped, with the largest q; that q is P(r-1). Every field is a Python int.
 
     Raises:
         TypeError: if n is not an integer, or is a bool (``sieve.check_int``).
@@ -137,27 +121,30 @@ def f_exact(n: int) -> tuple[int, Witness | None]:
     n = sieve.check_int(n, "f_exact", "n", 1, 2**64 - 1)
     if n < 5:
         return 0, None
-    pairs = [(-_pair_bound(n, 1, 1), 1, 1)]  # the unadmitted pairs' frontier
-    heap = []  # (-env(r), r, step, k, m, last): a side of a pair, walking from its peak
-    best, tops = 0, set()
-    while True:
-        while -pairs[0][0] >= max(best, -heap[0][0] if heap else 0):
-            _, k, m = heapq.heappop(pairs)
-            heapq.heappush(pairs, (-_pair_bound(n, k, m + 1), k, m + 1))
+    # a pair (k, m) not yet admitted, or a side of one walking from its peak;
+    # at equal keys a pair pops first. Each admitted pair pushes its successor,
+    # so the heap never empties
+    heap = [(-_pair_bound(n, 1, 1), 0, 1, 1)]
+    best, tops = 0, []  # tops: (p, k, r, -q) of each prime triple popped
+    while -heap[0][0] >= best:
+        entry = heapq.heappop(heap)
+        if entry[1] == 0:  # (-bound, 0, k, m): admit the pair
+            _, _, k, m = entry
+            heapq.heappush(heap, (-_pair_bound(n, k, m + 1), 0, k, m + 1))
             if m == 1:
-                heapq.heappush(pairs, (-_pair_bound(n, k + 1, 1), k + 1, 1))
-            for entry in _sides(n, k, m):
-                heapq.heappush(heap, entry)
-        if not heap or -heap[0][0] < best:
-            break
-        env, r, step, k, m, last = heapq.heappop(heap)
-        if _is_triple(n, k, m, r):
+                heapq.heappush(heap, (-_pair_bound(n, k + 1, 1), 0, k + 1, 1))
+            for side in _sides(n, k, m):
+                heapq.heappush(heap, side)
+            continue
+        env, _, r, step, k, m, last = entry  # (-env(r), 1, r, step, k, m, last)
+        p, q = (n - r) // k, (r - 1) // m
+        if sieve.is_prime(r) and sieve.is_prime(p) and sieve.is_prime(q):
             best = -env
-            tops.add(r)
+            tops.append((p, k, r, -q))
         if r != last:
-            heapq.heappush(heap, (-_env(n, k, m, r + step), r + step, step, k, m, last))
-    p, k, r = min(_first_split(n, r, best) for r in tops)
-    return best, Witness(k, p, factor.largest_prime_factor(r - 1), r, best)
+            heapq.heappush(heap, (-_env(n, k, m, r + step), 1, r + step, step, k, m, last))
+    p, k, r, minus_q = min(tops)
+    return best, Witness(k, p, -minus_q, r, best)
 
 
 def _pair_bound(n: int, k: int, m: int) -> int:
@@ -166,14 +153,8 @@ def _pair_bound(n: int, k: int, m: int) -> int:
 
 
 def _env(n: int, k: int, m: int, r: int) -> int:
-    """``unchecked_score(k, (n-r)/k, (r-1)/m, r)``, written out for the search's inner loop."""
-    d = n - r
-    return min(d * (d // k), d * r, r * ((r - 1) // m))
-
-
-def _is_triple(n: int, k: int, m: int, r: int) -> bool:
-    """Whether r, p = (n-r)/k and q = (r-1)/m are all prime."""
-    return sieve.is_prime(r) and sieve.is_prime((n - r) // k) and sieve.is_prime((r - 1) // m)
+    """The score of r, p = (n-r)/k and q = (r-1)/m, were all three prime."""
+    return unchecked_score(k, (n - r) // k, (r - 1) // m, r)
 
 
 def _sides(n: int, k: int, m: int) -> list[tuple]:
@@ -198,7 +179,7 @@ def _sides(n: int, k: int, m: int) -> list[tuple]:
     exceptions = _obstruction(n, k, m, first, step)
     if exceptions is not None:
         members = {r for r in exceptions if first <= r <= last and (r - first) % step == 0}
-        return [(-_env(n, k, m, r), r, 0, k, m, r) for r in members]
+        return [(-_env(n, k, m, r), 1, r, 0, k, m, r) for r in members]
     # env(r + step) <= env(r) is false up to the peak and true from there on
     below, above = 0, (last - first) // step
     while below < above:
@@ -209,9 +190,9 @@ def _sides(n: int, k: int, m: int) -> list[tuple]:
         else:
             below = mid + 1
     peak = first + below * step
-    sides = [(-_env(n, k, m, peak), peak, -step, k, m, first)]
+    sides = [(-_env(n, k, m, peak), 1, peak, -step, k, m, first)]
     if peak != last:
-        sides.append((-_env(n, k, m, peak + step), peak + step, step, k, m, last))
+        sides.append((-_env(n, k, m, peak + step), 1, peak + step, step, k, m, last))
     return sides
 
 
@@ -229,13 +210,6 @@ def _obstruction(n: int, k: int, m: int, first: int, step: int) -> tuple[int, in
                for r in range(first, first + l * step, step)):
             return l, n - k * l, m * l + 1
     return None
-
-
-def _first_split(n: int, r: int, best: int) -> tuple[int, int, int]:
-    """(p, k, r) for the least prime p | n - r = k*p with p * (n - r) >= best."""
-    d = n - r
-    p = next(p for p in factor._prime_factors(d) if p * d >= best)
-    return p, d // p, r
 
 
 def crt_pair(n: int, p: int, q: int) -> int:

@@ -1,10 +1,12 @@
 """Fixtures that every test file shares."""
 
 import math
+import time
 
 import pytest
 
 from edgebudget import dirichlet
+from oracles import naive_edge_budget, prime_divisor_lists, prime_flags
 
 
 @pytest.fixture(autouse=True)
@@ -17,3 +19,17 @@ def fresh_jump_table():
     """
     yield
     dirichlet._kept = -math.inf, None
+
+
+@pytest.fixture(scope="session")
+def naive_to_2000():
+    """({n: f(n)} for n <= 2000 by the naive all-(k, p, q) oracle, seconds of that pass).
+
+    The oracle is the slowest reference in the suite; one pass serves every
+    test that needs its values.
+    """
+    flags = prime_flags(2000)
+    divs = prime_divisor_lists(2000, flags)
+    t0 = time.perf_counter()
+    values = {n: naive_edge_budget(n, flags, divs)[0] for n in range(1, 2001)}
+    return values, time.perf_counter() - t0

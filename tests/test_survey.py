@@ -22,9 +22,9 @@ from edgebudget import (
     validate,
 )
 from edgebudget import sieve
-from edgebudget.survey import _CSV_ROW, _JSON_ROW, SURVEY_CSV_HEADER, TEXT_BLOCK, SurveyReport
+from edgebudget.survey import _CSV_ROW, _JSON_ROW, SCAN_MAX_N, SURVEY_CSV_HEADER, TEXT_BLOCK, SurveyReport
 from edgebudget.util import round9
-from edgebudget.witness import SCAN_MAX_N, _rset_interval
+from edgebudget.witness import _rset_interval
 from oracles import trial_division_is_prime, trial_division_lpf
 from test_witness import assert_words_each_range
 

@@ -97,24 +97,35 @@ def test_f_exact_small_values():
 
 
 def test_f_exact_at_large_n():
-    # both values agree with two independent searches: best-first on Fraction keys,
-    # and an outward scan over the pairs (k, m)
-    assert f_exact(10**18 + 7)[0] == 50510257216816262010574640918556004
-    assert f_exact(2**64 - 1)[0] == 29191612045398586118499081527380391639
-    for n in (10**12 + 7, 10**18 + 7, 2**64 - 1):
-        value, w = f_exact(n)
-        assert value == w.score and validate(n, w), n
+    # the values at 10**18 + 7 and 2**64 - 1 agree with two independent searches:
+    # best-first on Fraction keys, and an outward scan over the pairs (k, m).
+    # n mod 12 picks the search's first pair: 2**64 - 59 is 5 mod 12, the
+    # others are 11, 11 and 3
+    expected = {
+        10**12 + 7: Witness(4, 112372434487, 91751710343, 550510262059,
+                            50510256130140427812676),
+        10**18 + 7: Witness(4, 112372435695788251, 91751709536141167, 550510257216847003,
+                            50510257216816262010574640918556004),
+        2**64 - 59: Witness(6, 1949127854270297273, 3375988474043883959, 6751976948087767919,
+                            22794596353753999220412869398747419174),
+        2**64 - 1: Witness(2, 3820445788478014361, 2701463124188380723, 10805852496753522893,
+                           29191612045398586118499081527380391639),
+    }
+    for n, want in expected.items():
+        assert f_exact(n) == (want.score, want) and validate(n, want), n
 
 
-def test_f_exact_matches_naive_all_q_enumeration():
+def test_f_exact_matches_naive_all_q_enumeration(naive_to_2000):
     limit = 100_000
     flags = prime_flags(limit)
     divs = prime_divisor_lists(limit, flags)
     rng = random.Random(2)
-    for n in [*range(1, 2001), *(rng.randrange(10_000, limit) for _ in range(3))]:
+    expected = dict(naive_to_2000[0])  # the oracle's f(n) for every n <= 2000
+    for n in (rng.randrange(10_000, limit) for _ in range(3)):
+        expected[n] = naive_edge_budget(n, flags, divs)[0]
+    for n, want in expected.items():
         value, w = f_exact(n)
-        expected, _ = naive_edge_budget(n, flags, divs)
-        assert value == expected, n
+        assert value == want, n
         assert w == naive_first_maximizer(n, value, flags, divs), n
         if value:
             assert validate(n, w), n
@@ -149,13 +160,16 @@ def test_f_exact_matches_full_table_reference():
 
 
 def test_f_exact_builds_no_table(monkeypatch):
-    # the search tests its candidates one by one: no sieve and no table of P.
+    # the search tests its candidates one by one: no sieve, no table of P, and
+    # no P(n - r) or P(r - 1) after the search, since the witness is a popped
+    # triple; _obstruction's factorization of 6km is the only factoring it does.
     # factor's trial-division primes come from primes_in once per process, so
     # that cache is filled before the spies go in
     calls = []
     factor._small_primes()
     monkeypatch.setattr(sieve, "primes_in", lambda *args: calls.append(("primes_in", args)))
     monkeypatch.setattr(factor, "lpf_table", lambda *args, **kw: calls.append(("lpf_table", args)))
+    monkeypatch.setattr(factor, "largest_prime_factor", lambda *args: calls.append(("lpf", args)))
     for n in (10, 100_003, 999_983, 10**12 + 7):
         assert f_exact(n)[0] > 0
     assert calls == []
@@ -179,7 +193,7 @@ def test_f_exact_returns_python_ints():
     assert all(type(v) is int for v in (value, w.k, w.p, w.q, w.r, w.score))
     assert json.loads(json.dumps(witness_json(10, w, "exact")))["k"] == 1
     assert list(witness_json(10, w, "exact")) == ["n", "k", "p", "q", "r", "score", "strategy"]
-    value, w = f_exact(np.int64(100_003))  # witness fields from pointwise factorizations
+    value, w = f_exact(np.int64(100_003))  # fields read off the popped triple
     assert all(type(v) is int for v in (value, w.k, w.p, w.q, w.r, w.score))
 
 
