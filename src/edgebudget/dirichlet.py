@@ -11,13 +11,15 @@ average.
 Every psi value is an exact sum rounded once to a double. Each weight
 ``math.log(p)`` is a double of at least log 2 > 1/2, hence a multiple of
 2**-53, so log p * 2**53 is an integer below 2**58. The one kept jump table
-holds it once, as two int64 limbs hi * 2**32 + lo with lo < 2**32. ``psi``
-sums one class's limbs. Per modulus, one kernel gathers each limb in class
-order, writes at each class start the limb minus the previous class's total
-(``np.add.reduceat``), and takes one cumsum in place: every partial sum is
-then a running sum within one class, and rounded once it is a post-jump
-value, from which the left limits and class totals are read off. The kernel
-writes into a workspace of four int64 words per jump, through ``out=``;
+holds it once, as one int64 word per jump. Only the sums split it, into two
+limbs hi * 2**32 + lo with lo < 2**32: ``psi`` sums one class's limbs. Per
+modulus, one kernel gathers the weights in class order, splits them into
+the limbs in place, writes at each class start the limb minus the previous
+class's total (``np.add.reduceat``), and takes one cumsum per limb in place:
+every partial sum is then a running sum within one class, and rounded once
+it is a post-jump value, from which the left limits and class totals are
+read off. The kernel writes into a workspace of four int64 words per jump,
+through ``out=``;
 ``max_discrepancy`` makes one for its modulus, and ``bv_sum`` one for all of
 its moduli, whose suprema it adds with ``math.fsum``. Reported values are
 therefore bit-reproducible. The limbs stay exact for z <= MAX_Z = 2**31: one
@@ -69,14 +71,12 @@ class PrimePowerJumps:
 
     Attributes:
         j: The prime powers (int64).
-        hi, lo: The integer ``math.log(p) * 2**53`` for the prime p under
-            each j, as hi * 2**32 + lo with lo < 2**32 (int64 limbs, the
-            exact fixed-point weights).
+        w: The integer ``math.log(p) * 2**53`` below 2**58 for the prime p
+            under each j (int64, the exact fixed-point weights).
     """
 
     j: np.ndarray
-    hi: np.ndarray
-    lo: np.ndarray
+    w: np.ndarray
 
     def __len__(self) -> int:
         return self.j.size
@@ -85,33 +85,27 @@ class PrimePowerJumps:
 def _jumps_upto(top: int) -> PrimePowerJumps:
     """The table for floor(z) = top, built from the sorted primes up to top.
 
-    The few higher powers p**k (k >= 2, p <= sqrt(top)) are inserted among
-    the primes at their sorted positions, and each weight goes in beside its
-    j; no array longer than the primes is sorted or concatenated. The peak
-    is ``log_each``'s, 48 bytes per jump under ``tracemalloc``.
+    The few higher powers p**k (k >= 2, p <= sqrt(top)) are listed in one
+    loop, sorted and inserted among the primes, each weight beside its j; no
+    array longer than the primes is sorted. The peak is ``log_each``'s, 48
+    bytes per jump under ``tracemalloc``.
     """
     primes = sieve.primes_in(2, top) if top >= 2 else np.zeros(0, dtype=np.int64)
     # exact: each log is a multiple of 2**-53
     weights = (log_each(primes) * _SCALE).astype(np.int64)
-    roots = primes[: np.searchsorted(primes, math.isqrt(top), side="right")]
-    powers = [roots]  # powers[k][i] == roots[i] ** (k + 1), while that is <= top
-    while powers[-1].size:
-        prev = powers[-1]
-        n = np.count_nonzero(prev <= top // roots[: prev.size])  # a prefix, as roots ascend
-        powers.append(prev[:n] * roots[:n])
-    # the higher powers (k >= 1 above) in ascending order, with the index of each one's prime
-    extra = np.concatenate(powers)[roots.size :]
-    order = np.argsort(extra)
-    extra = extra[order]
-    base = np.concatenate([np.arange(part.size) for part in powers])[roots.size :][order]
-    at = np.searchsorted(primes, extra)  # no prime is a power; a shared position keeps order
-    j = np.insert(primes, at, extra)
-    fixed = np.insert(weights, at, weights[base])
-    lo = fixed & _MASK
-    fixed >>= _LIMB  # now the high limb
-    for array in (j, fixed, lo):
-        array.flags.writeable = False
-    return PrimePowerJumps(j, fixed, lo)
+    extra = []  # (p**k, index of p) for every p**k <= top with k >= 2
+    for i, p in enumerate(primes[: np.searchsorted(primes, math.isqrt(top), side="right")].tolist()):
+        power = p * p
+        while power <= top:
+            extra.append((power, i))
+            power *= p
+    extra.sort()
+    powers, base = np.array(extra, dtype=np.int64).reshape(-1, 2).T
+    at = np.searchsorted(primes, powers)  # no prime is a power; a shared position keeps order
+    j = np.insert(primes, at, powers)
+    w = np.insert(weights, at, weights[base])
+    j.flags.writeable = w.flags.writeable = False
+    return PrimePowerJumps(j, w)
 
 
 _kept = -math.inf, None  # (top, table): the one table, for the largest floor(z) asked for
@@ -127,7 +121,7 @@ def prime_power_jumps(z: float) -> PrimePowerJumps:
         _kept = top, _jumps_upto(top)
     table = _kept[1]
     n = np.searchsorted(table.j, top, side="right")
-    return PrimePowerJumps(table.j[:n], table.hi[:n], table.lo[:n])
+    return PrimePowerJumps(table.j[:n], table.w[:n])
 
 
 def _check_z(z: float, name: str = "z") -> None:
@@ -172,8 +166,8 @@ def psi(y: float, m: int, a: int) -> float:
     _check_z(y, "y")
     jumps = prime_power_jumps(y)
     # every j <= MAX_Z, so a larger modulus leaves j as it is and need not fit in int64
-    chosen = jumps.j % min(m, MAX_Z + 1) == a
-    limbs = jumps.hi[chosen].sum(keepdims=True), jumps.lo[chosen].sum(keepdims=True)
+    w = jumps.w[jumps.j % min(m, MAX_Z + 1) == a]
+    limbs = (w >> _LIMB).sum(keepdims=True), (w & _MASK).sum(keepdims=True)
     return float(_fixed_to_float(*limbs, np.empty(1))[0])
 
 
@@ -236,10 +230,13 @@ def _discrepancy(jumps: PrimePowerJumps, z: float, m: int, work: np.ndarray) -> 
     starts = np.flatnonzero(change)
     residues = sorted_cls[starts].astype(np.int64)
     counts = np.diff(starts, append=n)
-    # each limb's running sum in class order, restarted at each class start: a start
-    # first takes off the previous class's total, so every partial sum is one class's
-    for limb, prefix in ((jumps.hi, hi), (jumps.lo, lo)):
-        np.take(limb, order, out=prefix, mode="clip")
+    # the weights in class order, split into limbs; each limb's running sum, restarted at
+    # each class start: a start first takes off the previous class's total, so every
+    # partial sum is one class's
+    np.take(jumps.w, order, out=lo, mode="clip")
+    np.right_shift(lo, _LIMB, out=hi)
+    lo &= _MASK
+    for prefix in (hi, lo):
         if starts.size > 1:
             prefix[starts[1:]] -= np.add.reduceat(prefix, starts)[:-1]
         np.cumsum(prefix, out=prefix)

@@ -7,8 +7,9 @@ primes that divide gcd(k, their product)), a deterministic primality check
 on the cofactor, and Brent-cycle Pollard rho (with an input-derived seed, so
 the output is reproducible) for composite cofactors. Bulk values of P over an
 interval come from a segmented sieve that divides out every prime up to
-sqrt(hi); a caller that needs only P(n) >= floor > sqrt(hi) gets them by
-writing each prime in [floor, hi] onto its multiples.
+sqrt(hi), or, over a window too narrow to pay for those primes, from the
+pointwise factorizer; a caller that needs only P(n) >= floor > sqrt(hi) gets
+them by writing each prime in [floor, hi] onto its multiples.
 """
 
 import functools
@@ -170,11 +171,13 @@ def lpf_table(lo: int, hi: int, *, floor: int = 0) -> np.ndarray:
     exact table. When floor > sqrt(hi), ``_scatter`` writes the primes of
     [floor, hi] that have a multiple in the window onto their multiples.
     That path is skipped for a window so narrow that those primes would span
-    more than twice its width. Otherwise each segment of
-    ``sieve.SEGMENT_LENGTH`` entries divides out all primes up to sqrt(hi)
+    more than twice its width. A window that ``sieve.is_narrow`` marks is
+    not sieved: each entry is ``largest_prime_factor(n)``, so a few numbers
+    near 2**63 take milliseconds and no base primes. Otherwise each segment
+    of ``sieve.SEGMENT_LENGTH`` entries divides out all primes up to sqrt(hi)
     (once per prime-power level, so multiplicities are exact); any cofactor
-    left above 1 is itself prime and is the largest factor; entries below
-    floor are then zeroed.
+    left above 1 is itself prime and is the largest factor. Either way,
+    entries below floor are then zeroed.
 
     Raises:
         TypeError: if lo, hi or floor is not an integer, or is a bool.
@@ -190,6 +193,9 @@ def lpf_table(lo: int, hi: int, *, floor: int = 0) -> np.ndarray:
         q_lo = max(floor, -(-lo // (hi // floor)))  # no prime in [floor, q_lo) has a multiple >= lo
         if hi - q_lo <= 2 * (hi - lo):
             return _scatter(lo, hi, sieve.primes_in(q_lo, hi))
+    if sieve.is_narrow(lo, hi):
+        pointwise = (largest_prime_factor(n) for n in range(lo, hi + 1))
+        return np.array([p if p >= floor else 0 for p in pointwise], dtype=np.int64)
     out = np.zeros(hi - lo + 1, dtype=np.int64)
     base = sieve.primes_in(1, root).tolist()
     for seg_lo in range(lo, hi + 1, sieve.SEGMENT_LENGTH):

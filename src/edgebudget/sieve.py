@@ -142,8 +142,9 @@ def is_narrow(lo: int, hi: int) -> bool:
 
     Sieving such a window costs more in base primes up to sqrt(hi) than the
     window holds numbers, so its members are examined one by one instead:
-    ``primes_in`` tests them with ``is_prime``, and ``witness.build_rset``
-    factors each r - 1 with ``factor.largest_prime_factor``. Measured from
+    ``primes_in`` tests them with ``is_prime``, ``factor.lpf_table`` takes
+    each P(n) from ``factor.largest_prime_factor``, and ``witness.build_rset``
+    factors each r - 1 with it. Measured from
     lo = 1e8 to 1e14, the two ways cost the same at widths of sqrt(hi)/64
     to sqrt(hi)/16; at sqrt(hi) itself the pointwise way is 6 to 12 times
     slower.

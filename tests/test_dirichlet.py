@@ -225,6 +225,13 @@ def test_bv_sum_pinned_value():
     assert bv_sum(Z_BV, 1).hex() == "0x1.891adc9a13995p+14"
 
 
+def test_kernels_pinned_at_larger_z():
+    # bit-exact values past test_cli.GOLDEN's z = 1000, where its 9 digits could hide a change
+    assert psi(20000000.5, 7, 3) == 3333847.225906406
+    assert max_discrepancy(2e7, 7) == DiscrepancyRecord(7, 1, 9721573.0, 2202.7090852088295, True)
+    assert bv_sum(2e6, 1) == 76375.27126004107
+
+
 @pytest.mark.parametrize("z", [3, 10, 100, 1000.5, Z_BV])
 @pytest.mark.parametrize("B", [0, 0.5, 1])
 def test_bv_sum_is_the_fsum_of_max_discrepancy(z, B):
@@ -268,15 +275,23 @@ def test_jump_table_build_peaks_at_48_bytes_per_jump():
     # the table itself, where the inserted powers crowd the primes: exact weights log p
     for top in [*range(0, 130), 5000]:
         table = build(top)
-        got = zip(table.j.tolist(), table.hi.tolist(), table.lo.tolist())
-        assert [(j, (hi << 32 | lo) / 2**53) for j, hi, lo in got] == reference_jumps(top), top
+        got = zip(table.j.tolist(), table.w.tolist())
+        assert [(j, w / 2**53) for j, w in got] == reference_jumps(top), top
+
+
+def test_kept_table_holds_16_bytes_per_jump():
+    # one int64 word for the prime power and one for its weight, and nothing else
+    jumps = prime_power_jumps(Z_BV)
+    fields = dataclasses.fields(jumps)
+    assert sum(getattr(jumps, f.name).nbytes for f in fields) == 16 * len(jumps)
+    assert [f.name for f in fields] == ["j", "w"]
 
 
 def test_a_smaller_z_reads_a_prefix_of_the_kept_table():
     kept = prime_power_jumps(Z_BV)
     for top in [*range(0, 131), 5000, 10**5]:
         got, fresh = prime_power_jumps(top + 0.5), dirichlet._jumps_upto(top)
-        for name in ("j", "hi", "lo"):
+        for name in ("j", "w"):
             view, want = getattr(got, name), getattr(fresh, name)
             assert np.array_equal(view, want), (top, name)
             assert view.size == 0 or np.shares_memory(view, getattr(kept, name)), (top, name)
@@ -305,11 +320,11 @@ def test_cached_jump_table_is_read_only():
     before = psi(100, 1, 0), max_discrepancy(100, 3)
     jumps = prime_power_jumps(100)
     assert len(jumps) == 35  # 25 primes and 10 higher prime powers
-    for array in (jumps.j, jumps.hi, jumps.lo):
+    for array in (jumps.j, jumps.w):
         with pytest.raises(ValueError):
             array[:] = 0
     again = prime_power_jumps(100.5)
-    for array, same in zip((jumps.j, jumps.hi, jumps.lo), (again.j, again.hi, again.lo)):
+    for array, same in zip((jumps.j, jumps.w), (again.j, again.w)):
         assert np.shares_memory(array, same) and np.array_equal(array, same)
     assert (psi(100, 1, 0), max_discrepancy(100, 3)) == before
     assert before[0] == pytest.approx(94.045, abs=1e-3)

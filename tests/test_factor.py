@@ -141,6 +141,21 @@ def test_lpf_table_refuses_windows_beyond_int64():
     assert lpf_table(lo, hi, floor=2**62).tolist() == want and any(want)
 
 
+def test_lpf_table_factors_a_narrow_window_pointwise(monkeypatch):
+    # 11 numbers are far fewer than the base primes up to sqrt(hi) (about 1e9 at
+    # 10**18), so the window is not sieved. factor's trial-division primes come
+    # from primes_in once per process, so that cache is filled before the spy goes in
+    factor._small_primes()
+    calls = []
+    monkeypatch.setattr(sieve, "primes_in", lambda *args: calls.append(args) or np.zeros(0, np.int64))
+    for lo in (10**18, 2**63 - 11):
+        want = [largest_prime_factor(n) for n in range(lo, lo + 11)]
+        for floor in (0, 10**12):
+            got = lpf_table(lo, lo + 10, floor=floor).tolist()
+            assert calls == [], (lo, floor)
+            assert got == [p if p >= floor else 0 for p in want], (lo, floor)
+
+
 def test_lpf_table_floor_is_keyword_only():
     # a stale positional third argument must not silently become the floor
     with pytest.raises(TypeError):
