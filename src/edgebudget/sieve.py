@@ -3,8 +3,10 @@
 The arithmetic substrate for everything else in the package: a segmented
 sieve of Eratosthenes with bounded memory and a pointwise primality test that
 is exact over the full 64-bit range. The test answers small n from the primes
-below 100, and runs Miller-Rabin on the rest with only as many prime bases as
-the published strong-pseudoprime bounds require below n. A window too narrow
+below 100, and runs Miller-Rabin on the rest with the best-known base set
+that is verified exact below n: at most seven bases, and one or two below
+1373653. ``is_prime_triple`` tests three numbers at once, cheapest rejection
+first, for ``witness.f_exact``'s candidates. A window too narrow
 to pay for the base primes up to its square root (``is_narrow``) is tested
 pointwise instead of sieved. Pointwise factoring, and with it the von
 Mangoldt weight Lambda(n), lives in ``factor``.
@@ -30,28 +32,25 @@ _SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 # a composite below 100**2 has a prime factor below 100: there a gcd of 1 means prime
 _GCD_EXACT_LIMIT = 10**4
 
-# Strong-pseudoprime bounds, OEIS A014233: psi_k is the least odd composite
-# that is a strong probable prime to each of the first k prime bases, so those
-# k bases decide every n < psi_k exactly (Jaeschke, Math. Comp. 61 (1993);
-# Sorenson and Webster, Math. Comp. 86 (2017)).
-#
-#    k  psi_k
-#    1  2047
-#    2  1373653
-#    3  25326001
-#    4  3215031751
-#    5  2152302898747
-#    6  3474749660383
-#    7  341550071728321            (= psi_8)
-#    9  3825123056546413051        (= psi_10 = psi_11)
-#   12  318665857834031151167461   (about 3.18e23, beyond 2**64)
-_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_PSI = (
-    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
-    3825123056546413051,
+# Best-known deterministic Miller-Rabin base sets (miller-rabin.appspot.com):
+# each row's bases decide every n below its bound, the least odd composite
+# that passes them all. A base is reduced mod n and a residue below 2 is
+# skipped, the convention the sets were verified under. What they rest on is a
+# published computation, checked against Feitsma's list of the base-2 strong
+# pseudoprimes below 2**64: the same kind of evidence as the upper entries of
+# OEIS A014233, whose psi_2 = 1373653 bounds the row of the prime bases 2, 3.
+_MR_SETS = (
+    (341531, (9345883071009581737,)),
+    (1373653, (2, 3)),
+    (350269456337, (4230279247111683200, 14694767155120705706, 16641139526367750375)),
+    (55245642489451, (2, 141889084524735, 1199124725622454117, 11096072698276303650)),
+    (7999252175582851,
+     (2, 4130806001517, 149795463772692060, 186635894390467037, 3967304179347715805)),
+    (585226005592931977, (2, 123635709730000, 9233062284813009, 43835965440333360,
+                          761179012939631437, 1263739024124850375)),
+    (_U64_LIMIT, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),  # Sinclair
 )
-# _TIER_BASES[bisect_right(_PSI, n)]: the bases that decide n
-_TIER_BASES = tuple(_BASES[:k] for k in (1, 2, 3, 4, 5, 6, 7, 9, 12))
+_MR_BOUNDS = tuple(bound for bound, _ in _MR_SETS)
 
 
 def is_prime(n: int) -> bool:
@@ -59,11 +58,11 @@ def is_prime(n: int) -> bool:
 
     n <= 100 is looked up among the primes below 100; a larger n sharing a
     factor with them is composite, and one below 10**4 that shares none is
-    prime. Beyond that, Miller-Rabin runs with the first k prime bases, for
-    the least k whose bound psi_k (OEIS A014233) exceeds n: one base below
-    2047, nine below 3.8e18 and twelve up to 2**64. The answer is exact (no
-    probabilistic error) over the supported range. n may be any integer
-    type, numpy's included.
+    prime. Beyond that, Miller-Rabin runs with the best-known base set whose
+    bound exceeds n (``_MR_SETS``): one base below 341531, two below 1373653,
+    and at most seven up to 2**64. The answer is exact (no probabilistic
+    error) over the supported range, on the published verification of those
+    sets. n may be any integer type, numpy's included.
 
     Raises:
         TypeError: if n is not an integer.
@@ -81,7 +80,10 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _TIER_BASES[bisect.bisect_right(_PSI, n)]:
+    for a in _MR_SETS[bisect.bisect_right(_MR_BOUNDS, n)][1]:
+        a %= n
+        if a < 2:
+            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -92,6 +94,20 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def is_prime_triple(r: int, p: int, q: int) -> bool:
+    """``is_prime(r) and is_prime(p) and is_prime(q)``, cheapest rejection first.
+
+    When all three exceed 100 and one reaches 10**4: one gcd of r*p*q with the
+    primes below 100, then a base-2 Fermat test of r, p and q, and only then
+    ``is_prime`` of each, which decides. Otherwise ``is_prime`` alone.
+    """
+    if (min(r, p, q) > 100 and max(r, p, q) >= _GCD_EXACT_LIMIT
+            and (math.gcd(r * p * q, _SMALL_PRODUCT) != 1
+                 or any(pow(2, x - 1, x) != 1 for x in (r, p, q)))):
+        return False
+    return is_prime(r) and is_prime(p) and is_prime(q)
 
 
 def check_int(value, fn: str = "", name: str = "", lo: float = -math.inf,

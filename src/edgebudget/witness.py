@@ -103,7 +103,10 @@ def f_exact(n: int) -> tuple[int, Witness | None]:
     admitted, keyed by their bound, and for each admitted pair the next
     member of its progression on each side of its peak (found by an integer
     bisection), keyed by env; popping a pair admits it. Candidates therefore
-    pop in descending env, and the first prime triple popped scores f(n). A
+    pop in descending env, and the first prime triple popped scores f(n).
+    Each candidate's triple is tested by ``sieve.is_prime_triple``, cheapest
+    rejection first: one gcd of r*p*q with the primes below 100, a base-2
+    Fermat test of r, p and q, then ``is_prime`` of each, which decides. A
     pair whose progression puts a small prime l into r, p or q at every
     member (``_obstruction``) offers only the r that make that member l
     itself. Every comparison is exact integer arithmetic, and nothing is
@@ -138,7 +141,7 @@ def f_exact(n: int) -> tuple[int, Witness | None]:
             continue
         env, _, r, step, k, m, last = entry  # (-env(r), 1, r, step, k, m, last)
         p, q = (n - r) // k, (r - 1) // m
-        if sieve.is_prime(r) and sieve.is_prime(p) and sieve.is_prime(q):
+        if sieve.is_prime_triple(r, p, q):
             best = -env
             tops.append((p, k, r, -q))
         if r != last:

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from edgebudget import Witness, validate
 from edgebudget.cli import EXIT_ERROR, EXIT_NO_WITNESS, EXIT_OK, main
-from oracles import trial_division_is_prime
+from oracles import trial_division_is_prime, trial_division_lpf
+from test_sieve import MR_BOUNDS, PSI
 
 FIELDS = ("n", "k", "p", "q", "r", "score")
 
@@ -114,3 +115,16 @@ def test_non_integer_json_fields_exit_1(doc, field, data):
     assert (code, out) == (EXIT_ERROR, ""), doc
     if type(doc[field]) is bool:  # validate agrees; an exact float still coerces there
         assert validate(doc["n"], Witness(*(doc[key] for key in FIELDS[1:]))) is False, doc
+
+
+def test_strong_pseudoprime_r_is_refused():
+    # r is the least composite that a weaker base set passes: psi_k of OEIS
+    # A014233 (the first k prime bases), or a bound of sieve._MR_SETS (its own
+    # row's bases). Every other check holds: p = 2, q = P(r - 1), k = 1,
+    # n = p + r and the score recomputed
+    for r in [psi for psi, _ in PSI.values()] + list(MR_BOUNDS):
+        q = trial_division_lpf(r - 1)
+        doc = {"n": 2 + r, "k": 1, "p": 2, "q": q, "r": r, "score": slow_score(1, 2, q, r)}
+        assert validate(doc["n"], Witness(*(doc[key] for key in FIELDS[1:]))) is False, r
+        code, out = run_verify(json.dumps(doc))
+        assert (code, json.loads(out)) == (EXIT_NO_WITNESS, {"n": doc["n"], "valid": False}), r

@@ -50,11 +50,14 @@ TWELVE_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def strong_probable_prime(n: int, bases) -> bool:
-    """Miller-Rabin for odd n > max(bases): True iff n passes every base."""
+    """Miller-Rabin for odd n > 2: True iff n passes every base. A base is taken
+    mod n, and a residue below 2 is skipped, as the best-known sets are verified."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
     for a in bases:
+        if a % n < 2:
+            continue
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -68,7 +71,8 @@ def strong_probable_prime(n: int, bases) -> bool:
 
 
 def twelve_base_is_prime(n: int) -> bool:
-    """is_prime before the base tiers: trial division by the twelve bases, then all twelve."""
+    """Trial division by the first twelve primes, then Miller-Rabin with all twelve as
+    bases: exact below psi_12 (about 3.18e23, OEIS A014233), so on all of is_prime's range."""
     if n < 2:
         return False
     for p in TWELVE_BASES:
@@ -91,10 +95,23 @@ PSI = {
 }
 
 
+# The bounds of sieve._MR_SETS below 2**64 (miller-rabin.appspot.com), with
+# their prime factors: each is the least odd composite that is a strong
+# probable prime to every base of its own row.
+MR_BOUNDS = {
+    341531: (239, 1429),
+    1373653: (829, 1657),
+    350269456337: (197279, 1775503),
+    55245642489451: (3716371, 14865481),
+    7999252175582851: (9227, 894923, 968731),
+    585226005592931977: (382500329, 1530001313),
+}
+
+
 @pytest.mark.parametrize("k", sorted(PSI))
 def test_each_tier_bound_is_a_rejected_strong_pseudoprime(k):
-    # the table is tight: psi_k is composite and passes the first k bases, so
-    # k bases would not do at psi_k itself; is_prime must use more there
+    # the bound is tight: psi_k is composite and passes the first k prime bases,
+    # so those k bases would not decide psi_k itself; is_prime refuses it
     psi, factors = PSI[k]
     assert math.prod(factors) == psi and all(trial_division_is_prime(f) for f in factors)
     assert strong_probable_prime(psi, TWELVE_BASES[:k])
@@ -110,7 +127,7 @@ def test_is_prime_agrees_with_dense_sieve_below_2e6():
 
 def test_is_prime_agrees_with_twelve_bases_on_seeded_n():
     # half uniform on [0, 2**64), half with a uniform bit length, so that
-    # every tier of bases is reached
+    # every row of sieve._MR_SETS is reached
     rng = random.Random(2047)
     ns = [rng.randrange(1 << 64) for _ in range(50_000)]
     ns += [rng.randrange(1 << rng.randrange(1, 65)) for _ in range(50_000)]
@@ -119,9 +136,31 @@ def test_is_prime_agrees_with_twelve_bases_on_seeded_n():
 
 
 def test_is_prime_agrees_with_twelve_bases_around_each_tier_bound():
-    for psi, _ in PSI.values():
-        for n in range(psi - 500, psi + 501):
+    for bound in [*(psi for psi, _ in PSI.values()), *MR_BOUNDS]:
+        for n in range(bound - 500, bound + 501):
             assert is_prime(n) == twelve_base_is_prime(n), n
+
+
+def test_base_sets_are_chosen_by_their_bounds():
+    assert sieve._MR_BOUNDS == (*MR_BOUNDS, 2**64)
+
+
+@pytest.mark.parametrize("row", range(len(MR_BOUNDS)))
+def test_each_base_set_bound_is_a_rejected_strong_pseudoprime(row):
+    # the bound is tight: its own set would call it prime, so is_prime must
+    # use the next row's set there
+    bound, bases = sieve._MR_SETS[row]
+    factors = MR_BOUNDS[bound]
+    assert math.prod(factors) == bound and all(trial_division_is_prime(f) for f in factors)
+    assert strong_probable_prime(bound, bases)
+    assert is_prime(bound) is False
+
+
+def test_is_prime_skips_a_base_that_is_zero_mod_n():
+    # 98207 is prime and divides the one base below 341531, so no base is left
+    (base,) = sieve._MR_SETS[0][1]
+    assert base % 98207 == 0 and trial_division_is_prime(98207)
+    assert is_prime(98207) is True
 
 
 def carmichael_numbers() -> list[int]:
@@ -144,6 +183,23 @@ def test_is_prime_rejects_carmichael_numbers():
     for n in numbers:
         assert pow(2, n - 1, n) == 1  # a Fermat pseudoprime: base 2 alone is fooled
         assert is_prime(n) is False and twelve_base_is_prime(n) is False, n
+
+
+def test_is_prime_triple_is_three_is_prime_calls():
+    # values up to 100 and the gcd-only range take is_prime alone; a Carmichael
+    # number free of the primes below 100 passes both filters, so is_prime decides
+    rng = random.Random(31)
+    carmichael = [n for n in carmichael_numbers() if math.gcd(n, sieve._SMALL_PRODUCT) == 1]
+    pool = [*range(103), 9409, 9973, 10007, 10403, 2**61 - 1, 2**64 - 59, *carmichael[:20]]
+    pool += [rng.randrange(1 << rng.randrange(7, 64)) | 1 for _ in range(40)]
+    pool += [next(sieve.iter_primes(v, v + 2000)) for v in pool[-40:]]  # as many primes
+    for _ in range(20_000):
+        r, p, q = (rng.choice(pool) for _ in range(3))
+        assert sieve.is_prime_triple(r, p, q) == (is_prime(r) and is_prime(p) and is_prime(q))
+    big = [n for n in pool if n > 100 and is_prime(n)]
+    for n in carmichael[:20]:
+        assert sieve.is_prime_triple(n, big[0], big[-1]) is False
+        assert sieve.is_prime_triple(big[0], big[-1], n) is False
 
 
 def test_primes_in_examples():

@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import json
 import math
@@ -173,6 +174,28 @@ def test_f_exact_builds_no_table(monkeypatch):
     for n in (10, 100_003, 999_983, 10**12 + 7):
         assert f_exact(n)[0] > 0
     assert calls == []
+
+
+def test_f_exact_proves_few_triples(monkeypatch):
+    # sieve.is_prime_triple rejects almost every candidate by one gcd or a
+    # base-2 Fermat test, so is_prime runs on little more than the witness's
+    # triple. Testing is_prime(r) first, with its full base set, took 14222
+    # is_prime and 10431 pow calls at this n
+    real_pow, real_is_prime = builtins.pow, sieve.is_prime
+    calls = {"pow": 0, "is_prime": 0}
+
+    def counting_pow(*args):
+        calls["pow"] += 1
+        return real_pow(*args)
+
+    def counting_is_prime(n):
+        calls["is_prime"] += 1
+        return real_is_prime(n)
+
+    monkeypatch.setattr(builtins, "pow", counting_pow)
+    monkeypatch.setattr(sieve, "is_prime", counting_is_prime)
+    assert f_exact(2**64 - 1)[1].k == 2
+    assert calls["is_prime"] <= 10 and calls["pow"] <= 1000, calls
 
 
 def test_f_exact_allocates_nothing_in_proportion_to_n():
