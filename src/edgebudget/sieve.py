@@ -6,7 +6,8 @@ is exact over the full 64-bit range. The test answers small n from the primes
 below 100, and runs Miller-Rabin on the rest with the best-known base set
 that is verified exact below n: at most seven bases, and one or two below
 1373653. ``is_prime_triple`` tests three numbers at once, cheapest rejection
-first, for ``witness.f_exact``'s candidates. A window too narrow
+first, for ``witness.f_exact``'s candidates; its first stage,
+``has_small_factor``, is also the walk's skip test. A window too narrow
 to pay for the base primes up to its square root (``is_narrow``) is tested
 pointwise instead of sieved. Pointwise factoring, and with it the von
 Mangoldt weight Lambda(n), lives in ``factor``.
@@ -96,16 +97,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def has_small_factor(r: int, p: int, q: int) -> bool:
+    """Whether r, p and q all exceed 100 and a prime below 100 divides one of
+    them, by one gcd of r*p*q: then one of the three is composite."""
+    return min(r, p, q) > 100 and math.gcd(r * p * q, _SMALL_PRODUCT) != 1
+
+
 def is_prime_triple(r: int, p: int, q: int) -> bool:
     """``is_prime(r) and is_prime(p) and is_prime(q)``, cheapest rejection first.
 
-    When all three exceed 100 and one reaches 10**4: one gcd of r*p*q with the
-    primes below 100, then a base-2 Fermat test of r, p and q, and only then
-    ``is_prime`` of each, which decides. Otherwise ``is_prime`` alone.
+    ``has_small_factor`` first; then, when all three exceed 100 and one
+    reaches 10**4, a base-2 Fermat test of r, p and q; and only then
+    ``is_prime`` of each, which decides.
     """
-    if (min(r, p, q) > 100 and max(r, p, q) >= _GCD_EXACT_LIMIT
-            and (math.gcd(r * p * q, _SMALL_PRODUCT) != 1
-                 or any(pow(2, x - 1, x) != 1 for x in (r, p, q)))):
+    if has_small_factor(r, p, q) or (
+            min(r, p, q) > 100 and max(r, p, q) >= _GCD_EXACT_LIMIT
+            and any(pow(2, x - 1, x) != 1 for x in (r, p, q))):
         return False
     return is_prime(r) and is_prime(p) and is_prime(q)
 

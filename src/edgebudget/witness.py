@@ -101,17 +101,20 @@ def f_exact(n: int) -> tuple[int, Witness | None]:
 
     The search is best-first on one heap: it holds the pairs not yet
     admitted, keyed by their bound, and for each admitted pair the next
-    member of its progression on each side of its peak (found by an integer
-    bisection), keyed by env; popping a pair admits it. Candidates therefore
-    pop in descending env, and the first prime triple popped scores f(n).
-    Each candidate's triple is tested by ``sieve.is_prime_triple``, cheapest
-    rejection first: one gcd of r*p*q with the primes below 100, a base-2
+    candidate of its progression on each side of its peak (found by an
+    integer bisection), keyed by env; popping a pair admits it. Candidates
+    therefore pop in descending env, and the first prime triple popped
+    scores f(n). A side walks from its peak on a mod-30 wheel (``_walk``):
+    it jumps over the members where 2, 3 or 5 divides r, p or q, and passes
+    over those where a prime below 100 does (``sieve.has_small_factor``).
+    Each candidate left is tested by ``sieve.is_prime_triple``: a base-2
     Fermat test of r, p and q, then ``is_prime`` of each, which decides. A
     pair whose progression puts a small prime l into r, p or q at every
     member (``_obstruction``) offers only the r that make that member l
     itself. Every comparison is exact integer arithmetic, and nothing is
-    allocated in proportion to n: about 9300 candidates are tested at
-    10**18 + 7. Returns (0, None) when no quadruple exists (n < 5).
+    allocated in proportion to n: at 10**18 + 7 the walk passes about 9300
+    members and tests 117 triples. Returns (0, None) when no quadruple
+    exists (n < 5).
 
     Ties are broken deterministically: every candidate with env = f(n) is
     popped, and the witness is the least (p, k, r) among the prime triples
@@ -139,13 +142,13 @@ def f_exact(n: int) -> tuple[int, Witness | None]:
             for side in _sides(n, k, m):
                 heapq.heappush(heap, side)
             continue
-        env, _, r, step, k, m, last = entry  # (-env(r), 1, r, step, k, m, last)
+        env, _, r, step, k, m, last, gaps = entry  # as _walk makes it
         p, q = (n - r) // k, (r - 1) // m
         if sieve.is_prime_triple(r, p, q):
             best = -env
             tops.append((p, k, r, -q))
-        if r != last:
-            heapq.heappush(heap, (-_env(n, k, m, r + step), 1, r + step, step, k, m, last))
+        if r != last and (successor := _walk(n, k, m, r + step, step, last, gaps)):
+            heapq.heappush(heap, successor)
     p, k, r, minus_q = min(tops)
     return best, Witness(k, p, -minus_q, r, best)
 
@@ -182,7 +185,7 @@ def _sides(n: int, k: int, m: int) -> list[tuple]:
     exceptions = _obstruction(n, k, m, first, step)
     if exceptions is not None:
         members = {r for r in exceptions if first <= r <= last and (r - first) % step == 0}
-        return [(-_env(n, k, m, r), 1, r, 0, k, m, r) for r in members]
+        return [(-_env(n, k, m, r), 1, r, 0, k, m, r, None) for r in members]
     # env(r + step) <= env(r) is false up to the peak and true from there on
     below, above = 0, (last - first) // step
     while below < above:
@@ -193,10 +196,45 @@ def _sides(n: int, k: int, m: int) -> list[tuple]:
         else:
             below = mid + 1
     peak = first + below * step
-    sides = [(-_env(n, k, m, peak), 1, peak, -step, k, m, first)]
+    sides = [_walk(n, k, m, peak, -step, first, _gaps(n, k, m, first, -step))]
     if peak != last:
-        sides.append((-_env(n, k, m, peak + step), 1, peak + step, step, k, m, last))
-    return sides
+        sides.append(_walk(n, k, m, peak + step, step, last, _gaps(n, k, m, last, step)))
+    return [side for side in sides if side]
+
+
+def _gaps(n: int, k: int, m: int, last: int, step: int) -> list[int]:
+    """A side's wheel: gaps[j % 30] members lead from last + j*step to the next
+    one whose r, p and q are prime to 30. r, p and q mod 30 repeat every 30
+    members, and some member is prime to 30 unless 2, 3 or 5 obstructs."""
+    wheel = [math.gcd(r * ((n - r) // k) * ((r - 1) // m), 30) == 1
+             for r in range(last, last + 30 * step, step)]
+    gaps, gap = [0] * 30, 0
+    for j in reversed(range(60)):  # twice round, so each gap wraps past 30
+        gap = 0 if wheel[j % 30] else gap + 1
+        gaps[j % 30] = gap
+    return gaps
+
+
+def _walk(n: int, k: int, m: int, r: int, step: int, last: int, gaps: list[int]) -> tuple | None:
+    """The heap entry of a side's first member from r on, toward last, that may
+    give a prime triple; None when none is left.
+
+    A member off the wheel (``_gaps``) has r, p or q divisible by 2, 3 or 5.
+    While r, p and q stay above 100 the side jumps to the next wheel member:
+    they are linear along the side, so their values at the jump's two ends
+    bound every member passed over, and each of those is composite. The
+    member landed on is passed over too when ``sieve.has_small_factor``.
+    Near the progression's ends the side steps one member at a time.
+    """
+    while (last - r) * step >= 0:
+        to = r + gaps[(r - last) // step % 30] * step
+        # r, p and q all exceed 100 on [101 m + 1, n - 101 k]
+        if (last - to) * step >= 0 and 101 * m < min(r, to) and max(r, to) <= n - 101 * k:
+            r = to
+        if not sieve.has_small_factor(r, (n - r) // k, (r - 1) // m):
+            return -_env(n, k, m, r), 1, r, step, k, m, last, gaps
+        r += step
+    return None
 
 
 def _obstruction(n: int, k: int, m: int, first: int, step: int) -> tuple[int, int, int] | None:

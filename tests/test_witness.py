@@ -29,7 +29,7 @@ from edgebudget import (
     validate,
     witness_json,
 )
-from edgebudget import factor, sieve
+from edgebudget import factor, sieve, witness
 from edgebudget.util import compare_power, power_floor
 from edgebudget.witness import unchecked_score
 from oracles import naive_edge_budget, prime_divisor_lists, prime_flags
@@ -100,13 +100,21 @@ def test_f_exact_small_values():
 def test_f_exact_at_large_n():
     # the values at 10**18 + 7 and 2**64 - 1 agree with two independent searches:
     # best-first on Fraction keys, and an outward scan over the pairs (k, m).
-    # n mod 12 picks the search's first pair: 2**64 - 59 is 5 mod 12, the
-    # others are 11, 11 and 3
+    # n mod 12 picks the search's first pair, and these n cover every first
+    # pair: 10**12 + 7 and 10**18 + 7 are 11 mod 12 (pair (4, 6)), 10**18 + 8,
+    # + 9 and + 10 are 0, 1 and 2 ((1, 2), (2, 2) and (3, 2)), 2**64 - 59 is
+    # 5 ((2, 6)) and 2**64 - 1 is 3 ((2, 4))
     expected = {
         10**12 + 7: Witness(4, 112372434487, 91751710343, 550510262059,
                             50510256130140427812676),
         10**18 + 7: Witness(4, 112372435695788251, 91751709536141167, 550510257216847003,
                             50510257216816262010574640918556004),
+        10**18 + 8: Witness(1, 414213562373169289, 292893218813415359, 585786437626830719,
+                            171572875253766417888723359327613121),
+        10**18 + 9: Witness(2, 250000000000014631, 249999999999985373, 499999999999970747,
+                            124999999999985373250000000427883631),
+        10**18 + 10: Witness(3, 183503419072248089, 224744871391627871, 449489742783255743,
+                             101020514433615311101957105092455763),
         2**64 - 59: Witness(6, 1949127854270297273, 3375988474043883959, 6751976948087767919,
                             22794596353753999220412869398747419174),
         2**64 - 1: Witness(2, 3820445788478014361, 2701463124188380723, 10805852496753522893,
@@ -177,7 +185,8 @@ def test_f_exact_builds_no_table(monkeypatch):
 
 
 def test_f_exact_proves_few_triples(monkeypatch):
-    # sieve.is_prime_triple rejects almost every candidate by one gcd or a
+    # the walk passes over the members whose r*p*q has a prime factor below
+    # 100, and sieve.is_prime_triple rejects almost every member left by a
     # base-2 Fermat test, so is_prime runs on little more than the witness's
     # triple. Testing is_prime(r) first, with its full base set, took 14222
     # is_prime and 10431 pow calls at this n
@@ -196,6 +205,51 @@ def test_f_exact_proves_few_triples(monkeypatch):
     monkeypatch.setattr(sieve, "is_prime", counting_is_prime)
     assert f_exact(2**64 - 1)[1].k == 2
     assert calls["is_prime"] <= 10 and calls["pow"] <= 1000, calls
+
+
+def test_f_exact_walks_past_small_factors(monkeypatch):
+    # a side jumps over the members off its mod-30 wheel and passes over those
+    # that sieve.has_small_factor rejects, so is_prime_triple sees only
+    # members with r, p or q at most 100, or with r*p*q prime to every prime
+    # below 100. Testing every member walked made 13583 and 9306 triple tests
+    real_triple, seen = sieve.is_prime_triple, []
+
+    def spy(r, p, q):
+        seen.append((r, p, q))
+        return real_triple(r, p, q)
+
+    monkeypatch.setattr(sieve, "is_prime_triple", spy)
+    for n, k in ((2**64 - 1, 2), (10**18 + 7, 4)):
+        seen.clear()
+        assert f_exact(n)[1].k == k
+        assert 0 < len(seen) <= 300, (n, len(seen))
+        for r, p, q in seen:
+            assert min(r, p, q) <= 100 or math.gcd(r * p * q, math.prod(range(2, 101))) == 1
+
+
+def test_f_exact_walk_passes_over_no_prime_triple():
+    # from every member of every unobstructed pair (k, m) with k, m <= 12, down
+    # and up, the members the walk passes over before the one it keeps are
+    # not prime triples, and past the last member it keeps none. Below n = 200,
+    # r, p or q is at most 100 at every member, so the walk steps one member at
+    # a time; the larger n have long stretches where it jumps along the wheel
+    def triple(n, k, m, r):
+        return is_prime(r) and is_prime((n - r) // k) and is_prime((r - 1) // m)
+
+    for n in [*range(5, 200), *random.Random(3).sample(range(1000, 5000), 3)]:
+        for k, m in ((k, m) for k in range(1, 13) for m in range(1, 13)):
+            step, lo = math.lcm(k, m), max(3, 2 * m + 1)
+            first = next((r for r in range(lo, lo + step)
+                          if (n - r) % k == 0 and (r - 1) % m == 0), n)
+            members = list(range(first, n - 2 * k + 1, step))
+            if not members or witness._obstruction(n, k, m, first, step):
+                continue
+            for side, sign in ((members, 1), (members[::-1], -1)):
+                gaps = witness._gaps(n, k, m, side[-1], sign * step)
+                for i, r in enumerate(side):
+                    entry = witness._walk(n, k, m, r, sign * step, side[-1], gaps)
+                    kept = side.index(entry[2]) if entry else len(side)
+                    assert kept >= i and not any(triple(n, k, m, x) for x in side[i:kept])
 
 
 def test_f_exact_allocates_nothing_in_proportion_to_n():
