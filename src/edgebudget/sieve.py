@@ -6,11 +6,12 @@ is exact over the full 64-bit range. The test answers small n from the primes
 below 100, and runs Miller-Rabin on the rest with the best-known base set
 that is verified exact below n: at most seven bases, and one or two below
 1373653. ``is_prime_triple`` tests three numbers at once, cheapest rejection
-first, for ``witness.f_exact``'s candidates; its first stage,
-``has_small_factor``, is also the walk's skip test. A window too narrow
-to pay for the base primes up to its square root (``is_narrow``) is tested
-pointwise instead of sieved. Pointwise factoring, and with it the von
-Mangoldt weight Lambda(n), lives in ``factor``.
+first, for ``witness.f_exact``'s candidates. ``has_small_factor``, one gcd,
+is the test by which ``f_exact``'s walks pass members over; the triple test
+does not repeat it. A window too narrow to pay for the base primes up to its
+square root (``is_narrow``) is tested pointwise instead of sieved. Pointwise
+factoring, and with it the von Mangoldt weight Lambda(n), lives in
+``factor``.
 """
 
 import bisect
@@ -106,12 +107,12 @@ def has_small_factor(r: int, p: int, q: int) -> bool:
 def is_prime_triple(r: int, p: int, q: int) -> bool:
     """``is_prime(r) and is_prime(p) and is_prime(q)``, cheapest rejection first.
 
-    ``has_small_factor`` first; then, when all three exceed 100 and one
-    reaches 10**4, a base-2 Fermat test of r, p and q; and only then
-    ``is_prime`` of each, which decides.
+    When all three exceed 100 and one reaches 10**4, a base-2 Fermat test
+    of r, p and q; then ``is_prime`` of each, which decides. It repeats no
+    ``has_small_factor`` test: ``witness.f_exact``'s walks pass over the
+    members that test rejects before they are offered here.
     """
-    if has_small_factor(r, p, q) or (
-            min(r, p, q) > 100 and max(r, p, q) >= _GCD_EXACT_LIMIT
+    if (min(r, p, q) > 100 and max(r, p, q) >= _GCD_EXACT_LIMIT
             and any(pow(2, x - 1, x) != 1 for x in (r, p, q))):
         return False
     return is_prime(r) and is_prime(p) and is_prime(q)

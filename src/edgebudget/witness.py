@@ -99,26 +99,27 @@ def f_exact(n: int) -> tuple[int, Witness | None]:
     again. It never exceeds the pair's bound ceil(n**2 / (k + m + 2*isqrt(k*m))), which
     falls as k or m grows.
 
-    The search is best-first on one heap: it holds the pairs not yet
-    admitted, keyed by their bound, and for each admitted pair the next
-    candidate of its progression on each side of its peak (found by an
-    integer bisection), keyed by env; popping a pair admits it. Candidates
-    therefore pop in descending env, and the first prime triple popped
-    scores f(n). A side walks from its peak on a mod-30 wheel (``_walk``):
-    it jumps over the members where 2, 3 or 5 divides r, p or q, and passes
-    over those where a prime below 100 does (``sieve.has_small_factor``).
-    Each candidate left is tested by ``sieve.is_prime_triple``: a base-2
-    Fermat test of r, p and q, then ``is_prime`` of each, which decides. A
-    pair whose progression puts a small prime l into r, p or q at every
-    member (``_obstruction``) offers only the r that make that member l
-    itself. Every comparison is exact integer arithmetic, and nothing is
-    allocated in proportion to n: at 10**18 + 7 the walk passes about 9300
-    members and tests 117 triples. Returns (0, None) when no quadruple
-    exists (n < 5).
+    The search reads one stream of candidates in descending key
+    (``_candidates``): each pair (k, m), keyed by its bound, and each member
+    of its progression that its walks keep, keyed by env, with a pair before
+    its members. A pair's two walks (``_walk``) start at its peak, found by
+    an integer bisection, one going down and one going up. The first prime
+    triple in the stream scores f(n), and the search stops at the first key
+    below it; a pair's bound can be that key, which is how the search knows
+    that no later pair reaches f(n). A walk steps on a mod-30 wheel: it jumps
+    over the members where 2, 3 or 5 divides r, p or q, and passes over those
+    where a prime below 100 does (``sieve.has_small_factor``). Each member
+    left is tested by ``sieve.is_prime_triple``: a base-2 Fermat test of r,
+    p and q, then ``is_prime`` of each, which decides. A pair whose
+    progression puts a small prime l into r, p or q at every member
+    (``_obstruction``) offers only the r that make that member l itself.
+    Every comparison is exact integer arithmetic, and nothing is allocated in
+    proportion to n: at 10**18 + 7 the walks pass about 9300 members and
+    test 117 triples. Returns (0, None) when no quadruple exists (n < 5).
 
     Ties are broken deterministically: every candidate with env = f(n) is
-    popped, and the witness is the least (p, k, r) among the prime triples
-    popped, with the largest q; that q is P(r-1). Every field is a Python int.
+    tested, and the witness is the least (p, k, r) among the prime triples
+    found, with the largest q; that q is P(r-1). Every field is a Python int.
 
     Raises:
         TypeError: if n is not an integer, or is a bool (``sieve.check_int``).
@@ -127,30 +128,40 @@ def f_exact(n: int) -> tuple[int, Witness | None]:
     n = sieve.check_int(n, "f_exact", "n", 1, 2**64 - 1)
     if n < 5:
         return 0, None
-    # a pair (k, m) not yet admitted, or a side of one walking from its peak;
-    # at equal keys a pair pops first. Each admitted pair pushes its successor,
-    # so the heap never empties
-    heap = [(-_pair_bound(n, 1, 1), 0, 1, 1)]
-    best, tops = 0, []  # tops: (p, k, r, -q) of each prime triple popped
-    while -heap[0][0] >= best:
-        entry = heapq.heappop(heap)
-        if entry[1] == 0:  # (-bound, 0, k, m): admit the pair
-            _, _, k, m = entry
-            heapq.heappush(heap, (-_pair_bound(n, k, m + 1), 0, k, m + 1))
-            if m == 1:
-                heapq.heappush(heap, (-_pair_bound(n, k + 1, 1), 0, k + 1, 1))
-            for side in _sides(n, k, m):
-                heapq.heappush(heap, side)
-            continue
-        env, _, r, step, k, m, last, gaps = entry  # as _walk makes it
+    best, tops = 0, []  # tops: (p, k, r, -q) of each prime triple found
+    for env, r, k, m in _candidates(n):
+        if env < best:
+            break
         p, q = (n - r) // k, (r - 1) // m
-        if sieve.is_prime_triple(r, p, q):
-            best = -env
+        if r and sieve.is_prime_triple(r, p, q):  # r == 0: a pair's bound
+            best = env
             tops.append((p, k, r, -q))
-        if r != last and (successor := _walk(n, k, m, r + step, step, last, gaps)):
-            heapq.heappush(heap, successor)
     p, k, r, minus_q = min(tops)
     return best, Witness(k, p, -minus_q, r, best)
+
+
+def _candidates(n: int):
+    """Every pair (k, m) and every member r its walks keep, as (key, r, k, m), in descending key.
+
+    A pair comes as (bound, 0, k, m), before any of its members, and a member
+    as (env, r, k, m); at equal keys a pair comes first. The stream never
+    ends: each pair admits its successors (k, m + 1) and, when m == 1,
+    (k + 1, 1), and a caller stops it when a key falls below what it needs.
+    One heap holds the pairs not yet yielded and each walk's next member, as
+    (-key, r, k, m, walk) with r = 0 and walk None for a pair. No two
+    entries share (r, k, m), so the heap never compares two walks.
+    """
+    heap = [(-_pair_bound(n, 1, 1), 0, 1, 1, None)]
+    while True:
+        key, r, k, m, walk = heapq.heappop(heap)
+        yield -key, r, k, m
+        if walk is None:  # admit the pair
+            heapq.heappush(heap, (-_pair_bound(n, k, m + 1), 0, k, m + 1, None))
+            if m == 1:
+                heapq.heappush(heap, (-_pair_bound(n, k + 1, 1), 0, k + 1, 1, None))
+        for walk in _sides(n, k, m) if walk is None else [walk]:
+            if r := next(walk, 0):
+                heapq.heappush(heap, (-_env(n, k, m, r), r, k, m, walk))
 
 
 def _pair_bound(n: int, k: int, m: int) -> int:
@@ -163,13 +174,13 @@ def _env(n: int, k: int, m: int, r: int) -> int:
     return unchecked_score(k, (n - r) // k, (r - 1) // m, r)
 
 
-def _sides(n: int, k: int, m: int) -> list[tuple]:
-    """The heap entries a pair (k, m) starts with.
+def _sides(n: int, k: int, m: int) -> list:
+    """The walks of a pair (k, m): iterators of the members it offers.
 
     Its members are the r in [max(3, 2m + 1), n - 2k] (so p, q >= 2) with
     r = n (mod k) and r = 1 (mod m), none unless gcd(k, m) | n - 1. An
-    obstructed pair offers its exceptions one by one; any other offers its
-    peak, walking down, and the member above the peak, walking up.
+    obstructed pair offers each of its exceptions alone; any other walks
+    down from its peak and up from the member above it.
     """
     g = math.gcd(k, m)
     if (n - 1) % g:
@@ -184,8 +195,8 @@ def _sides(n: int, k: int, m: int) -> list[tuple]:
     last = first + (hi - first) // step * step
     exceptions = _obstruction(n, k, m, first, step)
     if exceptions is not None:
-        members = {r for r in exceptions if first <= r <= last and (r - first) % step == 0}
-        return [(-_env(n, k, m, r), 1, r, 0, k, m, r, None) for r in members]
+        return [iter((r,)) for r in {r for r in exceptions
+                                     if first <= r <= last and (r - first) % step == 0}]
     # env(r + step) <= env(r) is false up to the peak and true from there on
     below, above = 0, (last - first) // step
     while below < above:
@@ -196,10 +207,10 @@ def _sides(n: int, k: int, m: int) -> list[tuple]:
         else:
             below = mid + 1
     peak = first + below * step
-    sides = [_walk(n, k, m, peak, -step, first, _gaps(n, k, m, first, -step))]
+    walks = [_walk(n, k, m, peak, -step, first)]
     if peak != last:
-        sides.append(_walk(n, k, m, peak + step, step, last, _gaps(n, k, m, last, step)))
-    return [side for side in sides if side]
+        walks.append(_walk(n, k, m, peak + step, step, last))
+    return walks
 
 
 def _gaps(n: int, k: int, m: int, last: int, step: int) -> list[int]:
@@ -215,26 +226,26 @@ def _gaps(n: int, k: int, m: int, last: int, step: int) -> list[int]:
     return gaps
 
 
-def _walk(n: int, k: int, m: int, r: int, step: int, last: int, gaps: list[int]) -> tuple | None:
-    """The heap entry of a side's first member from r on, toward last, that may
-    give a prime triple; None when none is left.
+def _walk(n: int, k: int, m: int, r: int, step: int, last: int):
+    """A side's members from r on, toward last, that may give a prime triple.
 
-    A member off the wheel (``_gaps``) has r, p or q divisible by 2, 3 or 5.
-    While r, p and q stay above 100 the side jumps to the next wheel member:
-    they are linear along the side, so their values at the jump's two ends
-    bound every member passed over, and each of those is composite. The
-    member landed on is passed over too when ``sieve.has_small_factor``.
-    Near the progression's ends the side steps one member at a time.
+    A member off the side's wheel (``_gaps``, built when the walk starts) has
+    r, p or q divisible by 2, 3 or 5. While r, p and q stay above 100 the
+    walk jumps to the next wheel member: they are linear along the side, so
+    their values at the jump's two ends bound every member passed over, and
+    each of those is composite. The member landed on is passed over too when
+    ``sieve.has_small_factor``. Near the progression's ends the walk steps
+    one member at a time.
     """
+    gaps = _gaps(n, k, m, last, step)
     while (last - r) * step >= 0:
         to = r + gaps[(r - last) // step % 30] * step
         # r, p and q all exceed 100 on [101 m + 1, n - 101 k]
         if (last - to) * step >= 0 and 101 * m < min(r, to) and max(r, to) <= n - 101 * k:
             r = to
         if not sieve.has_small_factor(r, (n - r) // k, (r - 1) // m):
-            return -_env(n, k, m, r), 1, r, step, k, m, last, gaps
+            yield r
         r += step
-    return None
 
 
 def _obstruction(n: int, k: int, m: int, first: int, step: int) -> tuple[int, int, int] | None:

@@ -229,10 +229,12 @@ def test_f_exact_walks_past_small_factors(monkeypatch):
 
 def test_f_exact_walk_passes_over_no_prime_triple():
     # from every member of every unobstructed pair (k, m) with k, m <= 12, down
-    # and up, the members the walk passes over before the one it keeps are
-    # not prime triples, and past the last member it keeps none. Below n = 200,
-    # r, p or q is at most 100 at every member, so the walk steps one member at
-    # a time; the larger n have long stretches where it jumps along the wheel
+    # and up, the walk passes over no prime triple before the first member it
+    # keeps, and keeps none past the side's last member; a walk from the
+    # side's first member keeps exactly the members that a walk from each of
+    # them keeps first. Below n = 200, r, p or q is at most 100 at every
+    # member, so the walk steps one member at a time; the larger n have long
+    # stretches where it jumps along the wheel
     def triple(n, k, m, r):
         return is_prime(r) and is_prime((n - r) // k) and is_prime((r - 1) // m)
 
@@ -245,11 +247,43 @@ def test_f_exact_walk_passes_over_no_prime_triple():
             if not members or witness._obstruction(n, k, m, first, step):
                 continue
             for side, sign in ((members, 1), (members[::-1], -1)):
-                gaps = witness._gaps(n, k, m, side[-1], sign * step)
+                index = {r: i for i, r in enumerate(side)}
+                kept = []  # kept[i]: the index of the first member kept from side[i] on
                 for i, r in enumerate(side):
-                    entry = witness._walk(n, k, m, r, sign * step, side[-1], gaps)
-                    kept = side.index(entry[2]) if entry else len(side)
-                    assert kept >= i and not any(triple(n, k, m, x) for x in side[i:kept])
+                    r = next(witness._walk(n, k, m, r, sign * step, side[-1]), None)
+                    kept.append(len(side) if r is None else index.get(r, -1))
+                    assert kept[i] >= i and not any(triple(n, k, m, x)
+                                                    for x in side[i:kept[i]]), (n, k, m, i)
+                whole = list(witness._walk(n, k, m, side[0], sign * step, side[-1]))
+                assert whole == [r for i, r in enumerate(side) if kept[i] == i], (n, k, m)
+
+
+def test_candidates_contract():
+    # f_exact's one stream of candidates, read down to f(n) // 2: its keys
+    # never increase, no (r, k, m) comes twice, each pair (k, m) comes as
+    # (bound, 0, k, m) before any member of its own, and every prime triple
+    # scoring at least f(n) // 2 comes with its score, against every
+    # (k, p, q, r) of n listed from the primes and their multiples
+    flags = prime_flags(5000)
+    divs = prime_divisor_lists(5000, flags)
+    for n in [*range(5, 301), *random.Random(4).sample(range(1000, 5000), 3)]:
+        triples = {(r, (n - r) // p, (r - 1) // q): unchecked_score((n - r) // p, p, q, r)
+                   for r in range(3, n - 1) if flags[r] for p in divs[n - r] for q in divs[r - 1]}
+        floor = max(triples.values()) // 2
+        pairs, found, key = set(), {}, math.inf
+        for env, r, k, m in witness._candidates(n):
+            if env < floor:
+                break
+            assert env <= key, (n, env, key)
+            key = env
+            if r == 0:
+                assert (k, m) not in pairs, (n, k, m)
+                pairs.add((k, m))
+            else:
+                assert (k, m) in pairs and (r, k, m) not in found, (n, r, k, m)
+                found[r, k, m] = env
+        missing = {t: s for t, s in triples.items() if s >= floor and found.get(t) != s}
+        assert not missing, (n, missing)
 
 
 def test_f_exact_allocates_nothing_in_proportion_to_n():
