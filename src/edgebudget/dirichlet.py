@@ -13,13 +13,13 @@ Every psi value is an exact sum rounded once to a double. Each weight
 2**-53, so log p * 2**53 is an integer below 2**58. The one kept jump table
 holds it once, as one int64 word per jump. Only the sums split it, into two
 limbs hi * 2**32 + lo with lo < 2**32: ``psi`` sums one class's limbs. Per
-modulus, one kernel gathers the weights in class order, splits them into
-the limbs in place, writes at each class start the limb minus the previous
-class's total (``np.add.reduceat``), and takes one cumsum per limb in place:
-every partial sum is then a running sum within one class, and rounded once
-it is a post-jump value, from which the left limits and class totals are
-read off. The kernel writes into a workspace of four int64 words per jump,
-through ``out=``;
+modulus, one kernel sorts the keys class << b | index in place, gathers the
+weights in that order, splits them into the limbs in place, writes at each
+class start the limb minus the previous class's total (``np.add.reduceat``),
+and takes one cumsum per limb in place: every partial sum is then a running
+sum within one class, and rounded once it is a post-jump value, from which
+the left limits and class totals are read off. The kernel allocates nothing
+per jump: it writes into a workspace of five int64 words per jump;
 ``max_discrepancy`` makes one for its modulus, and ``bv_sum`` one for all of
 its moduli, whose suprema it adds with ``math.fsum``. Reported values are
 therefore bit-reproducible. The limbs stay exact for z <= MAX_Z = 2**31: one
@@ -183,9 +183,9 @@ def max_discrepancy(z: float, m: int) -> DiscrepancyRecord:
     increasing y, left limit before post-jump value, the endpoint last; so
     it is deterministic. m may be any integer type, numpy's included; the
     record's m is a Python int. Memory is linear in the number of jumps,
-    whatever m is: five int64 words per jump (the workspace and argsort's
-    permutation), and arrays only for the classes that hold a jump. The
-    shared jump table is read-only.
+    whatever m is: five int64 words per jump (the workspace), and arrays
+    only for the classes that hold a jump. The shared jump table is
+    read-only.
 
     Raises:
         TypeError: if m is not an integer, or is a bool (``sieve.check_int``).
@@ -203,8 +203,11 @@ def max_discrepancy(z: float, m: int) -> DiscrepancyRecord:
 
 
 def _workspace(jumps: PrimePowerJumps) -> np.ndarray:
-    """The buffers ``_discrepancy`` writes into: four int64 rows, one word per jump."""
-    return np.empty((4, len(jumps)), dtype=np.int64)
+    """``_discrepancy``'s buffers: five int64 rows, one word per jump, the last holding 0..n-1."""
+    work = np.empty((5, len(jumps)), dtype=np.int64)
+    for lo in range(0, len(jumps), 4096):  # 0..n-1, a block at a time: no temporary of n words
+        work[4, lo : lo + 4096] = np.arange(lo, min(lo + 4096, len(jumps)))
+    return work
 
 
 def _discrepancy(jumps: PrimePowerJumps, z: float, m: int, work: np.ndarray) -> DiscrepancyRecord:
@@ -212,41 +215,46 @@ def _discrepancy(jumps: PrimePowerJumps, z: float, m: int, work: np.ndarray) -> 
 
     work is ``_workspace(jumps)``. Every jump-sized step writes into its rows
     through ``out=``, and a row whose integers are spent is read again as
-    float64 through a view; argsort's permutation and the per-class arrays
-    are all that is allocated, so one workspace serves any number of moduli.
+    another dtype through a view; only the per-class arrays are allocated, so
+    one workspace serves any number of moduli.
     """
     n = len(jumps)
-    j, hi, lo, spare = work  # j: the jumps in class order; hi, lo: the limb prefixes
-    small = np.min_scalar_type(m - 1)
-    cls = np.remainder(jumps.j, m, out=spare.view(small)[:n], casting="unsafe")
-    order = np.argsort(cls, kind="stable")
+    j, hi, lo, spare, index = work  # j: the jumps in class order; hi, lo: the limb prefixes
+    # the unique keys class << b | index, each class j - (j // m) * m: numpy divides by a
+    # scalar in SIMD, but not remainder; the least key type is uint32 unless m * n is large
+    b = (n - 1).bit_length()
+    key = spare.view(np.min_scalar_type(((m - 1) << b) | (n - 1)))[:n]
+    np.subtract(jumps.j, np.multiply(np.floor_divide(jumps.j, m, out=hi), m, out=hi), out=hi)
+    np.bitwise_or(np.left_shift(hi, b, out=hi), index, out=key, casting="unsafe")
+    key.sort()  # in place; the keys are unique, so this is the stable class order
+    order = np.bitwise_and(key, (1 << b) - 1, out=lo, casting="unsafe")
     # mode="clip" lets take write straight into out; every index is in range
     np.take(jumps.j, order, out=j, mode="clip")
-    sorted_cls = np.take(cls, order, out=hi.view(small)[:n], mode="clip")
+    sorted_cls = np.right_shift(key, b, out=hi, casting="unsafe")
     # the classes that hold a jump: residues, first sorted index and size
-    change = lo.view(bool)[:n]
+    change = spare.view(bool)[:n]  # over the spent keys
     change[:1] = True
     np.not_equal(sorted_cls[1:], sorted_cls[:-1], out=change[1:])
     starts = np.flatnonzero(change)
-    residues = sorted_cls[starts].astype(np.int64)
+    residues = sorted_cls[starts]
     counts = np.diff(starts, append=n)
     # the weights in class order, split into limbs; each limb's running sum, restarted at
     # each class start: a start first takes off the previous class's total, so every
     # partial sum is one class's
-    np.take(jumps.w, order, out=lo, mode="clip")
-    np.right_shift(lo, _LIMB, out=hi)
-    lo &= _MASK
+    np.take(jumps.w, order, out=spare, mode="clip")
+    np.right_shift(spare, _LIMB, out=hi)
+    np.bitwise_and(spare, _MASK, out=lo)
     for prefix in (hi, lo):
         if starts.size > 1:
             prefix[starts[1:]] -= np.add.reduceat(prefix, starts)[:-1]
         np.cumsum(prefix, out=prefix)
-    del order  # spent: the cast buffers and per-class arrays below need not stack on it
     post = _fixed_to_float(hi, lo, spare.view(np.float64))
     left = lo.view(np.float64)  # the previous post-jump value in the class, 0 at its start
     left[1:] = post[:-1]
     left[starts] = 0.0
 
-    coprime = np.gcd(residues, m) == 1  # class 0 is coprime when m = 1
+    primes = np.array(factor._prime_factors(m), dtype=np.int64)
+    coprime = (residues % primes[:, None] != 0).all(axis=0)  # class 0 is coprime when m = 1
     phi = factor.euler_phi(m)
     inv_phi = 1.0 / phi
     target = np.multiply(j, inv_phi, out=hi.view(np.float64))
@@ -260,27 +268,28 @@ def _discrepancy(jumps: PrimePowerJumps, z: float, m: int, work: np.ndarray) -> 
     v_end[~coprime] = -1.0
     # every coprime class without a jump ends at |0 - z/phi(m)|
     v_empty = z * inv_phi if np.count_nonzero(coprime) < phi else -1.0
-    sup = max(v_left.max(initial=0.0), v_post.max(initial=0.0), v_end.max(initial=-1.0), v_empty)
-    # a pick is (a, y, kind), kind 0 a left limit, 1 a post-jump value, 2 the endpoint:
-    # the least pick is the first maximal candidate in the order the docstring gives
+    # a pick is (-value, a, y, kind), kind 0 a left limit, 1 a post-jump value, 2 the endpoint:
+    # from each kind's first maximal entry (argmax), the least pick is the first maximal
+    # candidate in the order the docstring gives
     picks = []
     for values, kind in ((v_left, 0), (v_post, 1), (v_end, 2)):
-        i = int(values.argmax()) if values.size else -1  # argmax: the first maximal entry
-        if i >= 0 and values[i] == sup:
+        if values.size:
+            i = int(values.argmax())
             a, y = (residues[i], z) if kind == 2 else (j[i] % m, j[i])
-            picks.append((int(a), float(y), kind))
-    if v_empty == sup:
-        picks.append((_first_empty_coprime(residues, m), float(z), 2))
-    worst_a, worst_y, kind = min(picks)
-    return DiscrepancyRecord(m, worst_a, worst_y, float(sup), kind == 0)
+            picks.append((-values[i], int(a), float(y), kind))
+    if not picks or v_empty >= -min(picks)[0]:
+        picks.append((-v_empty, _first_empty_coprime(residues, m, primes), float(z), 2))
+    sup, worst_a, worst_y, kind = min(picks)
+    return DiscrepancyRecord(m, worst_a, worst_y, -float(sup), kind == 0)
 
 
-def _first_empty_coprime(residues: np.ndarray, m: int) -> int:
-    """The least a in [0, m) coprime to m that is not among ``residues``; one must exist."""
+def _first_empty_coprime(residues: np.ndarray, m: int, primes: np.ndarray) -> int:
+    """The least a in [0, m) coprime to m, whose prime factors are ``primes``, that is not
+    among ``residues``; one must exist."""
     block = 2 * residues.size + 64
     for lo in range(0, m, block):
         a = np.arange(lo, min(m, lo + block), dtype=np.int64)
-        free = np.flatnonzero((np.gcd(a, m) == 1) & ~np.isin(a, residues))
+        free = np.flatnonzero((a % primes[:, None] != 0).all(axis=0) & ~np.isin(a, residues))
         if free.size:
             return int(a[free[0]])
     raise AssertionError("unreachable: every coprime class holds a jump")

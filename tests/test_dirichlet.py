@@ -165,17 +165,24 @@ def reference_jumps(top):
 
 
 def reference_max_discrepancy(z, m):
-    """Per-class loop over the jumps with a Neumaier running sum, first strict maximum wins."""
+    """Per-class loop over the jumps with a Neumaier running sum, first strict maximum wins.
+
+    The loop visits the coprime classes that hold a jump and the least coprime class
+    that holds none, if there is one: every class without a jump scores z/phi(m) at
+    y = z, so no later one can be a first strict maximum. So m = MAX_Z costs no more
+    than its jumps.
+    """
     inv_phi = 1.0 / euler_phi(m)
-    residues = [0] if m == 1 else [a for a in range(1, m) if gcd(a, m) == 1]
-    by_class = {a: [] for a in residues}
+    by_class = {}
     for j, lg in reference_jumps(math.floor(z)):
-        if j % m in by_class:
-            by_class[j % m].append((j, lg))
+        if gcd(j % m, m) == 1:  # class 0 is coprime when m = 1
+            by_class.setdefault(j % m, []).append((j, lg))
+    empty = next((a for a in range(m) if gcd(a, m) == 1 and a not in by_class), None)
+    residues = sorted(by_class) if empty is None else sorted([*by_class, empty])
     sup, worst_a, worst_y, left = -1.0, residues[0], float(z), False
     for a in residues:
         total = comp = 0.0
-        for j, lg in by_class[a]:
+        for j, lg in by_class.get(a, []):
             target = j * inv_phi
             v = abs((total + comp) - target)
             if v > sup:
@@ -220,6 +227,19 @@ def test_max_discrepancy_matches_reference_loop_at_bv_sum_moduli():
         assert max_discrepancy(Z_BV, m) == reference_max_discrepancy(Z_BV, m), m
 
 
+@pytest.mark.parametrize(
+    "m",
+    [2**16, 2**16 + 1, 2**17 + 1, MAX_Z],
+    ids=["32-bit keys", "64-bit keys", "64-bit keys, classes past 2**16", "every jump its own class"],
+)
+@pytest.mark.parametrize("z", [1.5, Z_BV], ids=["no jumps", "Z_BV"])
+def test_max_discrepancy_matches_reference_loop_at_both_key_widths(z, m):
+    # the kernel sorts keys class << b | index, b = 16 bits of index at Z_BV: uint32 keys
+    # up to m = 2**16, uint64 keys beyond
+    assert (len(prime_power_jumps(Z_BV)) - 1).bit_length() == 16
+    assert max_discrepancy(z, m) == reference_max_discrepancy(z, m)
+
+
 def test_bv_sum_pinned_value():
     # the exact sum at one z: a change to the kernel's arithmetic must not move a bit
     assert bv_sum(Z_BV, 1).hex() == "0x1.891adc9a13995p+14"
@@ -241,10 +261,11 @@ def test_bv_sum_is_the_fsum_of_max_discrepancy(z, B):
 
 
 # The ceiling on the kernel's tracemalloc peak, in bytes per jump beside the cached
-# table: the peak of max_discrepancy(Z_BV, 57) when every jump-sized temporary was
-# allocated afresh (3264727 bytes over 47916 jumps, 8.5 int64 words per jump).
-# The workspace kernel peaks near 40 bytes per jump.
-PEAK_BYTES_PER_JUMP = 68.2
+# table: max_discrepancy(Z_BV, 57) and bv_sum(Z_BV, 1) peak at 41.5 to 42.5 (1987112
+# to 2036248 bytes over 47916 jumps; the first call in a process also caches factor's
+# small primes), the workspace's five int64 rows and about 64 kB of numpy's cast
+# buffer. The margin of 2.5 (6%) stays below the 8 of one more int64 word per jump.
+PEAK_BYTES_PER_JUMP = 45.0
 
 
 @pytest.mark.parametrize(
@@ -259,6 +280,23 @@ def test_discrepancy_kernel_peak_memory_per_jump(run):
     finally:
         tracemalloc.stop()
     assert peak <= PEAK_BYTES_PER_JUMP * jumps
+
+
+def test_discrepancy_kernel_allocates_nothing_per_jump_in_its_workspace():
+    # with the workspace given, a modulus allocates only arrays over its classes and
+    # numpy's fixed cast buffer: under 2 bytes per jump, where one int64 word is 8. One
+    # call first, so that factor's cached small primes are not counted
+    jumps = prime_power_jumps(Z_BV)
+    work = dirichlet._workspace(jumps)
+    dirichlet._discrepancy(jumps, Z_BV, 1, work)
+    tracemalloc.start()
+    try:
+        for m in range(1, 59):
+            dirichlet._discrepancy(jumps, Z_BV, m, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(jumps)
 
 
 def test_jump_table_build_peaks_at_48_bytes_per_jump():
