@@ -5,8 +5,9 @@ the same invocation. Exit status 0 means success, 1 means invalid parameters
 or any other error, and 2 is reserved for mathematically meaningful absence:
 no witness exists for the requested search, or a verified certificate does
 not validate. Scripts sweeping ranges can rely on 2 never signalling a crash.
-The parser is built once per process, on first use; each call parses into a
-fresh namespace, so no flag of one call carries over to the next.
+The parser is built once per process, on first use, and each subcommand's
+parser on that subcommand's first use; each call parses into a fresh
+namespace, so no flag of one call carries over to the next.
 """
 
 import argparse
@@ -32,6 +33,30 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; 2 means "no witness" here
     def error(self, message):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+class _Deferred:
+    """A subcommand's ``_Parser``, built on its first use, so a call builds only its own.
+
+    Until then it records ``add_argument`` and ``set_defaults``; the first read of
+    any other attribute (argparse parsing or printing help) builds it and replays them.
+    """
+
+    def __init__(self, **kwargs):
+        self._kwargs, self._calls, self._parser = kwargs, [], None
+
+    def add_argument(self, *args, **kwargs):
+        self._calls.append((_Parser.add_argument, args, kwargs))
+
+    def set_defaults(self, **kwargs):
+        self._calls.append((_Parser.set_defaults, (), kwargs))
+
+    def __getattr__(self, name):  # reached only by names not found on the instance
+        if self._parser is None:
+            self._parser = _Parser(**self._kwargs)
+            for method, args, kwargs in self._calls:
+                method(self._parser, *args, **kwargs)
+        return getattr(self._parser, name)
 
 
 class _Nine(float):
@@ -206,7 +231,7 @@ def _cmd_verify(args) -> int:
 @functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="edgebudget", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Deferred)
 
     def command(name, fn, help):
         p = sub.add_parser(name, help=help)

@@ -535,6 +535,21 @@ def test_one_parser_serves_every_call(capsys, tmp_path):
     assert not path.exists()
 
 
+def test_a_call_builds_only_its_own_subcommand_parser(capsys, monkeypatch):
+    # the top-level parser and f-exact's: the other nine subcommands' are never built
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    build_parser.cache_clear()  # the parser this call builds stays cached for later tests
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert run(capsys, "f-exact", "--n", "100") == (EXIT_OK, GOLDEN[0][2], "")
+    assert built == ["edgebudget", "edgebudget f-exact"]
+
+
 # Every subcommand's actions after -h, in order: (option_strings, type, default,
 # required, choices, help). Help texts vary across Python versions; this pins
 # the flags themselves, each subcommand ending in --format and --output.
@@ -584,3 +599,25 @@ def test_every_subcommand_keeps_its_flags():
         got = [(tuple(a.option_strings), a.type, a.default, a.required, a.choices, a.help)
                for a in actions]
         assert got == [*FLAGS[command], FORMAT, OUTPUT], command
+
+
+def test_help_and_usage_errors_in_a_fresh_process():
+    # each in its own interpreter, where no subcommand's parser has been built yet
+    proc = run_capped("--help")
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    words = " ".join(proc.stdout.split())  # the help wraps with the terminal's width
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {a.dest: a.help for a in action._choices_actions}
+    assert list(helps) == list(FLAGS)
+    for command, help in helps.items():
+        assert f" {command} {help}" in words, command
+    for command, flags in FLAGS.items():
+        proc = run_capped(command, "--help")
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, ""), command
+        assert proc.stdout.startswith(f"usage: edgebudget {command} "), command
+        for option_strings, *_ in [*flags, FORMAT, OUTPUT]:
+            assert f" {option_strings[0]} " in proc.stdout, (command, option_strings)
+    for argv, prog in ((("f-exact",), "edgebudget f-exact"), (("no-such-command",), "edgebudget")):
+        proc = run_capped(*argv)
+        assert (proc.returncode, proc.stdout) == (EXIT_ERROR, ""), argv
+        assert proc.stderr.startswith(f"{prog}: error:"), argv
