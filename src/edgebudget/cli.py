@@ -28,6 +28,16 @@ EXIT_NO_WITNESS = 2
 
 DEFAULTS = survey.SurveyConfig()
 
+# the strategy label of every witness document the CLI writes
+_STRATEGIES = (*survey._TAGS[1:], "exact")
+
+# what ``edgebudget --help`` prints above the subcommands; the module docstring is for readers
+# of the code
+_DESCRIPTION = """The edge budget f(n), its witness certificates, and the prime-distribution
+experiments behind them. Every report is JSON or CSV, byte-identical across runs of the
+same invocation. Exit status: 0 on success, 1 on invalid parameters or any other error,
+and 2 when no witness exists for the search or a verified certificate does not validate."""
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; 2 means "no witness" here
@@ -221,16 +231,24 @@ def _cmd_verify(args) -> int:
         raise ValueError("n, k, p, q, r and score must be JSON integers")
     if inner.get("n", n) != n:
         raise ValueError(f"the witness's n = {inner['n']} differs from the document's n = {n}")
+    # an f-exact document claims f(n) >= value through its exact witness's score
+    claims = "value" in doc
+    if claims and type(doc["value"]) is not int:
+        raise ValueError("value must be a JSON integer")
+    strategy = inner.get("strategy")
+    if strategy not in (None, *_STRATEGIES) or (strategy == "exact") != claims:
+        raise ValueError(f"strategy must be one of {', '.join(_STRATEGIES)}, "
+                         "and exact exactly when the document carries value")
     score = inner["score"] if "score" in inner else witness.unchecked_score(*fields)
     w = witness.Witness(*fields, score)
-    ok = witness.validate(n, w)
+    ok = witness.validate(n, w) and (not claims or doc["value"] == score)
     _emit(args, "n,valid", [(n, ok)])
     return EXIT_OK if ok else EXIT_NO_WITNESS
 
 
 @functools.cache
 def build_parser() -> _Parser:
-    parser = _Parser(prog="edgebudget", description=__doc__)
+    parser = _Parser(prog="edgebudget", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Deferred)
 
     def command(name, fn, help):

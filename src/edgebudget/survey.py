@@ -78,8 +78,8 @@ _NAMES = _NAMES.view(np.uint8).reshape(len(_TAGS), -1)
 # power of two: copying the matrix into row order strides it by a block, and
 # a stride of 16384 bytes made that copy two to three times slower.
 TEXT_BLOCK = 16000
-# a beta whose scaled fraction lies this close to .5 is formatted exactly:
-# b * 1e8 is off by at most 6e-8 from the true product when 1 <= b < 10
+# a beta whose scaled fraction lies this close to .5 is formatted exactly, and a
+# survey's beta there is math.log's (see _by_rint for why this is wide enough)
 TIE_BAND = 1e-6
 
 # The row layouts of the text kernel: the separator written before every row
@@ -125,21 +125,47 @@ def _digits(values: np.ndarray) -> np.ndarray:
     return cells
 
 
+def _by_rint(beta: np.ndarray) -> np.ndarray:
+    """Where a beta's nine significant digits are ``rint(b * 1e8)``: 1 <= b
+    < 10, not rounding to 10, and farther than ``TIE_BAND`` from a rounding
+    half-point of b * 1e8 (``.9g`` breaks exact ties to even). False for NaN.
+
+    ``_beta_cells`` formats every other beta per entry, and ``survey_range``
+    computes every other beta with ``math.log``; so the digits of any beta
+    that leaves this set come from one exact path.
+
+    Why ``TIE_BAND = 1e-6`` is wide enough. Where 1 <= b < 10, the product
+    b * 1e8 < 1e9 rounds by at most 6e-8, so a b in this set lies more than
+    9.4e-7 from a half-point in its exact scaled value. A survey computes b as
+    ``np.log(score) / np.log(n)``; numpy's accuracy data
+    (``umath-validation-set-log.csv``) holds float64 ``np.log`` to 1 ULP, and
+    ``math.log`` is the C library's log, also within 1 ULP. Each quotient is
+    then within 2.5 ULP (2.5 * 2**-52) of log(score)/log(n) relative, and the
+    two differ by at most 5 ULP relative. Every score is below n**2
+    (p**2 k <= p n), so b < 2, and the two scaled values differ by at most
+    5 * 2**-52 * 2e8 = 2.2e-7: on the same side of the half-point, with the
+    same nine digits. (Bounding only the numpy quotient, for any b < 10, it
+    lies within 5.6e-7 of the exact scaled value, and 5.6e-7 + 6e-8 < 1e-6.)
+    The statistics of ``beta_stats`` move by no more than the betas, plus
+    the rounding of a sum and a quotient, and are held to the same set.
+    """
+    scaled = beta * 1e8
+    fast = (beta >= 1) & (np.rint(scaled) < 1e9)
+    fast &= np.abs(scaled - np.floor(scaled) - 0.5) > TIE_BAND
+    return fast
+
+
 def _beta_cells(beta: np.ndarray, found: np.ndarray, csv: bool) -> np.ndarray:
     """``fmt9(b)`` (CSV) or ``json.dumps(round9(b))`` (JSON) of each beta b
     where found, as a (width, len(beta)) uint8 matrix of ASCII padded with
     byte 0.
 
-    For 1 <= b < 10 the nine significant digits are b * 1e8 rounded; any
-    other b, one that rounds to 10, and one within ``TIE_BAND`` of a
-    rounding tie (``.9g`` breaks exact ties to even) is formatted per entry.
+    Where ``_by_rint`` holds, the nine significant digits are b * 1e8
+    rounded; every other b is formatted per entry.
     """
-    scaled = beta * 1e8
-    nearest = np.rint(scaled)
-    fast = found & (beta >= 1) & (nearest < 1e9)
-    fast &= np.abs(scaled - np.floor(scaled) - 0.5) > TIE_BAND
+    fast = found & _by_rint(beta)
     # elsewhere 1e8, whose text ("1.0", "1") every per-entry text overwrites
-    nines = np.where(fast, nearest, 1e8).astype(np.int64)
+    nines = np.where(fast, np.rint(beta * 1e8), 1e8).astype(np.int64)
     digits = _digits(nines)
     # the fraction drops its trailing zeros: in CSV all of them, and the point
     # with them; JSON keeps the first ("1.0"), as json.dumps does. A digit
@@ -180,6 +206,12 @@ class SurveyReport:
     outside [1, 10), where ``json.dumps(round9(b))`` or ``fmt9`` formats it
     exactly. The bytes are those of a per-row ``json.dumps`` or ``.9g``
     writer.
+
+    In a report of ``survey_range``, beta is ``np.log(score) / np.log(n)``
+    and may differ from ``math.log(score, n)`` in its last bits; the rows
+    and statistics where that could move a digit hold math.log's value
+    (``_by_rint``), so the text, ``beta_stats`` included, is that of
+    math.log's betas.
     """
 
     def __init__(self, x: int, config: SurveyConfig, n, tag, wit, beta):
@@ -273,19 +305,45 @@ class SurveyReport:
             yield "]}\n"
 
 
+def _thresholds(n: np.ndarray, gamma: float) -> np.ndarray:
+    """For each n of the int64 array (n <= ``SCAN_MAX_N``), the least integer
+    t with ``compare_power(t, n, gamma) >= 0``, as int64.
+
+    The candidate floor(y), y = n ** gamma in float64, is never above the
+    answer: compare_power finds any t below n**gamma * (1 - 2.2e-11) short
+    (its log band is ``GUARD`` times gamma * log n < 22), and at n**gamma <
+    2**32 that margin is below 1. One vectorised compare_power call on the
+    candidate raises it by one where it falls short. Then t can still fall
+    short only where y rounded below an integer that n**gamma passes, and
+    such a t lies within 1e-9 of y relative: those few entries, with every
+    t <= y (a perfect power's root), are tested again and raised while
+    short.
+    """
+    y = n**gamma
+    t = np.floor(y).astype(np.int64)
+    t += compare_power(t, n, gamma) < 0
+    rows = np.flatnonzero(t - y < 1e-9 * y)
+    while rows.size:
+        rows = rows[compare_power(t[rows], n[rows], gamma) < 0]
+        t[rows] += 1
+    return t
+
+
 def _smooth_scan(ns: np.ndarray, rset: RSet, gamma: float, tag: np.ndarray, wit: np.ndarray):
     """``strategy_smooth`` for every n of the report's ``ns`` with tag 0,
     written in place into its ``tag`` and ``wit`` columns, a block of
     ``TEXT_BLOCK`` n at a time.
 
-    Per block, walks the members in increasing order and tests only the n
-    still unresolved, reading P(n - r) from one table covering every
-    difference; each n keeps the first member r with P(n - r) >= n**gamma,
+    Per block, computes each n's integer threshold t(n) once
+    (``_thresholds``: P >= t(n) exactly where compare_power finds P >=
+    n**gamma), then walks the members in increasing order and tests only the
+    n still unresolved, reading P(n - r) from one table covering every
+    difference; each n keeps the first member r with P(n - r) >= t(n),
     exactly as the per-n scan would. The table keeps only P >=
-    ``power_floor(ns[0], gamma)``, which every accepted P(n - r) reaches.
-    Every member is at most x // 4 < ceil(x/2) = ns[0], so the table starts
-    at 1 or above. Only the table is as long as the window; every other
-    array is at most a block long.
+    ``power_floor(ns[0], gamma)``, which every t(n) reaches. Every member is
+    at most x // 4 < ceil(x/2) = ns[0], so the table starts at 1 or above.
+    Only the table is as long as the window; every other array is at most a
+    block long.
     """
     members = rset.members
     if not members.size:
@@ -297,11 +355,11 @@ def _smooth_scan(ns: np.ndarray, rset: RSet, gamma: float, tag: np.ndarray, wit:
         block = ns[rows]
         hit = np.full(block.size, -1, dtype=np.int64)
         pending = np.flatnonzero(tag[rows] == 0)
-        for i, r in enumerate(members):
+        offset, need = block - lo, _thresholds(block, gamma)
+        for i, r in enumerate(members.tolist()):
             if not pending.size:
                 break
-            n = block[pending]
-            ok = compare_power(lpf[n - r - lo], n, gamma) >= 0
+            ok = lpf[offset[pending] - r] >= need[pending]
             hit[pending[ok]] = i
             pending = pending[~ok]
         found = np.flatnonzero(hit >= 0)
@@ -319,13 +377,17 @@ def survey_range(x: int, config: SurveyConfig | None = None) -> SurveyReport:
 
     Builds the RSet over [ceil(c0 x), floor(x/4)] once (none when that
     interval is empty, so every n is smooth-exceptional), finds each n's
-    first smooth witness in a masked scan over the members, and hands the
-    n left over to ``strategy_bv`` when enabled. Both write the report's
-    columns in place, never one record object per n. The scan and beta,
-    ``math.log(score, n)``, go a block of ``TEXT_BLOCK`` n at a time, so
-    their temporaries stay a block long at any x. Runs in one process;
-    deterministic for a given config. Every score is below x**2, so x is
-    supported up to SCAN_MAX_N, the int64 limit of the scan.
+    first smooth witness in a masked scan over the members against one
+    integer threshold per n, and hands the n left over to ``strategy_bv``
+    when enabled. Both write the report's columns in place, never one record
+    object per n. The scan and beta go a block of ``TEXT_BLOCK`` n at a
+    time, so their temporaries stay a block long at any x. Beta is
+    ``np.log(score) / np.log(n)``, with ``math.log`` near a ninth-digit
+    rounding half-point (``_report``): a float may differ from
+    ``math.log(score, n)`` in its last bits, never in the report's text.
+    Runs in one process; deterministic for a given config and numpy build.
+    Every score is below x**2, so x is supported up to SCAN_MAX_N, the
+    int64 limit of the scan.
 
     Raises:
         TypeError: if x is not an integer, or is a bool (``sieve.check_int``).
@@ -348,11 +410,31 @@ def survey_range(x: int, config: SurveyConfig | None = None) -> SurveyReport:
             if w is not None:
                 tag[i] = _TAGS.index("bv")
                 wit[:, i] = (w.k, w.p, w.q, w.r, w.score)
+    return _report(x, config, ns, tag, wit)
+
+
+def _report(x: int, config: SurveyConfig, ns: np.ndarray, tag: np.ndarray, wit: np.ndarray):
+    """The report of the columns, with beta = log(score)/log(n) where n has a
+    witness, a block of ``TEXT_BLOCK`` rows at a time.
+
+    Each block's beta goes by ``np.log``, and every row that ``_by_rint``
+    leaves out goes again by ``log_each`` (``math.log``). If any of the
+    report's ``beta_stats`` then falls outside ``_by_rint``, the whole column
+    goes again by ``log_each``, so the statistics' digits are math.log's.
+    """
     beta = np.full(ns.size, math.nan)
-    for rows in _block_rows(ns.size):
-        found = np.flatnonzero(tag[rows])
-        beta[rows][found] = log_each(wit[4, rows][found], ns[rows][found])
-    return SurveyReport(x, config, ns, tag, wit, beta)
+    for exact in (False, True):
+        for rows in _block_rows(ns.size):
+            found = np.flatnonzero(tag[rows])
+            score, n = wit[4, rows][found], ns[rows][found]
+            b = np.log(score) / np.log(n)
+            slow = np.flatnonzero(~_by_rint(b) | exact)
+            b[slow] = log_each(score[slow], n[slow])
+            beta[rows][found] = b
+        report = SurveyReport(x, config, ns, tag, wit, beta)
+        if report.beta_stats is None or _by_rint(np.array(report.beta_stats)).all():
+            break
+    return report
 
 
 def rset_density(z: int, alpha: float) -> tuple[int, float]:

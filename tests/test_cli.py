@@ -12,6 +12,7 @@ import tracemalloc
 import pytest
 
 import edgebudget
+from edgebudget import cli
 from edgebudget.cli import EXIT_ERROR, EXIT_NO_WITNESS, EXIT_OK, build_parser, main
 from edgebudget.util import round9
 from test_witness import RANGES
@@ -183,6 +184,53 @@ def test_verify_malformed_input_exits_1(capsys, tmp_path):
         code, out, err = run(capsys, "verify", "--input", str(path))
         assert code == EXIT_ERROR and out == "", text[:40]
         assert err.startswith("edgebudget: error: ") and err.count("\n") == 1, err[:200]
+
+
+def test_verify_checks_an_f_exact_documents_claims(capsys, tmp_path):
+    # value must be a JSON integer equal to the witness's score, and strategy one of
+    # the CLI's names, exact exactly when the document carries value: a false claim
+    # exits 2, a malformed field 1
+    path = tmp_path / "doc.json"
+    exact, bv = json.loads(GOLDEN[0][2]), json.loads(GOLDEN[2][2])
+    relabelled = {**exact, "witness": {**exact["witness"], "strategy": "bv"}}
+    unlabelled = {**exact, "witness": {k: v for k, v in exact["witness"].items() if k != "strategy"}}
+    for doc, want in (
+        (exact, EXIT_OK),  # every document the CLI writes still verifies
+        (bv, EXIT_OK),
+        ({**exact, "value": exact["value"] + 1}, EXIT_NO_WITNESS),
+        ({**exact, "value": exact["value"] - 1}, EXIT_NO_WITNESS),
+        ({**exact, "value": "junk"}, EXIT_ERROR),
+        ({**exact, "value": float(exact["value"])}, EXIT_ERROR),
+        ({**exact, "value": True}, EXIT_ERROR),
+        ({**exact, "value": None}, EXIT_ERROR),
+        ({**bv, "strategy": "nonsense"}, EXIT_ERROR),
+        ({**bv, "strategy": 7}, EXIT_ERROR),
+        ({**bv, "strategy": "exact"}, EXIT_ERROR),  # exact, but no value
+        (relabelled, EXIT_ERROR),  # a value, but not exact
+        (unlabelled, EXIT_ERROR),
+    ):
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--input", str(path))
+        assert code == want, doc
+        if want == EXIT_ERROR:
+            assert out == "" and err.startswith("edgebudget: error: ") and err.count("\n") == 1, err
+        else:
+            assert json.loads(out) == {"n": doc["n"], "valid": want == EXIT_OK}, doc
+    # f-exact below 5 writes a null witness: still "input holds no witness object"
+    code, out, _ = run(capsys, "f-exact", "--n", "4")
+    assert (code, out) == (EXIT_NO_WITNESS, '{"n":4,"value":0,"witness":null}\n')
+    path.write_text(out)
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert (code, out, err) == (EXIT_ERROR, "", "edgebudget: error: input holds no witness object\n")
+
+
+def test_help_describes_the_tool_not_the_code(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == EXIT_OK
+    words = " ".join(capsys.readouterr().out.split())
+    assert " ".join(cli._DESCRIPTION.split()) in words
+    assert "parser" not in words and cli.__doc__.split("\n")[0] not in words
 
 
 def test_witness_csv_format(capsys):

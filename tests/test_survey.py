@@ -22,8 +22,19 @@ from edgebudget import (
     validate,
 )
 from edgebudget import sieve
-from edgebudget.survey import _CSV_ROW, _JSON_ROW, SCAN_MAX_N, SURVEY_CSV_HEADER, TEXT_BLOCK, SurveyReport
-from edgebudget.util import round9
+from edgebudget.survey import (
+    _CSV_ROW,
+    _JSON_ROW,
+    SCAN_MAX_N,
+    SURVEY_CSV_HEADER,
+    TEXT_BLOCK,
+    TIE_BAND,
+    SurveyReport,
+    _by_rint,
+    _report,
+    _thresholds,
+)
+from edgebudget.util import compare_power, log_each, round9
 from edgebudget.witness import _rset_interval
 from oracles import trial_division_is_prime, trial_division_lpf
 from test_witness import assert_words_each_range
@@ -538,3 +549,114 @@ def test_text_holds_about_two_copies_of_a_block():
             tracemalloc.stop()
         assert longest > 800_000, (csv, longest)  # a full block of rows
         assert peak <= 3.3 * longest, (csv, peak / longest)
+
+
+def brute_threshold(n, gamma):
+    """The least t with compare_power(t, n, gamma) >= 0, by testing every t in
+    [1, n + 1] for n <= 2000, and else every t within 64 of n**gamma, where
+    the bottom must test short and the top not."""
+    c = math.floor(n**gamma)
+    lo, hi = (1, n + 1) if n <= 2000 else (c - 64, c + 64)
+    signs = compare_power(np.arange(lo, hi + 1), n, gamma)
+    assert signs[-1] >= 0 and (n <= 2000 or signs[0] < 0), (n, gamma)
+    return lo + int(np.argmax(signs >= 0))
+
+
+def test_scan_thresholds_are_the_least_t_compare_power_accepts():
+    m = math.isqrt(SCAN_MAX_N)
+    windows = (
+        range(2, 2001),
+        range(10**6 - 2500, 10**6 + 2501),  # the squares 999**2, 1000**2 and 1001**2
+        range(SCAN_MAX_N - 1500, SCAN_MAX_N + 1),
+        [(m - 1) ** 2, m * m - 1, m * m, m * m + 1],
+    )
+    for gamma in (0.5, 0.677, 1.0):
+        for window in windows:
+            ns = np.array(window, dtype=np.int64)
+            want = [brute_threshold(n, gamma) for n in window]
+            assert _thresholds(ns, gamma).tolist() == want, (gamma, window[0])
+    # a perfect square at gamma = 0.5 is settled by compare_power's exact band path
+    for root in (44, 999, 1000, 1001, m - 1, m):
+        assert compare_power(root, root * root, 0.5) == 0
+        assert _thresholds(np.array([root * root], dtype=np.int64), 0.5).tolist() == [root]
+
+
+def witness_columns(rows):
+    """(ns, tag, wit) columns of a report whose every row is a smooth witness."""
+    ns = np.array([n for n, _ in rows], dtype=np.int64)
+    wit = np.array([[w.k, w.p, w.q, w.r, w.score] for _, w in rows], dtype=np.int64).T.copy()
+    return ns, np.ones(ns.size, dtype=np.int8), wit
+
+
+# real witnesses of survey_range(10**6) at the default config: BAND_ROW's beta lies
+# 6e-8 from a ninth-digit rounding half-point (1.474261285); each of the two
+# STATS_ROWS is clear of one, and their median and mean (1.490501895) are not
+BAND_ROW = (927050, Witness(21, 41761, 12517, 50069, 626713673))
+STATS_ROWS = (
+    (500001, Witness(28, 16069, 12517, 50069, 626713673)),
+    (816199, Witness(2, 383023, 6269, 50153, 314409157)),
+)
+
+
+def logged_log_each(monkeypatch):
+    """Spy on the survey's log_each: the list of row counts it is called on."""
+    sizes = []
+
+    def spy(values, base=None):
+        sizes.append(values.size)
+        return log_each(values, base)
+
+    monkeypatch.setattr("edgebudget.survey.log_each", spy)
+    return sizes
+
+
+def np_betas(rows):
+    return np.array([np.log(w.score) / np.log(n) for n, w in rows])
+
+
+def test_beta_near_a_half_point_is_math_logs(monkeypatch):
+    rows = [STATS_ROWS[1], BAND_ROW]  # the other row's beta is the smaller: the min is clear
+    assert all(validate(n, w) for n, w in rows)
+    b = np_betas(rows)
+    scaled = b[1] * 1e8
+    assert 1 <= b[1] < 10 and abs(scaled - math.floor(scaled) - 0.5) <= TIE_BAND
+    assert _by_rint(b).tolist() == [True, False]
+    ns, tag, wit = witness_columns(rows)
+    sizes = logged_log_each(monkeypatch)
+    report = _report(10**6, SurveyConfig(), ns, tag, wit)
+    assert sizes == [1]  # only the row in the band went by math.log; the statistics are clear
+    assert report.beta.tolist() == log_each(wit[4], ns).tolist()
+    assert report.beta[1] == math.log(BAND_ROW[1].score, BAND_ROW[0])
+    assert '"score":626713673,"beta":1.47426128,' in joined(report)
+
+
+def test_beta_stats_near_a_half_point_are_math_logs(monkeypatch):
+    rows = list(STATS_ROWS)
+    assert all(validate(n, w) for n, w in rows)
+    b = np_betas(rows)
+    assert _by_rint(b).all()
+    mean = statistics.fmean(b.tolist())
+    assert not _by_rint(np.array([mean]))[0] and 1 <= mean < 10
+    ns, tag, wit = witness_columns(rows)
+    sizes = logged_log_each(monkeypatch)
+    report = _report(10**6, SurveyConfig(), ns, tag, wit)
+    assert sizes == [0, 2]  # no row on its own, then the whole column
+    exact = log_each(wit[4], ns).tolist()
+    assert report.beta.tolist() == exact
+    assert report.beta_stats == (min(exact), statistics.median(exact), statistics.fmean(exact))
+
+
+def test_survey_beta_text_is_math_logs_text_and_within_3_ulp():
+    configs = (PRESETS["corollary-1"], PRESETS["corollary-2"], SurveyConfig(strategies=("smooth", "bv")))
+    for config in configs:
+        report = survey_range(10**5, config)
+        found = np.flatnonzero(report.tag)
+        exact = np.full(report.n.size, math.nan)
+        exact[found] = log_each(report.score[found], report.n[found])
+        wit = np.array([report.k, report.p, report.q, report.r, report.score])
+        want = SurveyReport(report.x, config, report.n, report.tag, wit, exact)
+        for csv in (False, True):
+            assert first_difference(joined(report, csv), joined(want, csv)) is None, (config, csv)
+        assert np.isnan(report.beta[report.tag == 0]).all()
+        gap = np.abs(report.beta[found] - exact[found])
+        assert (gap <= 3 * np.spacing(exact[found])).all(), config
