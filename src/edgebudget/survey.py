@@ -108,21 +108,43 @@ def _block_rows(size: int):
     return (slice(lo, lo + TEXT_BLOCK) for lo in range(0, size, TEXT_BLOCK))
 
 
-def _digits(values: np.ndarray) -> np.ndarray:
-    """The decimal digits of int64 values >= 0 as a (width, len(values))
-    uint8 matrix of ASCII: one column per value, right-aligned, with the
-    leading zeros as byte 0."""
-    width = len(str(int(values.max()))) if values.size else 1
-    cells = np.empty((width, values.size), dtype=np.uint8)
-    rest = values
-    for j in range(width - 1, -1, -1):
-        quot = rest // 10  # not np.divmod, which is several times slower
-        cells[j] = rest - 10 * quot
-        cells[j] += ord("0")
-        if j < width - 1:
-            cells[j] *= rest > 0
+def _width(values: np.ndarray) -> int:
+    """The number of decimal digits of the largest int64 value >= 0 (1 for none)."""
+    return len(str(int(values.max()))) if values.size else 1
+
+
+def _digits(values: np.ndarray, out: np.ndarray) -> None:
+    """Write the decimal digits of int64 or uint32 values >= 0 into ``out``, a
+    (``_width(values)``, len(values)) uint8 matrix: ASCII, one column per
+    value, right-aligned, with the leading zeros as byte 0.
+
+    The digits come from uint32 values, which numpy divides about four times
+    faster than int64. A matrix of at most nine rows holds values below
+    10**9, which uint32 holds. A wider one (in a survey only a score's: it
+    reaches x**2 < 2**63) goes in base-10**9 limbs, at most three: the
+    value // 10**9 into the upper rows by this function again, its last
+    digit blanked where it is 0, so that a high part of 0 prints nothing;
+    and the low limb into the last nine rows, plus 10**9 (still below
+    2**32) where the high part is nonzero, so that its leading zeros print
+    as "0" there.
+    """
+    if out.shape[0] > 9:
+        high = values // 10**9
+        above = high > 0
+        _digits(high, out[:-9])
+        out[-10] *= above
+        low = (values - high * 10**9).astype(np.uint32)
+        low += above * np.uint32(10**9)
+        values, out = low, out[-9:]
+    rest = values.astype(np.uint32, copy=False)
+    ten = np.uint32(10)
+    for j in range(out.shape[0] - 1, -1, -1):
+        quot = rest // ten  # not np.divmod, which is several times slower
+        out[j] = rest - ten * quot
+        out[j] += ord("0")
+        if j < out.shape[0] - 1:
+            out[j] *= rest > 0
         rest = quot
-    return cells
 
 
 def _by_rint(beta: np.ndarray) -> np.ndarray:
@@ -155,31 +177,65 @@ def _by_rint(beta: np.ndarray) -> np.ndarray:
     return fast
 
 
-def _beta_cells(beta: np.ndarray, found: np.ndarray, csv: bool) -> np.ndarray:
+def _beta_cells(beta: np.ndarray, found: np.ndarray, csv: bool):
     """``fmt9(b)`` (CSV) or ``json.dumps(round9(b))`` (JSON) of each beta b
-    where found, as a (width, len(beta)) uint8 matrix of ASCII padded with
-    byte 0.
+    where found, as a piece of ``SurveyReport._piece``: the width of the
+    longest text (at least 10), and a writer of the texts into a (width,
+    len(beta)) uint8 matrix, ASCII padded with byte 0.
 
     Where ``_by_rint`` holds, the nine significant digits are b * 1e8
     rounded; every other b is formatted per entry.
     """
     fast = found & _by_rint(beta)
     # elsewhere 1e8, whose text ("1.0", "1") every per-entry text overwrites
-    nines = np.where(fast, np.rint(beta * 1e8), 1e8).astype(np.int64)
-    digits = _digits(nines)
-    # the fraction drops its trailing zeros: in CSV all of them, and the point
-    # with them; JSON keeps the first ("1.0"), as json.dumps does. A digit
-    # is trailing when it and every digit after it are "0".
-    tail = digits[1 if csv else 2 :]
-    tail *= ~np.logical_and.accumulate(tail[::-1] == ord("0"))[::-1]
-    point = np.where(digits[1] != 0, ord("."), 0).astype(np.uint8)
+    nines = np.where(fast, np.rint(beta * 1e8), 1e8).astype(np.uint32)
     slow = np.flatnonzero(found & ~fast)
     texts = [(fmt9(b) if csv else json.dumps(round9(b))).encode() for b in beta[slow].tolist()]
-    cells = np.zeros((max([10, *map(len, texts)]), beta.size), dtype=np.uint8)
-    cells[:10] = np.concatenate([digits[:1], point[None], digits[1:]])
-    for i, text in zip(slow.tolist(), texts):
-        cells[: len(text), i] = np.frombuffer(text, dtype=np.uint8)
-    return cells
+
+    def write(out: np.ndarray) -> None:
+        # the nine digits go to rows 1-9; then the first moves up to row 0
+        # and the point takes its place
+        _digits(nines, out[1:10])
+        # the fraction drops its trailing zeros: in CSV all of them, and the
+        # point with them; JSON keeps the first ("1.0"), as json.dumps does.
+        # A digit is trailing when it and every digit after it are "0".
+        zero = np.ones(beta.size, dtype=bool)
+        for j in range(9, 1 if csv else 2, -1):
+            zero &= out[j] == ord("0")
+            out[j] *= ~zero
+        out[0] = out[1]
+        out[1] = (out[2] != 0) * np.uint8(ord("."))
+        out[10:] = 0
+        for i, text in zip(slow.tolist(), texts):
+            out[: len(text), i] = np.frombuffer(text, dtype=np.uint8)
+
+    return max([10, *map(len, texts)]), write
+
+
+def _mean(betas: np.ndarray) -> float:
+    """``math.fsum(betas) / betas.size``, the same double, of a nonempty
+    float64 array, from an exact fixed-point sum where it can.
+
+    Every beta of a survey lies in [2**-9, 2): its score is at least 4
+    (k >= 1, p, q >= 2, r >= 3) and below n**2, and n <= ``SCAN_MAX_N`` <
+    2**32, so b >= log 4 / log 2**32 = 1/16. A double in that range is a
+    multiple of its ulp, at least 2**-61, so b * 2**61 is an exact integer
+    below 2**62. Split into two 31-bit limbs, the int64 sum of either limb
+    over a block stays below 2**31 * ``TEXT_BLOCK`` < 2**45; so the Python
+    int ``total`` is the sum of every b * 2**61 exactly, and
+    ``math.ldexp(float(total), -61)`` its correctly rounded value, as
+    ``int.__float__`` rounds half to even: the double ``math.fsum`` returns.
+    A column with a beta outside that range (a report built directly from
+    columns can hold any) takes ``math.fsum`` instead.
+    """
+    if not (betas.min() >= 2**-9 and betas.max() < 2):
+        blocks = (betas[rows].tolist() for rows in _block_rows(betas.size))
+        return math.fsum(itertools.chain.from_iterable(blocks)) / betas.size
+    total = 0
+    for rows in _block_rows(betas.size):
+        fixed = (betas[rows] * 2.0**61).astype(np.int64)
+        total += (int((fixed >> 31).sum()) << 31) + int((fixed & (2**31 - 1)).sum())
+    return math.ldexp(float(total), -61) / betas.size
 
 
 class SurveyReport:
@@ -196,16 +252,20 @@ class SurveyReport:
     as the ``survey`` command does, never holds the whole text.
 
     The text comes from one kernel that works on blocks of ``TEXT_BLOCK``
-    rows. For each block it fills a uint8 matrix with one matrix row per
-    text column (the literal separators, the right-aligned digits of each
-    int64 column, the strategy name, the beta text), padded with byte 0.
-    An exceptional row's witness cells are zeroed and its exceptional
-    bytes written over their start. Then the kernel copies the matrix into
-    row order once, drops the padding and decodes it.
+    rows. For each block it allocates one uint8 matrix with one matrix row
+    per text column (the literal separators, the right-aligned digits of
+    each int column, the strategy name, the beta text), padded with byte 0:
+    every piece's width is known before its cells are made, and each piece
+    writes its own matrix rows in place. The digits are divided out in
+    uint32, a column wider than nine digits in base-10**9 limbs (``_digits``).
+    In a block with an exceptional row, that row's witness cells are zeroed
+    and its exceptional bytes written over their start. Then the kernel
+    copies the matrix into row order once, drops the padding and decodes it.
     Beta takes its nine digits from b * 1e8, except near a rounding tie or
     outside [1, 10), where ``json.dumps(round9(b))`` or ``fmt9`` formats it
     exactly. The bytes are those of a per-row ``json.dumps`` or ``.9g``
-    writer.
+    writer. The mean of ``beta_stats`` is ``math.fsum``'s, from an exact
+    fixed-point sum (``_mean``).
 
     In a report of ``survey_range``, beta is ``np.log(score) / np.log(n)``
     and may differ from ``math.log(score, n)`` in its last bits; the rows
@@ -223,10 +283,8 @@ class SurveyReport:
         if betas.size:
             # the values of statistics.median and statistics.fmean: the median
             # is (a + b) / 2 of the middle pair (one value twice for an odd
-            # count), and fmean is fsum / count; fsum is exact, so it may take
-            # the floats a block at a time
-            blocks = (betas[rows].tolist() for rows in _block_rows(betas.size))
-            mean = math.fsum(itertools.chain.from_iterable(blocks)) / betas.size
+            # count), and fmean is fsum / count
+            mean = _mean(betas)
             least = float(betas.min())
             # betas is a copy already: partition it in place. Not np.median,
             # whose first call imports numpy.ma (about 10 ms).
@@ -237,18 +295,21 @@ class SurveyReport:
         else:
             self.beta_stats = None
 
-    def _cells(self, piece, rows: slice, csv: bool) -> np.ndarray:
-        """One piece of a row layout over ``rows``: a uint8 matrix of ASCII
-        with one column per row, padded with byte 0."""
+    def _piece(self, piece, rows: slice, csv: bool):
+        """One piece of a row layout over ``rows``: its width, and a writer of
+        its cells into a (width, rows) uint8 matrix, ASCII with one column
+        per row, padded with byte 0."""
         tag = self.tag[rows]
         if isinstance(piece, bytes):
             literal = np.frombuffer(piece, dtype=np.uint8)[:, None]
-            return np.broadcast_to(literal, (len(piece), tag.size))
+            return len(piece), lambda out: np.copyto(out, literal)
         if piece == "strategy":
-            return _NAMES[tag].T
+            # mode "clip" writes out directly; "raise" would buffer it
+            return _NAMES.shape[1], lambda out: np.take(_NAMES.T, tag, axis=1, out=out, mode="clip")
         if piece == "beta":
             return _beta_cells(self.beta[rows], tag != 0, csv)
-        return _digits(getattr(self, piece)[rows])
+        values = getattr(self, piece)[rows]
+        return _width(values), lambda out: _digits(values, out)
 
     def _block_text(self, rows: slice, csv: bool) -> str:
         """The rows as text in the CSV or JSON layout of ``text``.
@@ -257,13 +318,19 @@ class SurveyReport:
         two block-sized buffers are alive at once, and none outlives the call.
         """
         sep, shared, witness, exceptional = _CSV_ROW if csv else _JSON_ROW
-        cells = [self._cells(piece, rows, csv) for piece in (sep, *shared, *witness)]
-        start = sum(map(len, cells[: 1 + len(shared)]))  # the first witness cell
-        matrix = np.concatenate(cells)
-        del cells
-        keep = (self.tag[rows] != 0) * np.uint8(0xFF)  # 0 where n is exceptional
-        matrix[start:] &= keep
-        matrix[start : start + len(exceptional)] |= self._cells(exceptional, rows, csv) & ~keep
+        tag = self.tag[rows]
+        pieces = [self._piece(piece, rows, csv) for piece in (sep, *shared, *witness)]
+        widths = [width for width, _ in pieces]
+        matrix = np.empty((sum(widths), tag.size), dtype=np.uint8)
+        for at, (width, write) in zip(itertools.accumulate([0, *widths]), pieces):
+            write(matrix[at : at + width])
+        del pieces
+        if not tag.all():
+            start = sum(widths[: 1 + len(shared)])  # the first witness cell
+            keep = (tag != 0) * np.uint8(0xFF)  # 0 where n is exceptional
+            matrix[start:] &= keep
+            literal = np.frombuffer(exceptional, dtype=np.uint8)[:, None]
+            matrix[start : start + len(exceptional)] |= literal & ~keep
         if rows.start == 0:
             matrix[: len(sep), 0] = 0
         # The row-order copy goes into a bytearray, whose buffer is the
@@ -368,8 +435,14 @@ def _smooth_scan(ns: np.ndarray, rset: RSet, gamma: float, tag: np.ndarray, wit:
         d = n - r
         p = lpf[d - lo]
         tag[rows][found] = _TAGS.index("smooth")
-        # unchecked_score(d // p, p, q, r) over int64 arrays
-        wit[:, rows][:, found] = d // p, p, q, r, np.minimum(np.minimum(p * d, d * r), q * r)
+        # k, p, q, r and unchecked_score(k, p, q, r) over int64 arrays, one
+        # witness row at a time: a 2-D assignment would stack the five first
+        out = wit[:, rows]
+        out[0][found] = d // p
+        out[1][found] = p
+        out[2][found] = q
+        out[3][found] = r
+        out[4][found] = np.minimum(np.minimum(p * d, d * r), q * r)
 
 
 def survey_range(x: int, config: SurveyConfig | None = None) -> SurveyReport:

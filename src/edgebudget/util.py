@@ -45,9 +45,9 @@ def check_ranges(**values: float) -> None:
 def compare_power(value, base, exponent: float):
     """Sign of ``value - base**exponent`` for integers value >= 0, base >= 1.
 
-    Works elementwise: value and base may be integers or integer arrays
-    (broadcast together). Two scalars give an int, anything else a 1-d int8
-    array of signs.
+    Works elementwise: value and base may be integers or integer arrays of
+    any shape, broadcast together. Two scalars give an int, anything else an
+    int8 array of signs in the shape the two broadcast to, at least 1-d.
 
     Compares logarithms in double precision; entries whose two sides land
     inside the relative band ``GUARD`` are settled exactly with integer powers,
@@ -65,9 +65,9 @@ def compare_power(value, base, exponent: float):
     if inside.size:
         frac = Fraction(exponent).limit_denominator(1_000_000)
         for i in inside.tolist():
-            left = int(values[i]) ** frac.denominator
-            right = int(bases[i]) ** frac.numerator
-            sign[i] = (left > right) - (left < right)
+            left = int(values.flat[i]) ** frac.denominator
+            right = int(bases.flat[i]) ** frac.numerator
+            sign.flat[i] = (left > right) - (left < right)
     if np.ndim(value) == 0 and np.ndim(base) == 0:
         return int(sign[0])
     return sign

@@ -31,8 +31,10 @@ from edgebudget.survey import (
     TIE_BAND,
     SurveyReport,
     _by_rint,
+    _digits,
     _report,
     _thresholds,
+    _width,
 )
 from edgebudget.util import compare_power, log_each, round9
 from edgebudget.witness import _rset_interval
@@ -240,6 +242,35 @@ def test_beta_stats_equal_the_statistics_module_exactly():
         found = [b for b in betas if not math.isnan(b)]
         want = (min(found), statistics.median(found), statistics.fmean(found)) if found else None
         assert report.beta_stats == want, size
+
+
+def test_beta_stats_mean_is_fsums_bit_for_bit(monkeypatch):
+    def mean_of(betas):
+        ns = list(range(10, 10 + len(betas)))
+        return smooth_report(ns[-1], ns, [7] * len(betas), betas).beta_stats[2]
+
+    rng = random.Random(37)
+    lowest, highest = 2.0**-9, math.nextafter(2.0, 0.0)
+    in_range = []
+    for size in (1, 2, TEXT_BLOCK, TEXT_BLOCK + 1, 2 * TEXT_BLOCK + 7, 3 * TEXT_BLOCK):
+        # every binade of [2**-9, 2), full 53-bit fractions, and both ends
+        betas = [math.ldexp(1 + rng.random(), rng.randrange(-9, 1)) for _ in range(size)]
+        betas[rng.randrange(size)] = lowest
+        betas[rng.randrange(size)] = highest
+        in_range.append(betas)
+    # exactly halfway between two doubles: 2.5 + 2**-52 rounds to even, 2.5
+    in_range += [[1.5, 1 + 2**-52], [1 + 2**-52, 1.5], [highest] * 3, [lowest], [1.2345]]
+    want = [math.fsum(betas) / len(betas) for betas in in_range]
+    # inside [2**-9, 2) the mean is the fixed-point sum's, not math.fsum's
+    with monkeypatch.context() as patched:
+        patched.setattr(math, "fsum", None)
+        got = [mean_of(betas) for betas in in_range]
+    assert [g.hex() for g in got] == [w.hex() for w in want]
+    assert want[-5] == 1.25
+    # a beta outside the range takes math.fsum: negative, large, or too fine for 2**-61
+    for outlier in (-0.5, 2.0, 1e300, math.ldexp(1 + 2**-52, -10), 1e-300):
+        for betas in ([outlier], [1.5, outlier], [1 + rng.random() for _ in range(TEXT_BLOCK + 5)] + [outlier]):
+            assert mean_of(betas).hex() == (math.fsum(betas) / len(betas)).hex(), outlier
 
 
 def test_beta_stats_is_none_without_a_success():
@@ -474,6 +505,29 @@ def test_text_kernel_edge_cases_match_the_per_row_writers():
     assert joined(empty, csv=True) == records_csv(empty) == SURVEY_CSV_HEADER + "\n"
 
 
+def test_digits_match_str_across_limbs():
+    # below and above 10**9 (one limb, two) and 2**32 (uint32, limbs), up to int64's top
+    edges = [0, 1, 9, 10, 10**9 - 1, 10**9, 10**9 + 1, 2**32 - 1, 2**32, 2**32 + 1,
+             10**18, 2**63 - 1]
+    rng = random.Random(38)
+    values = edges + [rng.randrange(10 ** rng.randrange(1, 19)) for _ in range(TEXT_BLOCK - len(edges))]
+    rng.shuffle(values)
+    column = np.array(values, dtype=np.int64)
+    # three limbs; two, all below 2**32; one
+    for top, width in ((2**63 - 1, 19), (2**32 - 1, 10), (10**9 - 1, 9)):
+        part = column[column <= top]
+        assert _width(part) == width
+        out = np.full((width, part.size), 0xFF, dtype=np.uint8)
+        _digits(part, out)
+        got = [bytes(cell).replace(b"\0", b"").decode() for cell in out.T]
+        assert got == list(map(str, part.tolist())), width
+    # as the score column of a report (a score of 0 would mark n exceptional)
+    scores = [v for v in values if v > 0]
+    report = smooth_report(10**6, range(1, len(scores) + 1), scores, [1.5] * len(scores))
+    assert first_difference(joined(report), records_json(report)) is None
+    assert first_difference(joined(report, csv=True), records_csv(report)) is None
+
+
 def test_rows_at_block_boundaries_match_the_per_n_scan():
     # x = 70001 surveys 35001 n: two full blocks and part of a third
     x = 70001
@@ -532,10 +586,10 @@ def test_exceptional_cells_fit_over_the_witness_literals():
 def test_text_holds_about_two_copies_of_a_block():
     # Iterated as the survey command writes to stdout, with the previous piece
     # still held, the text kernel adds about two block-sized buffers to it:
-    # the cells and the matrix, the matrix and its row-order copy, that copy
-    # and the unpadded bytes, then those and the string (about 3.05 times the
-    # longest piece in all). Keeping the matrix or the padded bytes alive
-    # into the next step adds a third.
+    # the matrix, which every piece writes in place, and its row-order copy,
+    # that copy and the unpadded bytes, then those and the string (about 3.05
+    # times the longest piece in all). Keeping the matrix or the padded bytes
+    # alive into the next step adds a third.
     report = survey_range(100_003)
     for csv in (False, True):
         joined(report, csv)  # imports and caches outside the traced loop

@@ -622,6 +622,19 @@ def test_compare_power_guard_band():
     assert compare_power(0, 5, 0.5) == -1
 
 
+def test_compare_power_keeps_the_broadcast_shape():
+    # the band entries (3 = 9**0.5, 4 = 16**0.5, 8 = 4**1.5) are settled exactly, in place
+    assert compare_power(np.array([[3, 4]]), np.array([[9, 17]]), 0.5).tolist() == [[0, -1]]
+    values = np.array([[3], [4], [0], [8]])
+    bases = np.array([9, 16, 17, 4])
+    for exponent in (0.5, 1.5):
+        grid = compare_power(values, bases, exponent)
+        assert grid.shape == (4, 4) and grid.dtype == np.int8
+        flat = compare_power(np.repeat(values.ravel(), 4), np.tile(bases, 4), exponent)
+        assert grid.tolist() == flat.reshape(4, 4).tolist(), exponent
+    assert compare_power(np.array([[3, 4]]), np.array([[9, 16]]), 0.5).tolist() == [[0, 0]]
+
+
 def test_strategy_smooth_worked_example():
     rset = build_rset(5, 25, 0.5)
     w = strategy_smooth(100, rset, 0.5)
