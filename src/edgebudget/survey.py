@@ -118,26 +118,12 @@ def _digits(values: np.ndarray, out: np.ndarray) -> None:
     (``_width(values)``, len(values)) uint8 matrix: ASCII, one column per
     value, right-aligned, with the leading zeros as byte 0.
 
-    The digits come from uint32 values, which numpy divides about four times
-    faster than int64. A matrix of at most nine rows holds values below
-    10**9, which uint32 holds. A wider one (in a survey only a score's: it
-    reaches x**2 < 2**63) goes in base-10**9 limbs, at most three: the
-    value // 10**9 into the upper rows by this function again, its last
-    digit blanked where it is 0, so that a high part of 0 prints nothing;
-    and the low limb into the last nine rows, plus 10**9 (still below
-    2**32) where the high part is nonzero, so that its leading zeros print
-    as "0" there.
+    A matrix of at most nine rows holds values below 10**9, which are
+    divided in uint32, about four times faster than int64 in numpy; a wider
+    one (in a survey only a score's, up to x**2) is divided in int64.
     """
-    if out.shape[0] > 9:
-        high = values // 10**9
-        above = high > 0
-        _digits(high, out[:-9])
-        out[-10] *= above
-        low = (values - high * 10**9).astype(np.uint32)
-        low += above * np.uint32(10**9)
-        values, out = low, out[-9:]
-    rest = values.astype(np.uint32, copy=False)
-    ten = np.uint32(10)
+    rest = values.astype(np.uint32, copy=False) if out.shape[0] <= 9 else values
+    ten = rest.dtype.type(10)
     for j in range(out.shape[0] - 1, -1, -1):
         quot = rest // ten  # not np.divmod, which is several times slower
         out[j] = rest - ten * quot
@@ -212,23 +198,23 @@ def _beta_cells(beta: np.ndarray, found: np.ndarray, csv: bool):
     return max([10, *map(len, texts)]), write
 
 
-def _mean(betas: np.ndarray) -> float:
+def _mean(betas: np.ndarray, least: float) -> float:
     """``math.fsum(betas) / betas.size``, the same double, of a nonempty
-    float64 array, from an exact fixed-point sum where it can.
+    float64 array whose minimum is ``least``, from an exact fixed-point sum
+    where it can.
 
-    Every beta of a survey lies in [2**-9, 2): its score is at least 4
-    (k >= 1, p, q >= 2, r >= 3) and below n**2, and n <= ``SCAN_MAX_N`` <
-    2**32, so b >= log 4 / log 2**32 = 1/16. A double in that range is a
-    multiple of its ulp, at least 2**-61, so b * 2**61 is an exact integer
-    below 2**62. Split into two 31-bit limbs, the int64 sum of either limb
-    over a block stays below 2**31 * ``TEXT_BLOCK`` < 2**45; so the Python
-    int ``total`` is the sum of every b * 2**61 exactly, and
+    Where every beta lies in [2**-9, 2), each is a multiple of its ulp, at
+    least 2**-61, and below 2, so b * 2**61 is an exact integer below 2**62;
+    a survey's betas all do, as 4 <= score < n**2 and n < 2**32 give b >=
+    1/16. Split into two 31-bit limbs, the int64 sum of either limb over a
+    block stays below 2**31 * ``TEXT_BLOCK`` < 2**45; so the Python int
+    ``total`` is the sum of every b * 2**61 exactly, and
     ``math.ldexp(float(total), -61)`` its correctly rounded value, as
     ``int.__float__`` rounds half to even: the double ``math.fsum`` returns.
     A column with a beta outside that range (a report built directly from
     columns can hold any) takes ``math.fsum`` instead.
     """
-    if not (betas.min() >= 2**-9 and betas.max() < 2):
+    if not (least >= 2**-9 and betas.max() < 2):
         blocks = (betas[rows].tolist() for rows in _block_rows(betas.size))
         return math.fsum(itertools.chain.from_iterable(blocks)) / betas.size
     total = 0
@@ -257,7 +243,7 @@ class SurveyReport:
     each int column, the strategy name, the beta text), padded with byte 0:
     every piece's width is known before its cells are made, and each piece
     writes its own matrix rows in place. The digits are divided out in
-    uint32, a column wider than nine digits in base-10**9 limbs (``_digits``).
+    uint32, a column wider than nine digits in int64 (``_digits``).
     In a block with an exceptional row, that row's witness cells are zeroed
     and its exceptional bytes written over their start. Then the kernel
     copies the matrix into row order once, drops the padding and decodes it.
@@ -284,8 +270,8 @@ class SurveyReport:
             # the values of statistics.median and statistics.fmean: the median
             # is (a + b) / 2 of the middle pair (one value twice for an odd
             # count), and fmean is fsum / count
-            mean = _mean(betas)
             least = float(betas.min())
+            mean = _mean(betas, least)
             # betas is a copy already: partition it in place. Not np.median,
             # whose first call imports numpy.ma (about 10 ms).
             middle = ((betas.size - 1) // 2, betas.size // 2)

@@ -505,16 +505,16 @@ def test_text_kernel_edge_cases_match_the_per_row_writers():
     assert joined(empty, csv=True) == records_csv(empty) == SURVEY_CSV_HEADER + "\n"
 
 
-def test_digits_match_str_across_limbs():
-    # below and above 10**9 (one limb, two) and 2**32 (uint32, limbs), up to int64's top
+def test_digits_match_str_at_every_width():
+    # below and above 10**9 (uint32, int64) and 2**32, up to int64's top
     edges = [0, 1, 9, 10, 10**9 - 1, 10**9, 10**9 + 1, 2**32 - 1, 2**32, 2**32 + 1,
-             10**18, 2**63 - 1]
+             10**10 - 1, 10**18, 2**63 - 1]
     rng = random.Random(38)
     values = edges + [rng.randrange(10 ** rng.randrange(1, 19)) for _ in range(TEXT_BLOCK - len(edges))]
     rng.shuffle(values)
     column = np.array(values, dtype=np.int64)
-    # three limbs; two, all below 2**32; one
-    for top, width in ((2**63 - 1, 19), (2**32 - 1, 10), (10**9 - 1, 9)):
+    # int64 at 19 digits and at 10, past 2**32 or not; uint32 at 9
+    for top, width in ((2**63 - 1, 19), (10**10 - 1, 10), (2**32 - 1, 10), (10**9 - 1, 9)):
         part = column[column <= top]
         assert _width(part) == width
         out = np.full((width, part.size), 0xFF, dtype=np.uint8)
