@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import factor, sieve
-from .util import check_ranges, compare_power, exact_int, fmt9, log_each, power_floor, round9
+from .util import check_ranges, exact_int, fmt9, log_each, power_threshold, round9
 from .witness import RSet, _rset_interval, build_rset, strategy_bv
 
 # the largest x whose scores, all below x**2, int64 holds exactly
@@ -358,42 +358,18 @@ class SurveyReport:
             yield "]}\n"
 
 
-def _thresholds(n: np.ndarray, gamma: float) -> np.ndarray:
-    """For each n of the int64 array (n <= ``SCAN_MAX_N``), the least integer
-    t with ``compare_power(t, n, gamma) >= 0``, as int64.
-
-    The candidate floor(y), y = n ** gamma in float64, is never above the
-    answer: compare_power finds any t below n**gamma * (1 - 2.2e-11) short
-    (its log band is ``GUARD`` times gamma * log n < 22), and at n**gamma <
-    2**32 that margin is below 1. One vectorised compare_power call on the
-    candidate raises it by one where it falls short. Then t can still fall
-    short only where y rounded below an integer that n**gamma passes, and
-    such a t lies within 1e-9 of y relative: those few entries, with every
-    t <= y (a perfect power's root), are tested again and raised while
-    short.
-    """
-    y = n**gamma
-    t = np.floor(y).astype(np.int64)
-    t += compare_power(t, n, gamma) < 0
-    rows = np.flatnonzero(t - y < 1e-9 * y)
-    while rows.size:
-        rows = rows[compare_power(t[rows], n[rows], gamma) < 0]
-        t[rows] += 1
-    return t
-
-
 def _smooth_scan(ns: np.ndarray, rset: RSet, gamma: float, tag: np.ndarray, wit: np.ndarray):
     """``strategy_smooth`` for every n of the report's ``ns`` with tag 0,
     written in place into its ``tag`` and ``wit`` columns, a block of
     ``TEXT_BLOCK`` n at a time.
 
     Per block, computes each n's integer threshold t(n) once
-    (``_thresholds``: P >= t(n) exactly where compare_power finds P >=
-    n**gamma), then walks the members in increasing order and tests only the
-    n still unresolved, reading P(n - r) from one table covering every
+    (``util.power_threshold``: P >= t(n) exactly where compare_power finds
+    P >= n**gamma), then walks the members in increasing order and tests only
+    the n still unresolved, reading P(n - r) from one table covering every
     difference; each n keeps the first member r with P(n - r) >= t(n),
-    exactly as the per-n scan would. The table keeps only P >=
-    ``power_floor(ns[0], gamma)``, which every t(n) reaches. Every member is
+    exactly as the per-n scan would. The table keeps only P >= t(ns[0]),
+    which every t(n) reaches, as t never falls as n grows. Every member is
     at most x // 4 < ceil(x/2) = ns[0], so the table starts at 1 or above.
     Only the table is as long as the window; every other array is at most a
     block long.
@@ -401,14 +377,14 @@ def _smooth_scan(ns: np.ndarray, rset: RSet, gamma: float, tag: np.ndarray, wit:
     members = rset.members
     if not members.size:
         return
-    n_lo = int(ns[0])
-    lo = n_lo - int(members[-1])
-    lpf = factor.lpf_table(lo, int(ns[-1]) - int(members[0]), floor=power_floor(n_lo, gamma))
+    lo = int(ns[0]) - int(members[-1])
+    floor = int(power_threshold(ns[:1], gamma)[0])
+    lpf = factor.lpf_table(lo, int(ns[-1]) - int(members[0]), floor=floor)
     for rows in _block_rows(ns.size):
         block = ns[rows]
         hit = np.full(block.size, -1, dtype=np.int64)
         pending = np.flatnonzero(tag[rows] == 0)
-        offset, need = block - lo, _thresholds(block, gamma)
+        offset, need = block - lo, power_threshold(block, gamma)
         for i, r in enumerate(members.tolist()):
             if not pending.size:
                 break
@@ -488,7 +464,7 @@ def _report(x: int, config: SurveyConfig, ns: np.ndarray, tag: np.ndarray, wit: 
             score, n = wit[4, rows][found], ns[rows][found]
             b = np.log(score) / np.log(n)
             slow = np.flatnonzero(~_by_rint(b) | exact)
-            b[slow] = log_each(score[slow], n[slow])
+            b[slow] = log_each(score[slow]) / log_each(n[slow])
             beta[rows][found] = b
         report = SurveyReport(x, config, ns, tag, wit, beta)
         if report.beta_stats is None or _by_rint(np.array(report.beta_stats)).all():
@@ -505,9 +481,10 @@ def rset_density(z: int, alpha: float) -> tuple[int, float]:
     of one window at any z.
 
     Raises:
-        TypeError, ValueError: if z is a bool or not an integer, z < 2 or alpha is outside (0, 1].
+        TypeError, ValueError: if z is a bool or not an integer, z < 2 or z >= 2**63 (the
+            int64 limit, refused before the first window), or alpha is outside (0, 1].
     """
-    z = sieve.check_int(z, "rset_density", "z", 2)
+    z = sieve.check_int(z, "rset_density", "z", 2, 2**63 - 1)
     step = sieve.SEGMENT_LENGTH
     windows = ((lo, min(lo + step - 1, z)) for lo in range(1, z + 1, step))
     count = sum(build_rset(lo, hi, alpha).members.size for lo, hi in windows)

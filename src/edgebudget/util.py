@@ -1,5 +1,6 @@
 """Shared numeric plumbing: exact integer inputs, the strategy parameters' ranges, guarded
-real-exponent comparisons, per-element ``math.log`` and 9-significant-digit serialization."""
+real-exponent comparisons and their thresholds, per-element ``math.log`` and 9-significant-digit
+serialization."""
 
 import math
 from fractions import Fraction
@@ -73,34 +74,52 @@ def compare_power(value, base, exponent: float):
     return sign
 
 
-def power_floor(base: int, exponent: float) -> int:
-    """An integer no larger than any value that ``compare_power`` finds
-    >= b**exponent, for any b >= base.
+def power_threshold(bases, exponent: float) -> np.ndarray:
+    """For each int64 base b >= 1, the least integer t with
+    ``compare_power(t, b, exponent) >= 0``, as int64; 0 < exponent <= 1.
 
-    Both of its paths need log(value) >= exponent*log(b) - band - rounding,
-    where band = GUARD * max(1, exponent*log(b)) < 5e-11 (GUARD = 1e-12)
-    for b < 2**63 and 0 < exponent <= 1, and rounding is a few ulps of
-    numbers below 64. So every such value exceeds b**exponent * (1 - 1e-10);
-    the 1e-9 margin below also covers the rounding of ``base ** exponent``.
+    t never falls as b grows, so the threshold of the least base is a floor
+    for every larger one. compare_power accepts a value v only where
+    log(v) >= exponent*log(b) - band - rounding, and refuses it only where
+    log(v) <= exponent*log(b) + band + rounding, with band = GUARD *
+    max(1, exponent*log(b)) < 5e-11 (GUARD = 1e-12) for b < 2**63 and
+    rounding a few ulps of numbers below 64: every accepted v exceeds
+    b**exponent * (1 - 1e-10), and every refused v lies below b**exponent *
+    (1 + 1e-10). With y the float b**exponent, the 1e-9 margins below also
+    cover y's rounding, so ceil(y*(1 - 1e-9)) - 1 is refused and
+    min(b, floor(y*(1 + 1e-9)) + 1) accepted (b >= b**exponent). compare_power
+    rises with the value, and bisection between the two finds t; where y lies
+    farther than 1e-9*y from every integer they are adjacent, and no
+    comparison is made.
     """
-    return math.floor(base**exponent * (1 - 1e-9))
+    bases = np.asarray(bases, dtype=np.int64)
+    y = bases**exponent
+    lo = np.ceil(y * (1 - 1e-9)).astype(np.int64) - 1
+    top = np.floor(y * (1 + 1e-9)) + 1
+    hi = bases.copy()
+    below = top < hi  # cast only what lies below b, never past the int64 limit
+    hi[below] = top[below]
+    rows = np.flatnonzero(hi - lo > 1)
+    while rows.size:
+        mid = lo[rows] + (hi[rows] - lo[rows]) // 2
+        ok = compare_power(mid, bases[rows], exponent) >= 0
+        hi[rows[ok]] = mid[ok]
+        lo[rows[~ok]] = mid[~ok]
+        rows = rows[hi[rows] - lo[rows] > 1]
+    return hi
 
 
-def log_each(values: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
-    """math.log of each int64 value, as float64; with ``base``, an int64
-    array of the same length, ``math.log(value, b)`` of each pair.
+def log_each(values: np.ndarray) -> np.ndarray:
+    """math.log of each int64 value, as float64.
 
     Not np.log: its SIMD loops can differ from math.log in the last bit,
     which would move a serialized ninth digit. int64 to float64 rounds as
-    Python's int to float does, so each entry equals math.log of the int,
-    and ``math.log(v, b)`` is math.log(v) / math.log(b), one division.
+    Python's int to float does, so each entry equals math.log of the int;
+    and as ``math.log(v, b)`` is math.log(v) / math.log(b), one division,
+    ``log_each(v) / log_each(b)`` is ``math.log(v, b)`` of each pair.
     """
     floats = values.astype(np.float64).tolist()
-    if base is None:
-        logs = map(math.log, floats)
-    else:
-        logs = map(math.log, floats, base.astype(np.float64).tolist())
-    return np.fromiter(logs, dtype=np.float64, count=len(floats))
+    return np.fromiter(map(math.log, floats), dtype=np.float64, count=len(floats))
 
 
 def round9(x: float) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import factor, sieve
-from .util import check_ranges, compare_power, exact_int, power_floor
+from .util import check_ranges, compare_power, exact_int, power_threshold
 
 
 @dataclass(frozen=True)
@@ -285,8 +285,9 @@ def strategy_bv(n: int, eps: float = 0.05) -> Witness | None:
 
     Iterates ordered pairs of distinct primes p, q from
     [ceil(n**(1/4 - eps)), floor(2 n**(1/4 - eps))] (ascending p, then
-    ascending q), skipping pairs where the combined residue a shares a factor
-    with pq (the progression then holds at most one prime), and scans
+    ascending q), skipping every p that divides n (the combined residue a then
+    shares p with pq, and the progression holds at most one prime; as a = 1
+    (mod q), no other pair's a shares a factor with pq), and scans
     r = a (mod pq) upward through [ceil(n/4), floor(n/2)] for a prime.
     The first hit yields the witness (k = (n-r)/p, p, q, r), which always
     validates. Returns None when every pair fails, including when the prime
@@ -316,13 +317,13 @@ def strategy_bv(n: int, eps: float = 0.05) -> Witness | None:
     r_lo = -(-n // 4)
     r_hi = n // 2
     for p in sieve.iter_primes(lo, hi):
+        if n % p == 0:
+            continue
         for q in sieve.iter_primes(lo, hi):
             if q == p:
                 continue
             modulus = p * q
             a = crt_pair(n, p, q)
-            if math.gcd(a, modulus) != 1:
-                continue
             # the least r >= r_lo with r = a (mod pq)
             r = a + (r_lo - a + modulus - 1) // modulus * modulus
             while r <= r_hi:
@@ -339,9 +340,10 @@ def build_rset(lo: int, hi: int, alpha: float) -> RSet:
 
     One largest-prime-factor table over the shifted primes supplies every
     P(r-1); the threshold test is ``compare_power`` over the whole array.
-    The table keeps only P(r-1) >= ``power_floor(lo, alpha)``, which every
-    accepted value reaches, so a 0 below that floor is rejected as the true
-    P(r-1) would be. When the floor exceeds sqrt(hi) (lo well above 1), the
+    The table keeps only P(r-1) at or above the floor ``power_threshold(lo,
+    alpha)``, which every accepted value reaches (the threshold never falls
+    as r grows), so a 0 below that floor is rejected as the true P(r-1)
+    would be. When the floor exceeds sqrt(hi) (lo well above 1), the
     table is built from the large primes alone. A window that
     ``sieve.is_narrow`` has no table: each P(r-1) comes from
     ``factor.largest_prime_factor``. Either way the members are the same.
@@ -357,7 +359,8 @@ def build_rset(lo: int, hi: int, alpha: float) -> RSet:
         q = np.fromiter(shifted, dtype=np.int64, count=primes.size)
     else:
         shifted_lo = max(1, lo - 1)
-        shifted = factor.lpf_table(shifted_lo, max(1, hi - 1), floor=power_floor(lo, alpha))
+        floor = int(power_threshold([lo], alpha)[0])
+        shifted = factor.lpf_table(shifted_lo, max(1, hi - 1), floor=floor)
         q = shifted[primes - 1 - shifted_lo]
     keep = compare_power(q, primes, alpha) > 0
     return RSet(primes[keep], q[keep])

@@ -46,6 +46,12 @@ def test_rset_density_example(capsys):
     assert doc["ratio"] == pytest.approx(0.515020132)
 
 
+def test_rset_density_refuses_z_from_2_63(capsys):
+    # refused before the first window, not after 2**63 / SEGMENT_LENGTH of them
+    code, out, err = run(capsys, "rset-density", "--z", str(2**63), "--alpha", "0.5")
+    assert (code, out) == (EXIT_ERROR, "") and "z <= 9223372036854775807" in err
+
+
 def test_witness_smooth_empty_rset_exits_2(capsys):
     code, out, _ = run(
         capsys, "witness-smooth", "--n", "50", "--alpha", "0.99", "--c0", "0.05", "--gamma", "0.5"

@@ -4,6 +4,7 @@ import math
 import random
 import statistics
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -33,10 +34,9 @@ from edgebudget.survey import (
     _by_rint,
     _digits,
     _report,
-    _thresholds,
     _width,
 )
-from edgebudget.util import compare_power, log_each, round9
+from edgebudget.util import compare_power, log_each, power_threshold, round9
 from edgebudget.witness import _rset_interval
 from oracles import trial_division_is_prime, trial_division_lpf
 from test_witness import assert_words_each_range
@@ -289,6 +289,9 @@ def test_rset_density_examples():
         rset_density(1, 0.5)
     with pytest.raises(TypeError):
         rset_density(100.5, 0.5)
+    # the int64 limit, refused before the first window
+    with pytest.raises(ValueError, match="z <= 9223372036854775807"):
+        rset_density(2**63, 0.5)
 
 
 def test_rset_density_counts_the_one_shot_rset(monkeypatch):
@@ -605,34 +608,37 @@ def test_text_holds_about_two_copies_of_a_block():
         assert peak <= 3.3 * longest, (csv, peak / longest)
 
 
-def brute_threshold(n, gamma):
-    """The least t with compare_power(t, n, gamma) >= 0, by testing every t in
-    [1, n + 1] for n <= 2000, and else every t within 64 of n**gamma, where
-    the bottom must test short and the top not."""
-    c = math.floor(n**gamma)
+def brute_threshold(n, exponent):
+    """The least t with compare_power(t, n, exponent) >= 0, by testing every t
+    in [1, n + 1] for n <= 2000, and else every t within 64 of n**exponent,
+    where the bottom must test short and the top not."""
+    c = math.floor(n**exponent)
     lo, hi = (1, n + 1) if n <= 2000 else (c - 64, c + 64)
-    signs = compare_power(np.arange(lo, hi + 1), n, gamma)
-    assert signs[-1] >= 0 and (n <= 2000 or signs[0] < 0), (n, gamma)
+    signs = compare_power(np.arange(lo, hi + 1), n, exponent)
+    assert signs[-1] >= 0 and (n <= 2000 or signs[0] < 0), (n, exponent)
     return lo + int(np.argmax(signs >= 0))
 
 
 def test_scan_thresholds_are_the_least_t_compare_power_accepts():
+    # the smooth scan's per-n threshold is util.power_threshold at gamma
     m = math.isqrt(SCAN_MAX_N)
     windows = (
-        range(2, 2001),
+        range(1, 2001),
         range(10**6 - 2500, 10**6 + 2501),  # the squares 999**2, 1000**2 and 1001**2
         range(SCAN_MAX_N - 1500, SCAN_MAX_N + 1),
         [(m - 1) ** 2, m * m - 1, m * m, m * m + 1],
     )
-    for gamma in (0.5, 0.677, 1.0):
-        for window in windows:
-            ns = np.array(window, dtype=np.int64)
-            want = [brute_threshold(n, gamma) for n in window]
-            assert _thresholds(ns, gamma).tolist() == want, (gamma, window[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for gamma in (0.5, 0.677, 1.0):
+            for window in windows:
+                got = power_threshold(np.array(window, dtype=np.int64), gamma)
+                assert got.tolist() == [brute_threshold(n, gamma) for n in window], (gamma, window[0])
+                assert (np.diff(got) >= 0).all(), (gamma, window[0])
     # a perfect square at gamma = 0.5 is settled by compare_power's exact band path
     for root in (44, 999, 1000, 1001, m - 1, m):
         assert compare_power(root, root * root, 0.5) == 0
-        assert _thresholds(np.array([root * root], dtype=np.int64), 0.5).tolist() == [root]
+        assert power_threshold([root * root], 0.5).tolist() == [root]
 
 
 def witness_columns(rows):
@@ -656,9 +662,9 @@ def logged_log_each(monkeypatch):
     """Spy on the survey's log_each: the list of row counts it is called on."""
     sizes = []
 
-    def spy(values, base=None):
+    def spy(values):
         sizes.append(values.size)
-        return log_each(values, base)
+        return log_each(values)
 
     monkeypatch.setattr("edgebudget.survey.log_each", spy)
     return sizes
@@ -678,8 +684,9 @@ def test_beta_near_a_half_point_is_math_logs(monkeypatch):
     ns, tag, wit = witness_columns(rows)
     sizes = logged_log_each(monkeypatch)
     report = _report(10**6, SurveyConfig(), ns, tag, wit)
-    assert sizes == [1]  # only the row in the band went by math.log; the statistics are clear
-    assert report.beta.tolist() == log_each(wit[4], ns).tolist()
+    # only the row in the band went by math.log (its score, then its n); the statistics are clear
+    assert sizes == [1, 1]
+    assert report.beta.tolist() == (log_each(wit[4]) / log_each(ns)).tolist()
     assert report.beta[1] == math.log(BAND_ROW[1].score, BAND_ROW[0])
     assert '"score":626713673,"beta":1.47426128,' in joined(report)
 
@@ -694,8 +701,8 @@ def test_beta_stats_near_a_half_point_are_math_logs(monkeypatch):
     ns, tag, wit = witness_columns(rows)
     sizes = logged_log_each(monkeypatch)
     report = _report(10**6, SurveyConfig(), ns, tag, wit)
-    assert sizes == [0, 2]  # no row on its own, then the whole column
-    exact = log_each(wit[4], ns).tolist()
+    assert sizes == [0, 0, 2, 2]  # no row on its own, then the whole column; scores, then n
+    exact = (log_each(wit[4]) / log_each(ns)).tolist()
     assert report.beta.tolist() == exact
     assert report.beta_stats == (min(exact), statistics.median(exact), statistics.fmean(exact))
 
@@ -706,7 +713,7 @@ def test_survey_beta_text_is_math_logs_text_and_within_3_ulp():
         report = survey_range(10**5, config)
         found = np.flatnonzero(report.tag)
         exact = np.full(report.n.size, math.nan)
-        exact[found] = log_each(report.score[found], report.n[found])
+        exact[found] = log_each(report.score[found]) / log_each(report.n[found])
         wit = np.array([report.k, report.p, report.q, report.r, report.score])
         want = SurveyReport(report.x, config, report.n, report.tag, wit, exact)
         for csv in (False, True):

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from edgebudget import (
     witness_json,
 )
 from edgebudget import factor, sieve, witness
-from edgebudget.util import compare_power, power_floor
+from edgebudget.util import compare_power, power_threshold
 from edgebudget.witness import unchecked_score
 from oracles import naive_edge_budget, prime_divisor_lists, prime_flags
 
@@ -477,9 +478,11 @@ def oracle_bv(n, eps, flags):
 def test_strategy_bv_matches_independent_search():
     import random
 
-    flags = prime_flags(30_000)
+    flags = prime_flags(50_000)
     rng = random.Random(314)
     ns = [100, 911, 10_000, 59_049] + [rng.randrange(50, 60_000) for _ in range(60)]
+    # n with prime factors among the p: 2*11*13*17*19, 2*3*5*7*11*13 and 11*13*17*19
+    ns += [92_378, 30_030, 46_189]
     for n in ns:
         for eps in (0.0, 0.05, 0.1):
             assert strategy_bv(n, eps) == oracle_bv(n, eps, flags), (n, eps)
@@ -580,11 +583,11 @@ def test_build_rset_matches_pointwise_definition():
 
 
 def test_build_rset_with_a_floor_above_sqrt_hi():
-    # [20175, 5 * 20175] is a survey-shaped window: its floor 821 exceeds
+    # [20160, 5 * 20160] is a survey-shaped window: its floor 821 exceeds
     # sqrt(hi), so the table holds only the large primes; and 821 = P(21346)
     # with 21347 prime sits exactly at the floor
-    lo, hi, alpha = 20_175, 100_875, 0.677
-    floor = power_floor(lo, alpha)
+    lo, hi, alpha = 20_160, 100_800, 0.677
+    floor = int(power_threshold([lo], alpha)[0])
     assert floor == 821 and floor * floor > hi
     assert is_prime(21_347) and largest_prime_factor(21_346) == floor
     rset = build_rset(lo, hi, alpha)
@@ -599,18 +602,36 @@ def test_build_rset_with_a_floor_above_sqrt_hi():
 
 
 def test_power_floor_is_below_every_accepted_value():
+    # build_rset uses the threshold of lo as a floor for the whole window
     rng = random.Random(17)
     cases = [(q * q, 0.5) for q in (2, 3, 97, 10007)] + [(2, 1.0), (1, 0.677), (4, 0.75)]
     cases += [(rng.randrange(1, 10**12), rng.choice((0.5, 0.62, 0.677, 0.9, 1.0))) for _ in range(300)]
     for base, exponent in cases:
-        floor = power_floor(base, exponent)
+        floor = int(power_threshold([base], exponent)[0])
         # nothing below the floor is accepted at base, nor at any larger base
         assert compare_power(floor - 1, base, exponent) < 0, (base, exponent)
         assert compare_power(floor - 1, base + 1, exponent) < 0, (base, exponent)
         # and the margin is small: the floor is within 1e-8 of base**exponent
         assert floor >= base**exponent * (1 - 1e-8) - 1, (base, exponent)
     # an exact power: Q is accepted at Q**2 (compare_power gives 0), and Q >= the floor
-    assert compare_power(10007, 10007**2, 0.5) == 0 and power_floor(10007**2, 0.5) <= 10007
+    assert compare_power(10007, 10007**2, 0.5) == 0 and power_threshold([10007**2], 0.5)[0] <= 10007
+
+
+def test_power_threshold_is_the_least_accepted_value():
+    # small and survey-range windows are checked against a brute-force
+    # search in test_survey.py; here, up to the int64 limit, where the accepted end of
+    # the bracket is clamped to the base: t is accepted and t - 1 is not
+    rng = random.Random(17)
+    top = sorted({rng.randrange(1, 2**63) for _ in range(300)} | {2**63 - 2, 2**63 - 1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for exponent in (1.0, 0.999):
+            got = power_threshold(top, exponent)
+            assert (np.diff(got) >= 0).all(), exponent
+            assert (compare_power(got, top, exponent) >= 0).all(), exponent
+            assert (compare_power(got - 1, top, exponent) < 0).all(), exponent
+            if exponent == 1.0:
+                assert got.tolist() == top
 
 
 def test_compare_power_guard_band():
