@@ -364,10 +364,10 @@ def _smooth_scan(ns: np.ndarray, rset: RSet, gamma: float, tag: np.ndarray, wit:
     ``TEXT_BLOCK`` n at a time.
 
     Per block, computes each n's integer threshold t(n) once
-    (``util.power_threshold``: P >= t(n) exactly where compare_power finds
-    P >= n**gamma), then walks the members in increasing order and tests only
-    the n still unresolved, reading P(n - r) from one table covering every
-    difference; each n keeps the first member r with P(n - r) >= t(n),
+    (``util.power_threshold``: P >= t(n) exactly where P >= n**gamma, as that
+    function reads gamma), then walks the members in increasing order and
+    tests only the n still unresolved, reading P(n - r) from one table
+    covering every difference; each n keeps the first member r with P(n - r) >= t(n),
     exactly as the per-n scan would. The table keeps only P >= t(ns[0]),
     which every t(n) reaches, as t never falls as n grows. Every member is
     at most x // 4 < ceil(x/2) = ns[0], so the table starts at 1 or above.

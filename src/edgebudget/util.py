@@ -1,15 +1,10 @@
-"""Shared numeric plumbing: exact integer inputs, the strategy parameters' ranges, guarded
-real-exponent comparisons and their thresholds, per-element ``math.log`` and 9-significant-digit
-serialization."""
+"""Shared numeric plumbing: exact integer inputs, the strategy parameters' ranges, exact integer
+thresholds of real powers, per-element ``math.log`` and 9-significant-digit serialization."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
-
-# relative width of the band in which compare_power's log test defers to exact powers
-GUARD = 1e-12
-
 
 def exact_int(value) -> int:
     """value as an int, when it is an integer or an exactly integral float.
@@ -43,70 +38,69 @@ def check_ranges(**values: float) -> None:
             raise ValueError(f"{name} must lie in {interval}")
 
 
-def compare_power(value, base, exponent: float):
-    """Sign of ``value - base**exponent`` for integers value >= 0, base >= 1.
-
-    Works elementwise: value and base may be integers or integer arrays of
-    any shape, broadcast together. Two scalars give an int, anything else an
-    int8 array of signs in the shape the two broadcast to, at least 1-d.
-
-    Compares logarithms in double precision; entries whose two sides land
-    inside the relative band ``GUARD`` are settled exactly with integer powers,
-    treating the exponent as a small-denominator fraction. This keeps
-    threshold tests like P(r-1) > r**alpha stable at boundary values.
-    """
-    values, bases = np.broadcast_arrays(np.atleast_1d(value), np.atleast_1d(base))
-    fvalues = values.astype(np.float64)
-    lhs = np.log(np.maximum(fvalues, 1.0))  # value <= 0 is decided below, without log(0)
-    rhs = exponent * np.log(bases.astype(np.float64))
-    band = GUARD * np.maximum(1.0, np.abs(rhs))
-    sign = (lhs > rhs + band).astype(np.int8) - (lhs < rhs - band)
-    sign[fvalues <= 0] = -1
-    inside = np.flatnonzero(sign == 0)
-    if inside.size:
-        frac = Fraction(exponent).limit_denominator(1_000_000)
-        for i in inside.tolist():
-            left = int(values.flat[i]) ** frac.denominator
-            right = int(bases.flat[i]) ** frac.numerator
-            sign.flat[i] = (left > right) - (left < right)
-    if np.ndim(value) == 0 and np.ndim(base) == 0:
-        return int(sign[0])
-    return sign
+_MARGIN = 2.0**-45  # power_threshold's relative bracket margin, 256 ulps of 1.0
 
 
 def power_threshold(bases, exponent: float) -> np.ndarray:
-    """For each int64 base b >= 1, the least integer t with
-    ``compare_power(t, b, exponent) >= 0``, as int64; 0 < exponent <= 1.
+    """For each base 1 <= b < 2**64, the least integer t with t**den >= b**num,
+    num/den being ``Fraction(exponent).limit_denominator(10**6)``, 0 < exponent
+    <= 1: the one rule behind every test P >= b**exponent. The dtype is numpy's
+    for the bases (int64, or uint64 from 2**63); t never falls as b grows.
 
-    t never falls as b grows, so the threshold of the least base is a floor
-    for every larger one. compare_power accepts a value v only where
-    log(v) >= exponent*log(b) - band - rounding, and refuses it only where
-    log(v) <= exponent*log(b) + band + rounding, with band = GUARD *
-    max(1, exponent*log(b)) < 5e-11 (GUARD = 1e-12) for b < 2**63 and
-    rounding a few ulps of numbers below 64: every accepted v exceeds
-    b**exponent * (1 - 1e-10), and every refused v lies below b**exponent *
-    (1 + 1e-10). With y the float b**exponent, the 1e-9 margins below also
-    cover y's rounding, so ceil(y*(1 - 1e-9)) - 1 is refused and
-    min(b, floor(y*(1 + 1e-9)) + 1) accepted (b >= b**exponent). compare_power
-    rises with the value, and bisection between the two finds t; where y lies
-    farther than 1e-9*y from every integer they are adjacent, and no
-    comparison is made.
+    tc = exp(y log b), y = float(num/den), brackets t. With u = 2**-53, float(b)
+    and y are rounded (u), np.log and np.exp lie within 1 ulp of the rounded
+    result (numpy's umath-validation-set-log.csv and -exp.csv), so within 3u,
+    and the product rounds by u; as (num/den) log b < 44.4, tc's exponent is
+    within 1.02u + 44.4 * 5.01u < 224u of (num/den) log b, and tc within a
+    relative 227u of b**(num/den). So with _MARGIN = 256u, ceil(tc*(1 -
+    _MARGIN)) - 1 is refused and min(b, ceil(tc*(1 + _MARGIN))) accepted.
+    Where they are not adjacent, bisection settles t, deciding each
+    mid**den >= b**num exactly (_at_least).
     """
-    bases = np.asarray(bases, dtype=np.int64)
-    y = bases**exponent
-    lo = np.ceil(y * (1 - 1e-9)).astype(np.int64) - 1
-    top = np.floor(y * (1 + 1e-9)) + 1
+    bases = np.asarray(bases)
+    frac = Fraction(exponent).limit_denominator(1_000_000)
+    tc = np.exp(float(frac) * np.log(bases.astype(np.float64)))
+    lo = np.ceil(tc * (1 - _MARGIN)).astype(bases.dtype) - 1
+    top = np.ceil(tc * (1 + _MARGIN))
     hi = bases.copy()
-    below = top < hi  # cast only what lies below b, never past the int64 limit
+    below = top < hi  # cast only what lies below b, never past the integer limit
     hi[below] = top[below]
-    rows = np.flatnonzero(hi - lo > 1)
-    while rows.size:
-        mid = lo[rows] + (hi[rows] - lo[rows]) // 2
-        ok = compare_power(mid, bases[rows], exponent) >= 0
-        hi[rows[ok]] = mid[ok]
-        lo[rows[~ok]] = mid[~ok]
-        rows = rows[hi[rows] - lo[rows] > 1]
+    for i in np.flatnonzero(hi - lo > 1).tolist():
+        b, low, high = int(bases[i]), int(lo[i]), int(hi[i])
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (low, mid) if _at_least(mid, b, frac) else (mid, high)
+        hi[i] = high
     return hi
+
+
+def _power_bounds(x: int, k: int, bits: int) -> tuple[int, int, int]:
+    """(low, high, shift) with low * 2**shift <= x**k <= high * 2**shift: square-and-multiply,
+    each step cut to ``bits`` bits, low rounded down and high up; exact when x**k < 2**bits."""
+    low = high = 1
+    shift = 0
+    for digit in bin(k)[2:]:
+        low, high, shift = low * low, high * high, 2 * shift
+        if digit == "1":
+            low, high = low * x, high * x
+        cut = max(0, high.bit_length() - bits)
+        low, high, shift = low >> cut, -(-high >> cut), shift + cut
+    return low, high, shift
+
+
+def _at_least(t: int, b: int, frac: Fraction) -> bool:
+    """Whether t**den >= b**num, num/den = frac, from ``_power_bounds`` of both sides, not powers
+    of millions of bits: at 128 bits, and twice as many while they overlap (exact at full width)."""
+    bits = 128
+    while True:
+        t_low, t_high, t_shift = _power_bounds(t, frac.denominator, bits)
+        b_low, b_high, b_shift = _power_bounds(b, frac.numerator, bits)
+        s = min(t_shift, b_shift)
+        if t_low << (t_shift - s) >= b_high << (b_shift - s):
+            return True
+        if t_high << (t_shift - s) < b_low << (b_shift - s):
+            return False
+        bits *= 2
 
 
 def log_each(values: np.ndarray) -> np.ndarray:

@@ -13,10 +13,11 @@ enumeration is hopeless:
   [n/4, n/2] for a prime r. Near-quarter-power p and q push the score toward
   n**(5/4).
 * ``strategy_smooth`` scans a precomputed set of primes r with a large prime
-  in r - 1, looking for one where n - r also has a large prime factor; p and
-  q are read off the two factorizations. Scores land near n**(1 + gamma).
-  ``smooth_search`` runs it for one n over ascending windows of that set,
-  one number wide and then doubling, so a witness near 2**64 takes milliseconds.
+  in r - 1 for one where n - r also has one ("large" decided exactly by
+  ``util.power_threshold``); p and q are those primes, and scores land near
+  n**(1 + gamma). ``smooth_search`` runs it for one n over ascending windows
+  of that set, one number wide and then doubling, so a witness near 2**64
+  takes milliseconds.
 
 All searches use fixed orders, so identical inputs yield identical witnesses.
 """
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import factor, sieve
-from .util import check_ranges, compare_power, exact_int, power_threshold
+from .util import check_ranges, exact_int, power_threshold
 
 
 @dataclass(frozen=True)
@@ -339,12 +340,13 @@ def build_rset(lo: int, hi: int, alpha: float) -> RSet:
     """The complete RSet over [lo, hi]: primes r with P(r-1) > r**alpha.
 
     One largest-prime-factor table over the shifted primes supplies every
-    P(r-1); the threshold test is ``compare_power`` over the whole array.
-    The table keeps only P(r-1) at or above the floor ``power_threshold(lo,
-    alpha)``, which every accepted value reaches (the threshold never falls
-    as r grows), so a 0 below that floor is rejected as the true P(r-1)
-    would be. When the floor exceeds sqrt(hi) (lo well above 1), the
-    table is built from the large primes alone. A window that
+    P(r-1); the test is ``q >= util.power_threshold(primes, alpha)``, the
+    strict one, as no prime q | r - 1 has q**den == r**num and q = P(1) = 0
+    is below every threshold. The table keeps only P(r-1) at or above the floor
+    ``power_threshold(lo, alpha)``, which every accepted value reaches (the
+    threshold never falls as r grows), so a 0 below that floor is rejected
+    as the true P(r-1) would be. When the floor exceeds sqrt(hi) (lo well
+    above 1), the table is built from the large primes alone. A window that
     ``sieve.is_narrow`` has no table: each P(r-1) comes from
     ``factor.largest_prime_factor``. Either way the members are the same.
 
@@ -362,7 +364,7 @@ def build_rset(lo: int, hi: int, alpha: float) -> RSet:
         floor = int(power_threshold([lo], alpha)[0])
         shifted = factor.lpf_table(shifted_lo, max(1, hi - 1), floor=floor)
         q = shifted[primes - 1 - shifted_lo]
-    keep = compare_power(q, primes, alpha) > 0
+    keep = q >= power_threshold(primes, alpha)
     return RSet(primes[keep], q[keep])
 
 
@@ -370,23 +372,26 @@ def strategy_smooth(n: int, rset: RSet, gamma: float) -> Witness | None:
     """Witness search through rough shifted primes.
 
     Scans the RSet in increasing order for the first member r with
-    P(n - r) >= n**gamma (the guarded ``compare_power`` test). On a hit,
-    p = P(n-r), q = P(r-1) (stored in the RSet) and k = (n-r)/p form a
-    witness that always validates. Returns None when no member qualifies:
-    n is exceptional for this rset and gamma.
+    P(n - r) >= n**gamma, read as ``util.power_threshold(n, gamma)``. On a
+    hit, p = P(n-r), q = P(r-1) (stored in the RSet) and k = (n-r)/p form a
+    witness that always validates. Returns None when no member qualifies: n
+    is exceptional for this rset and gamma. n is supported below 2**64.
 
     Raises:
         TypeError: if n is not an integer, or is a bool (``sieve.check_int``).
-        ValueError: if n < 1, gamma is outside (0, 1] or some member is >= n.
+        ValueError: if n is outside [1, 2**64), gamma outside (0, 1] or some member >= n.
     """
-    n = sieve.check_int(n, "strategy_smooth", "n", 1)
+    n = sieve.check_int(n, "strategy_smooth", "n", 1, 2**64 - 1)
     check_ranges(gamma=gamma)
-    if rset.members.size and rset.members[-1] >= n:
+    if not rset.members.size:
+        return None
+    if rset.members[-1] >= n:
         raise ValueError("every rset member must lie below n")
+    need = int(power_threshold([n], gamma)[0])
     for r, q in zip(map(int, rset.members), map(int, rset.q)):
         d = n - r
         p = factor.largest_prime_factor(d)
-        if compare_power(p, n, gamma) >= 0:
+        if p >= need:
             k = d // p
             return Witness(k, p, q, r, unchecked_score(k, p, q, r))
     return None

@@ -7,6 +7,8 @@ discrepancy supremum from ``max_discrepancy``.
 """
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from math import fsum, gcd
 
 from edgebudget import euler_phi, mangoldt_weight
@@ -53,6 +55,24 @@ def trial_division_lpf(k: int) -> int:
     """P(k), the largest prime factor of k >= 1, with P(1) = 0."""
     primes = trial_division_primes(k)
     return primes[-1] if primes else 0
+
+
+def exact_threshold(b: int, exponent: float) -> int:
+    """The least integer t with t**den >= b**num, num/den being
+    ``Fraction(exponent).limit_denominator(10**6)``, for b >= 1 and 0 < exponent <= 1:
+    one step at a time on exact integer powers, down from a 30-digit decimal guess at
+    b**(num/den) until t is refused, then up until it is accepted."""
+    frac = Fraction(exponent).limit_denominator(10**6)
+    num, den = frac.numerator, frac.denominator
+    target = b**num
+    with localcontext() as context:
+        context.prec = 30
+        t = int(Decimal(b) ** (Decimal(num) / den))
+    while t**den >= target:
+        t -= 1
+    while t**den < target:
+        t += 1
+    return t
 
 
 def prime_divisor_lists(limit, flags):

@@ -36,9 +36,9 @@ from edgebudget.survey import (
     _report,
     _width,
 )
-from edgebudget.util import compare_power, log_each, power_threshold, round9
+from edgebudget.util import log_each, power_threshold, round9
 from edgebudget.witness import _rset_interval
-from oracles import trial_division_is_prime, trial_division_lpf
+from oracles import exact_threshold, trial_division_is_prime, trial_division_lpf
 from test_witness import assert_words_each_range
 
 
@@ -608,18 +608,7 @@ def test_text_holds_about_two_copies_of_a_block():
         assert peak <= 3.3 * longest, (csv, peak / longest)
 
 
-def brute_threshold(n, exponent):
-    """The least t with compare_power(t, n, exponent) >= 0, by testing every t
-    in [1, n + 1] for n <= 2000, and else every t within 64 of n**exponent,
-    where the bottom must test short and the top not."""
-    c = math.floor(n**exponent)
-    lo, hi = (1, n + 1) if n <= 2000 else (c - 64, c + 64)
-    signs = compare_power(np.arange(lo, hi + 1), n, exponent)
-    assert signs[-1] >= 0 and (n <= 2000 or signs[0] < 0), (n, exponent)
-    return lo + int(np.argmax(signs >= 0))
-
-
-def test_scan_thresholds_are_the_least_t_compare_power_accepts():
+def test_scan_thresholds_are_the_exact_least_t():
     # the smooth scan's per-n threshold is util.power_threshold at gamma
     m = math.isqrt(SCAN_MAX_N)
     windows = (
@@ -633,11 +622,10 @@ def test_scan_thresholds_are_the_least_t_compare_power_accepts():
         for gamma in (0.5, 0.677, 1.0):
             for window in windows:
                 got = power_threshold(np.array(window, dtype=np.int64), gamma)
-                assert got.tolist() == [brute_threshold(n, gamma) for n in window], (gamma, window[0])
+                assert got.tolist() == [exact_threshold(n, gamma) for n in window], (gamma, window[0])
                 assert (np.diff(got) >= 0).all(), (gamma, window[0])
-    # a perfect square at gamma = 0.5 is settled by compare_power's exact band path
+    # a perfect square at gamma = 0.5, where the threshold is the root itself
     for root in (44, 999, 1000, 1001, m - 1, m):
-        assert compare_power(root, root * root, 0.5) == 0
         assert power_threshold([root * root], 0.5).tolist() == [root]
 
 

@@ -31,9 +31,9 @@ from edgebudget import (
     witness_json,
 )
 from edgebudget import factor, sieve, witness
-from edgebudget.util import compare_power, power_threshold
+from edgebudget.util import power_threshold
 from edgebudget.witness import unchecked_score
-from oracles import naive_edge_budget, prime_divisor_lists, prime_flags
+from oracles import exact_threshold, naive_edge_budget, prime_divisor_lists, prime_flags
 
 
 def naive_first_maximizer(n, value, flags, divs):
@@ -594,7 +594,7 @@ def test_build_rset_with_a_floor_above_sqrt_hi():
     expected = [
         r
         for r in range(lo, hi + 1)
-        if is_prime(r) and compare_power(largest_prime_factor(r - 1), r, alpha) > 0
+        if is_prime(r) and largest_prime_factor(r - 1) >= exact_threshold(r, alpha)
     ]
     assert rset.members.tolist() == expected
     assert rset.q.tolist() == [largest_prime_factor(r - 1) for r in expected]
@@ -608,52 +608,50 @@ def test_power_floor_is_below_every_accepted_value():
     cases += [(rng.randrange(1, 10**12), rng.choice((0.5, 0.62, 0.677, 0.9, 1.0))) for _ in range(300)]
     for base, exponent in cases:
         floor = int(power_threshold([base], exponent)[0])
-        # nothing below the floor is accepted at base, nor at any larger base
-        assert compare_power(floor - 1, base, exponent) < 0, (base, exponent)
-        assert compare_power(floor - 1, base + 1, exponent) < 0, (base, exponent)
-        # and the margin is small: the floor is within 1e-8 of base**exponent
-        assert floor >= base**exponent * (1 - 1e-8) - 1, (base, exponent)
-    # an exact power: Q is accepted at Q**2 (compare_power gives 0), and Q >= the floor
-    assert compare_power(10007, 10007**2, 0.5) == 0 and power_threshold([10007**2], 0.5)[0] <= 10007
+        # the least value accepted at base, and nothing below it is accepted at a larger base
+        assert floor == exact_threshold(base, exponent), (base, exponent)
+        assert floor <= exact_threshold(base + 1, exponent), (base, exponent)
+    # an exact power: Q is the threshold of Q**2 at 0.5
+    assert power_threshold([10007**2], 0.5).tolist() == [10007]
 
 
 def test_power_threshold_is_the_least_accepted_value():
-    # small and survey-range windows are checked against a brute-force
-    # search in test_survey.py; here, up to the int64 limit, where the accepted end of
-    # the bracket is clamped to the base: t is accepted and t - 1 is not
+    # small and survey-range windows are checked in test_survey.py; here every base up
+    # to 2000, seeded bases up to 2**64 - 1, where the accepted end of the bracket is
+    # clamped to the base, and exact powers at the int64 and uint64 tops, where the
+    # float bracket straddles the root. Bases from 2**63 go in as uint64 (a list that
+    # mixes them with smaller ones would be read as float64)
     rng = random.Random(17)
-    top = sorted({rng.randrange(1, 2**63) for _ in range(300)} | {2**63 - 2, 2**63 - 1})
+    small = range(1, 2001)
+    top = sorted({rng.randrange(1, 2**64) for _ in range(300)} | {2**63 - 1, 2**63, 2**64 - 1})
+    square, cube = math.isqrt(2**63 - 1), round((2**63 - 1) ** (1 / 3))
+    cases = [(small, e) for e in (1 / 3, 0.5, 0.677, 0.75, 1.0)]
+    cases += [(part, e) for part in (top[: top.index(2**63)], top[top.index(2**63) :])
+              for e in (0.5, 0.677, 0.999, 1.0)]
+    cases += [([r * r + d for d in (-1, 0, 1)], 0.5) for r in (square - 1, square, 2**32 - 1)]
+    cases += [([r**3 + d for d in (-1, 0, 1)], 1 / 3) for r in (cube - 1, cube, 2642245)]
+    cases += [(range(1, 9), 2**-0.5)]  # num/den = 665857/941664: powers of millions of bits
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for exponent in (1.0, 0.999):
-            got = power_threshold(top, exponent)
-            assert (np.diff(got) >= 0).all(), exponent
-            assert (compare_power(got, top, exponent) >= 0).all(), exponent
-            assert (compare_power(got - 1, top, exponent) < 0).all(), exponent
+        for bases, exponent in cases:
+            dtype = np.uint64 if bases[-1] >= 2**63 else np.int64
+            got = power_threshold(np.array(bases, dtype=dtype), exponent).tolist()
+            assert got == [exact_threshold(b, exponent) for b in bases], (exponent, bases[0])
+            assert got == sorted(got), (exponent, bases[0])
             if exponent == 1.0:
-                assert got.tolist() == top
+                assert got == list(bases)
 
 
-def test_compare_power_guard_band():
-    assert compare_power(8, 4, 1.5) == 0  # 4**1.5 == 8 exactly
-    assert compare_power(9, 4, 1.5) == 1
-    assert compare_power(7, 4, 1.5) == -1
-    assert compare_power(2**30, 2, 30.0) == 0
-    assert compare_power(2**30 + 1, 2, 30.0) == 1
-    assert compare_power(0, 5, 0.5) == -1
-
-
-def test_compare_power_keeps_the_broadcast_shape():
-    # the band entries (3 = 9**0.5, 4 = 16**0.5, 8 = 4**1.5) are settled exactly, in place
-    assert compare_power(np.array([[3, 4]]), np.array([[9, 17]]), 0.5).tolist() == [[0, -1]]
-    values = np.array([[3], [4], [0], [8]])
-    bases = np.array([9, 16, 17, 4])
-    for exponent in (0.5, 1.5):
-        grid = compare_power(values, bases, exponent)
-        assert grid.shape == (4, 4) and grid.dtype == np.int8
-        flat = compare_power(np.repeat(values.ravel(), 4), np.tile(bases, 4), exponent)
-        assert grid.tolist() == flat.reshape(4, 4).tolist(), exponent
-    assert compare_power(np.array([[3, 4]]), np.array([[9, 16]]), 0.5).tolist() == [[0, 0]]
+def test_power_threshold_at_exact_powers():
+    # exact powers: 4 = 8**(2/3) and 2 = (2**30)**(1/30) are accepted, and one more base
+    # needs one more
+    assert power_threshold([7, 8, 9], 2 / 3).tolist() == [4, 4, 5]
+    assert power_threshold([2**30 - 1, 2**30, 2**30 + 1], 1 / 30).tolist() == [2, 2, 3]
+    assert power_threshold([5], 0.5).tolist() == [3]  # 0, 1 and 2 lie below 5**0.5
+    # the exponent is read as Fraction(exponent).limit_denominator(10**6): one below
+    # 5e-7 reads as 0, and every threshold is 1
+    bases = np.array([1, 2, 2**64 - 1], dtype=np.uint64)
+    assert power_threshold(bases, math.ulp(0.0)).tolist() == [1, 1, 1]
 
 
 def test_strategy_smooth_worked_example():
@@ -676,6 +674,12 @@ def test_strategy_smooth_rejects_members_at_or_above_n():
         strategy_smooth(100, rset, 1.5)
     with pytest.raises(ValueError, match="n >= 1"):
         strategy_smooth(0, rset, 0.5)
+    # n is refused from 2**64, the range of smooth_search and validate, before the scan
+    for n in (2**64, 2**64 + 13, 2**80 + 1):
+        with pytest.raises(ValueError, match=f"^strategy_smooth supports n <= {2**64 - 1}$"):
+            strategy_smooth(n, rset, 0.5)
+    w = strategy_smooth(2**64 - 1, rset, 0.5)
+    assert w is not None and validate(2**64 - 1, w)
 
 
 def test_strategy_scores_never_exceed_exact_budget():
@@ -750,9 +754,9 @@ def pointwise_smooth_witness(n, config):
     """The smooth strategy's first hit, one prime r of [ceil(c0 n), n // 4] at a time."""
     for r in sieve.iter_primes(max(1, math.ceil(config.c0 * n)), n // 4):
         q = largest_prime_factor(r - 1)
-        if compare_power(q, r, config.alpha) > 0:
+        if q >= exact_threshold(r, config.alpha):
             p = largest_prime_factor(n - r)
-            if compare_power(p, n, config.gamma) >= 0:
+            if p >= exact_threshold(n, config.gamma):
                 k = (n - r) // p
                 return Witness(k, p, q, r, min(p * p * k, p * k * r, q * r))
     return None
