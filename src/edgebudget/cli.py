@@ -19,7 +19,7 @@ import random
 import sys
 from collections.abc import Iterable
 
-from . import dirichlet, survey, witness
+from . import dirichlet, sieve, survey, witness
 from .util import fmt9, round9
 
 EXIT_OK = 0
@@ -187,15 +187,10 @@ def _cmd_bv_sum(args) -> int:
 
 
 def _cmd_bs_experiment(args) -> int:
-    if args.n_max < 2:
-        raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
-    if args.n_max >= 2**63:
-        raise ValueError(f"--n-max must be below 2**63, the int64 limit, got {args.n_max}")
+    sieve.check_int(args.n_max, "bs-experiment", "--n-max", 2, 2**63 - 1)
     for flag, size in (("--size-a", args.size_a), ("--size-b", args.size_b)):
-        if not 1 <= size <= args.n_max:
-            raise ValueError(f"{flag} must lie in [1, --n-max] = [1, {args.n_max}], got {size}")
-    if args.trials < 0:
-        raise ValueError(f"--trials must be nonnegative, got {args.trials}")
+        sieve.check_int(size, "bs-experiment", flag, 1, args.n_max)
+    sieve.check_int(args.trials, "bs-experiment", "--trials", 0)
     rng = random.Random(args.seed)
     threshold = 0.05 * math.sqrt(args.size_a * args.size_b) / math.log(args.n_max)
     rows = []

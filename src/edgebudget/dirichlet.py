@@ -154,15 +154,13 @@ def psi(y: float, m: int, a: int) -> float:
 
     Raises:
         TypeError: if m or a is not an integer, or is a bool (``sieve.check_int``).
-        ValueError: if m < 1, y <= 0, y > MAX_Z, or a is outside [0, m).
+        ValueError: if m < 1 or a is outside [0, m) (``sieve.check_int``, m first),
+            or y <= 0 or y > MAX_Z.
     """
-    m, a = sieve.check_int(m), sieve.check_int(a)
-    if m < 1:
-        raise ValueError("modulus must be positive")
+    m = sieve.check_int(m, "psi", "m", 1)
+    a = sieve.check_int(a, "psi", "a", 0, m - 1)
     if not y > 0:  # NaN fails too
         raise ValueError("y must be positive")
-    if a < 0 or a >= m:
-        raise ValueError("residue must satisfy 0 <= a < m")
     _check_z(y, "y")
     jumps = prime_power_jumps(y)
     # every j <= MAX_Z, so a larger modulus leaves j as it is and need not fit in int64
@@ -189,12 +187,10 @@ def max_discrepancy(z: float, m: int) -> DiscrepancyRecord:
 
     Raises:
         TypeError: if m is not an integer, or is a bool (``sieve.check_int``).
-        ValueError: if m is outside [1, MAX_Z] (checked before anything is
-            allocated), z < 1, or z > MAX_Z.
+        ValueError: if m is outside [1, MAX_Z] (``sieve.check_int``, before
+            anything is allocated), z < 1, or z > MAX_Z.
     """
-    m = sieve.check_int(m)
-    if not 1 <= m <= MAX_Z:
-        raise ValueError(f"m must satisfy 1 <= m <= {MAX_Z}")
+    m = sieve.check_int(m, "max_discrepancy", "m", 1, MAX_Z)
     if not z >= 1:  # NaN fails too
         raise ValueError("z must be at least 1")
     _check_z(z)

@@ -501,18 +501,16 @@ def bs_max_pdiff(a_set, b_set) -> tuple[int, tuple[int, int]]:
     [1, max |a - b|], 9 bytes per unit of spread.
 
     Raises:
-        ValueError: if either set is empty, holds a bool, a non-integral or a
-            non-positive value, or a value of 2**63 or more (the int64
-            limit), or every pair has a = b.
+        ValueError: if either set is empty, holds a bool or a non-integral value
+            (``util.exact_int``), or a value outside [1, 2**63), the int64 limit
+            (``sieve.check_int`` of the least and the greatest), or every pair has a = b.
     """
     a_sorted = sorted(set(map(exact_int, a_set)))
     b_sorted = sorted(set(map(exact_int, b_set)))
     if not a_sorted or not b_sorted:
         raise ValueError("both sets must be nonempty")
-    if a_sorted[0] < 1 or b_sorted[0] < 1:
-        raise ValueError("set elements must be positive integers")
-    if max(a_sorted[-1], b_sorted[-1]) >= 2**63:
-        raise ValueError("set elements must be below 2**63, the int64 limit")
+    for end in (min(a_sorted[0], b_sorted[0]), max(a_sorted[-1], b_sorted[-1])):
+        sieve.check_int(end, "bs_max_pdiff", "each element", 1, 2**63 - 1)
     a_vals = np.asarray(a_sorted, dtype=np.int64)
     b_vals = np.asarray(b_sorted, dtype=np.int64)
     # the largest |a - b|, attained by (a_max, b_min) or (b_max, a_min)

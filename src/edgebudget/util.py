@@ -56,8 +56,14 @@ def power_threshold(bases, exponent: float) -> np.ndarray:
     _MARGIN)) - 1 is refused and min(b, ceil(tc*(1 + _MARGIN))) accepted.
     Where they are not adjacent, bisection settles t, deciding each
     mid**den >= b**num exactly (_at_least).
+
+    Raises:
+        TypeError: if the bases are not read as int64 or uint64: a float such as
+            4.5 or 5.0, or a list mixing 2**63 with a small int (float64), or 2**64.
     """
     bases = np.asarray(bases)
+    if bases.dtype not in (np.int64, np.uint64):
+        raise TypeError(f"power_threshold takes int64 or uint64 bases, not {bases.dtype}")
     frac = Fraction(exponent).limit_denominator(1_000_000)
     tc = np.exp(float(frac) * np.log(bases.astype(np.float64)))
     lo = np.ceil(tc * (1 - _MARGIN)).astype(bases.dtype) - 1

@@ -301,13 +301,11 @@ def strategy_bv(n: int, eps: float = 0.05) -> Witness | None:
 
     Raises:
         TypeError: if n is not an integer, or is a bool (``sieve.check_int``).
-        ValueError: if eps is outside [0, 1/4), or n is outside [1, 2**65)
-            (checked before any search).
+        ValueError: if n is outside [1, 2**65) (``sieve.check_int``), or eps is
+            outside [0, 1/4); both checked before any search, n first.
     """
-    n = sieve.check_int(n)
+    n = sieve.check_int(n, "strategy_bv", "n", 1, 2**65 - 1)
     check_ranges(eps=eps)
-    if not 1 <= n < 2**65:
-        raise ValueError(f"strategy_bv supports 1 <= n < 2**65, got n={n}")
     # width >= 1, so 1 <= ceil(width) <= floor(2 width)
     width = n ** (0.25 - eps)
     snapped = round(width)
@@ -418,13 +416,11 @@ def smooth_search(n: int, alpha: float, gamma: float, c0: float) -> Witness | No
 
     Raises:
         TypeError: if n is not an integer, or is a bool (``sieve.check_int``).
-        ValueError: if n is outside [1, 2**64) (checked before anything is
-            allocated), alpha or gamma is outside (0, 1], or c0 is outside
-            (0, 1/4).
+        ValueError: if n is outside [1, 2**64) (``sieve.check_int``, before
+            anything is allocated), alpha or gamma is outside (0, 1], or c0 is
+            outside (0, 1/4).
     """
-    n = sieve.check_int(n)
-    if not 1 <= n < 2**64:
-        raise ValueError(f"smooth_search supports 1 <= n < 2**64, got n={n}")
+    n = sieve.check_int(n, "smooth_search", "n", 1, 2**64 - 1)
     check_ranges(alpha=alpha, gamma=gamma, c0=c0)
     lo, hi = _rset_interval(n, c0)
     width = 1

@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import dataclasses
 import json
@@ -14,6 +15,7 @@ from edgebudget import (
     RSet,
     SurveyConfig,
     Witness,
+    bs_max_pdiff,
     build_rset,
     crt_pair,
     euler_phi,
@@ -22,7 +24,10 @@ from edgebudget import (
     largest_prime_factor,
     lpf_table,
     mangoldt_weight,
+    max_discrepancy,
     primes_in,
+    psi,
+    rset_density,
     smooth_search,
     strategy_bv,
     strategy_smooth,
@@ -30,7 +35,9 @@ from edgebudget import (
     validate,
     witness_json,
 )
-from edgebudget import factor, sieve, witness
+from edgebudget import cli, factor, sieve, witness
+from edgebudget.dirichlet import MAX_Z
+from edgebudget.survey import SCAN_MAX_N
 from edgebudget.util import power_threshold
 from edgebudget.witness import unchecked_score
 from oracles import exact_threshold, naive_edge_budget, prime_divisor_lists, prime_flags
@@ -547,9 +554,14 @@ def test_strategy_bv_supports_n_below_2_65():
     n = 2**65 - 1
     w = strategy_bv(n)
     assert w is not None and w.r < 2**64 and validate(n, w)
-    for n in (0, 2**65, 2**66 + 1):
-        with pytest.raises(ValueError, match=f"n={n}"):
+    for n, message in ((0, "strategy_bv requires n >= 1"),
+                       (2**65, f"strategy_bv supports n <= {2**65 - 1}"),
+                       (2**66 + 1, f"strategy_bv supports n <= {2**65 - 1}")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             strategy_bv(n)
+    # n is checked before eps
+    with pytest.raises(ValueError, match="^strategy_bv requires n >= 1$"):
+        strategy_bv(0, 0.25)
 
 
 def test_build_rset_examples():
@@ -652,6 +664,16 @@ def test_power_threshold_at_exact_powers():
     # 5e-7 reads as 0, and every threshold is 1
     bases = np.array([1, 2, 2**64 - 1], dtype=np.uint64)
     assert power_threshold(bases, math.ulp(0.0)).tolist() == [1, 1, 1]
+
+
+def test_power_threshold_takes_only_integer_bases():
+    # a float base was thresholded as if it were an integer: [4.5] gave [3.0], and
+    # [5, 2**63], read as float64, gave float thresholds whatever the base's rounding
+    for bases in ([4.5], np.array([5.0]), [5, 2**63], [2**64]):
+        with pytest.raises(TypeError, match="int64 or uint64"):
+            power_threshold(bases, 0.5)
+    assert power_threshold([2**64 - 1], 0.5).tolist() == [2**32]
+    assert power_threshold(np.array([5, 2**63], dtype=np.uint64), 0.5).tolist() == [3, 3037000500]
 
 
 def test_strategy_smooth_worked_example():
@@ -794,16 +816,60 @@ def test_smooth_search_certifies_up_to_the_top_of_the_range():
         assert math.ceil(0.05 * n) <= w.r <= n // 4
 
 
-@pytest.mark.parametrize("n", [2**64, 10**30, 0, -5])
-def test_smooth_search_rejects_n_outside_the_range_before_allocating(n):
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=f"n={n}"):
-            smooth_search(n, 0.677, 0.677, 0.05)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 16
+def bs_experiment(**flags):
+    """cli's bs-experiment, ``flags`` over --n-max 10, sizes 1 and no trial: its checks alone."""
+    args = {"n_max": 10, "size_a": 1, "size_b": 1, "trials": 0, "seed": 0, "format": "json",
+            "output": None}
+    return cli._cmd_bs_experiment(argparse.Namespace(**{**args, **flags}))
+
+
+# Every integer bound of the package, each worded by sieve.check_int: the function and the
+# parameter its message names, the least and the greatest value taken (None: unbounded),
+# a call with that one value set, and the edges the call is run at. Left out: survey_range
+# at SCAN_MAX_N sweeps 1.5e9 n, and rset_density at 2**63 - 1 counts 2**63 numbers.
+INT_BOUNDS = [
+    ("largest_prime_factor", "k", 1, None, largest_prime_factor, (1,)),
+    ("euler_phi", "m", 1, None, euler_phi, (1,)),
+    ("mangoldt_weight", "n", 1, None, mangoldt_weight, (1,)),
+    ("f_exact", "n", 1, 2**64 - 1, f_exact, (1, 2**64 - 1)),
+    ("strategy_smooth", "n", 1, 2**64 - 1,
+     lambda n: strategy_smooth(n, RSet(*[np.zeros(0, np.int64)] * 2), 0.5), (1, 2**64 - 1)),
+    ("smooth_search", "n", 1, 2**64 - 1, lambda n: smooth_search(n, 0.677, 0.677, 0.05),
+     (1, 2**64 - 1)),
+    ("strategy_bv", "n", 1, 2**65 - 1, strategy_bv, (1, 2**65 - 1)),
+    ("survey_range", "x", 8, SCAN_MAX_N, survey_range, (8,)),
+    ("rset_density", "z", 2, 2**63 - 1, lambda z: rset_density(z, 0.5), (2,)),
+    ("psi", "m", 1, None, lambda m: psi(10, m, 0), (1,)),
+    ("psi", "a", 0, 6, lambda a: psi(10, 7, a), (0, 6)),
+    ("max_discrepancy", "m", 1, MAX_Z, lambda m: max_discrepancy(100, m), (1, MAX_Z)),
+    ("bs_max_pdiff", "each element", 1, 2**63 - 1,
+     lambda v: bs_max_pdiff([v], [v + 1 if v < 2**62 else v - 1]), (1, 2**63 - 1)),
+    ("bs-experiment", "--n-max", 2, 2**63 - 1, lambda v: bs_experiment(n_max=v), (2, 2**63 - 1)),
+    ("bs-experiment", "--size-a", 1, 10, lambda v: bs_experiment(size_a=v), (1, 10)),
+    ("bs-experiment", "--size-b", 1, 10, lambda v: bs_experiment(size_b=v), (1, 10)),
+    ("bs-experiment", "--trials", 0, None, lambda v: bs_experiment(trials=v), (0,)),
+]
+
+
+@pytest.mark.parametrize("fn, name, lo, hi, call, accepted", INT_BOUNDS,
+                         ids=[f"{row[0]}({row[1]})" for row in INT_BOUNDS])
+def test_integer_bound_refused_before_allocating(fn, name, lo, hi, call, accepted):
+    # one past each end and far past it, with the door's message to the byte
+    refused = [(v, f"{fn} requires {name} >= {lo}") for v in (lo - 1, lo - 2**70)]
+    if hi is not None:
+        refused += [(v, f"{fn} supports {name} <= {hi}") for v in (hi + 1, hi + 2**70)]
+    for value, message in refused:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                call(value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == message, value
+        assert peak < 1 << 16, (value, peak)
+    for value in accepted:
+        call(value)
 
 
 # Each strategy parameter: its range's message, the values refused (NaN, both
