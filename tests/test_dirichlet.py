@@ -371,6 +371,19 @@ def test_cached_jump_table_is_read_only():
     assert before[0] == pytest.approx(94.045, abs=1e-3)
 
 
+@pytest.mark.parametrize("m", [MAX_Z + 1, 10**10])
+def test_max_discrepancy_rejects_m_beyond_limit_before_allocating(m):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            max_discrepancy(100, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"max_discrepancy supports m <= {MAX_Z}"
+    assert peak < 1 << 16
+
+
 def test_discrepancy_kernels_reject_z_beyond_exact_limit():
     with pytest.raises(ValueError):
         max_discrepancy(MAX_Z + 1, 3)

@@ -816,6 +816,20 @@ def test_smooth_search_certifies_up_to_the_top_of_the_range():
         assert math.ceil(0.05 * n) <= w.r <= n // 4
 
 
+@pytest.mark.parametrize("n", [2**64, 10**30, 0, -5])
+def test_smooth_search_rejects_n_outside_the_range_before_allocating(n):
+    message = "requires n >= 1" if n < 1 else f"supports n <= {2**64 - 1}"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            smooth_search(n, 0.677, 0.677, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"smooth_search {message}"
+    assert peak < 1 << 16
+
+
 def bs_experiment(**flags):
     """cli's bs-experiment, ``flags`` over --n-max 10, sizes 1 and no trial: its checks alone."""
     args = {"n_max": 10, "size_a": 1, "size_b": 1, "trials": 0, "seed": 0, "format": "json",
