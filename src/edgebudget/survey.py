@@ -18,7 +18,7 @@ import numpy as np
 
 from . import factor, sieve
 from .util import check_ranges, exact_int, fmt9, log_each, power_threshold, round9
-from .witness import RSet, _rset_interval, build_rset, strategy_bv
+from .witness import RSet, _rset_interval, _rset_windows, build_rset, strategy_bv
 
 # the largest x whose scores, all below x**2, int64 holds exactly
 SCAN_MAX_N = math.isqrt(2**63 - 1)
@@ -380,12 +380,13 @@ def _smooth_scan(ns: np.ndarray, rset: RSet, gamma: float, tag: np.ndarray, wit:
     lo = int(ns[0]) - int(members[-1])
     floor = int(power_threshold(ns[:1], gamma)[0])
     lpf = factor.lpf_table(lo, int(ns[-1]) - int(members[0]), floor=floor)
+    rs = members.tolist()
     for rows in _block_rows(ns.size):
         block = ns[rows]
         hit = np.full(block.size, -1, dtype=np.int64)
         pending = np.flatnonzero(tag[rows] == 0)
         offset, need = block - lo, power_threshold(block, gamma)
-        for i, r in enumerate(members.tolist()):
+        for i, r in enumerate(rs):
             if not pending.size:
                 break
             ok = lpf[offset[pending] - r] >= need[pending]
@@ -475,19 +476,17 @@ def _report(x: int, config: SurveyConfig, ns: np.ndarray, tag: np.ndarray, wit: 
 def rset_density(z: int, alpha: float) -> tuple[int, float]:
     """How many primes r <= z have P(r-1) > r**alpha, and the z/log z ratio.
 
-    Counts the RSet window by window, ``sieve.SEGMENT_LENGTH`` numbers at a
-    time: a window's members are exactly the full RSet's members in it, so
-    the count is that of ``build_rset(1, z, alpha)`` while memory stays that
-    of one window at any z.
+    Counts the RSet over the windows of ``witness._rset_windows(1, z, alpha)``,
+    which double up to ``sieve.SEGMENT_LENGTH`` numbers: a window's members
+    are exactly the full RSet's members in it, so the count is that of
+    ``build_rset(1, z, alpha)`` while memory stays that of one window at any z.
 
     Raises:
         TypeError, ValueError: if z is a bool or not an integer, z < 2 or z >= 2**63 (the
             int64 limit, refused before the first window), or alpha is outside (0, 1].
     """
     z = sieve.check_int(z, "rset_density", "z", 2, 2**63 - 1)
-    step = sieve.SEGMENT_LENGTH
-    windows = ((lo, min(lo + step - 1, z)) for lo in range(1, z + 1, step))
-    count = sum(build_rset(lo, hi, alpha).members.size for lo, hi in windows)
+    count = sum(rset.members.size for rset in _rset_windows(1, z, alpha))
     return count, count / (z / math.log(z))
 
 

@@ -16,8 +16,8 @@ enumeration is hopeless:
   in r - 1 for one where n - r also has one ("large" decided exactly by
   ``util.power_threshold``); p and q are those primes, and scores land near
   n**(1 + gamma). ``smooth_search`` runs it for one n over ascending windows
-  of that set, one number wide and then doubling, so a witness near 2**64
-  takes milliseconds.
+  of that set (``_rset_windows``), one number wide and then doubling up to
+  ``sieve.SEGMENT_LENGTH``, so a witness near 2**64 takes milliseconds.
 
 All searches use fixed orders, so identical inputs yield identical witnesses.
 """
@@ -377,14 +377,14 @@ def strategy_smooth(n: int, rset: RSet, gamma: float) -> Witness | None:
 
     Raises:
         TypeError: if n is not an integer, or is a bool (``sieve.check_int``).
-        ValueError: if n is outside [1, 2**64), gamma outside (0, 1] or some member >= n.
+        ValueError: if n is outside [1, 2**64), gamma outside (0, 1] or some member >= n
+            (``sieve.check_int`` of the greatest).
     """
     n = sieve.check_int(n, "strategy_smooth", "n", 1, 2**64 - 1)
     check_ranges(gamma=gamma)
     if not rset.members.size:
         return None
-    if rset.members[-1] >= n:
-        raise ValueError("every rset member must lie below n")
+    sieve.check_int(int(rset.members[-1]), "strategy_smooth", "each rset member", hi=n - 1)
     need = int(power_threshold([n], gamma)[0])
     for r, q in zip(map(int, rset.members), map(int, rset.q)):
         d = n - r
@@ -396,23 +396,49 @@ def strategy_smooth(n: int, rset: RSet, gamma: float) -> Witness | None:
 
 
 def _rset_interval(h: int, c0: float) -> tuple[int, int]:
-    """(lo, hi) = (max(1, ceil(c0 h)), floor(h/4)): where the smooth strategy
-    takes its r for a height h; empty when lo > hi."""
+    """(lo, hi) = (max(1, math.ceil(c0 * h)), h // 4): where the smooth strategy
+    takes its r for a height h; empty when lo > hi.
+
+    lo is the ceiling of the float product c0 * h, rounded before the ceiling
+    is taken, not the exact ceiling of c0's binary value times h. With
+    c0 = 0.05 that keeps r = h/20 for every h < 2**53 divisible by 20 (so in
+    the survey's RSet), which the exact ceiling would drop, as float 0.05
+    lies just above 1/20. Above 2**53, where h is rounded too, lo can land
+    on either side: 4 below the exact ceiling at 10**18 + 7 and 2 above it
+    at 2**64 - 59.
+    """
     return max(1, math.ceil(c0 * h)), h // 4
 
 
-def smooth_search(n: int, alpha: float, gamma: float, c0: float) -> Witness | None:
-    """``strategy_smooth`` over the RSet of [ceil(c0 n), floor(n/4)], built a window at a time.
+def _rset_windows(lo: int, hi: int, alpha: float):
+    """``build_rset`` over ascending windows that partition [lo, hi]; none when lo > hi.
 
-    The first window holds one number and each next one twice as many; the
-    search stops at the first window with a hit. A window's RSet is exactly
-    the full RSet's members in that window, so the witness (or None) is the
-    one ``strategy_smooth(n, build_rset(ceil(c0 n), n // 4, alpha), gamma)``
-    gives. The windows reach at most about twice as far past ceil(c0 n) as
-    the hit, which near 10**18 typically lies within a few hundred numbers;
-    an n with no witness visits every window, at about the cost of one full
-    build of the interval. n is supported below 2**64, the range of
-    ``validate``.
+    The first window holds one number and each next one twice as many, up to
+    ``sieve.SEGMENT_LENGTH`` (read at each step). A window's RSet is exactly
+    the full RSet's members in it, so the windows' members and q, concatenated,
+    are ``build_rset(lo, hi, alpha)``'s, while a reader holds one window's
+    tables at a time. This is the one loop over an RSet interval.
+    """
+    width = 1
+    while lo <= hi:
+        top = min(hi, lo + width - 1)
+        yield build_rset(lo, top, alpha)
+        lo, width = top + 1, min(2 * width, sieve.SEGMENT_LENGTH)
+
+
+def smooth_search(n: int, alpha: float, gamma: float, c0: float) -> Witness | None:
+    """``strategy_smooth`` over the RSet of ``_rset_interval(n, c0)``, read window by window.
+
+    The interval is [max(1, math.ceil(c0 * n)), n // 4], its lower end the
+    ceiling of a float product (``_rset_interval``). Its windows come from
+    ``_rset_windows``: one number wide, then doubling up to
+    ``sieve.SEGMENT_LENGTH`` = 2**20 numbers. The search stops at the first
+    window with a hit, so the witness (or None) is the one ``strategy_smooth(n,
+    build_rset(*_rset_interval(n, c0), alpha), gamma)`` gives. A hit near
+    10**18 typically lies within a few hundred numbers of the lower end. An n
+    with no witness visits every window: it holds one window's tables at a
+    time, but its time still grows with the interval. n is supported below
+    2**64, the range of ``validate``.
 
     Raises:
         TypeError: if n is not an integer, or is a bool (``sieve.check_int``).
@@ -422,12 +448,6 @@ def smooth_search(n: int, alpha: float, gamma: float, c0: float) -> Witness | No
     """
     n = sieve.check_int(n, "smooth_search", "n", 1, 2**64 - 1)
     check_ranges(alpha=alpha, gamma=gamma, c0=c0)
-    lo, hi = _rset_interval(n, c0)
-    width = 1
-    while lo <= hi:
-        top = min(hi, lo + width - 1)
-        w = strategy_smooth(n, build_rset(lo, top, alpha), gamma)
-        if w is not None:
-            return w
-        lo, width = top + 1, 2 * width
-    return None
+    windows = _rset_windows(*_rset_interval(n, c0), alpha)
+    hits = (strategy_smooth(n, rset, gamma) for rset in windows)
+    return next((w for w in hits if w is not None), None)

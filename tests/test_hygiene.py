@@ -176,7 +176,8 @@ DOOR_MESSAGE = re.compile(r"[a-z_]\w* (must lie in|requires [a-z_]\w* >=|support
 # an integer bound stated by hand: a comparison with a number or a formatted value, or a
 # range in words
 HAND_BOUND = re.compile(r"[<>]=? *[\d{]|[\d}] *[<>]"
-                        r"|must (be (at least|at most|below|positive|nonnegative)|satisfy|lie in)")
+                        r"|must (be (at least|at most|below|positive|nonnegative)|satisfy"
+                        r"|lie (in|below)|end below)")
 # the functions whose messages word the bounds: the integer, window and strategy doors
 DOORS = {"check_int", "check_window", "check_ranges"}
 # the bounds stated outside the doors: is_prime's, inline on its hot path, and dirichlet's
@@ -237,11 +238,12 @@ def test_the_check_catches_a_repeated_message():
     assert [m for m in messages if DOOR_MESSAGE.match(m)] == messages[:3]
 
 
-# the integer bounds that smooth_search, strategy_bv, psi, max_discrepancy, bs_max_pdiff
-# and the bs-experiment subcommand once wrote out by hand, before each went through
-# sieve.check_int
+# the integer bounds that smooth_search, strategy_smooth, strategy_bv, psi,
+# max_discrepancy, bs_max_pdiff and the bs-experiment subcommand once wrote out by hand,
+# before each went through sieve.check_int
 REMOVED_BOUNDS = [
     'f"smooth_search supports 1 <= n < 2**64, got n={n}"',
+    '"every rset member must lie below n"',
     'f"strategy_bv supports 1 <= n < 2**65, got n={n}"',
     '"modulus must be positive"',
     '"residue must satisfy 0 <= a < m"',

@@ -311,8 +311,9 @@ def test_rset_density_counts_the_one_shot_rset(monkeypatch):
 
 
 def test_rset_density_memory_is_one_window(monkeypatch):
-    # 32 windows of 4096 numbers: the count holds one window's tables at a
-    # time (about 24 bytes per number of the window), where the one-shot
+    # windows of 1, 2, 4, ... 2048 numbers, then 31 of 4096 and a last one of 1:
+    # the count holds one window's tables at a time (about 24 bytes per
+    # number of a 4096-number window), where the one-shot
     # build_rset(1, z) holds tables over all of [1, z] (about 430 per number
     # of one window here)
     monkeypatch.setattr(sieve, "SEGMENT_LENGTH", 4096)

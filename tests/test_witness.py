@@ -690,7 +690,7 @@ def test_strategy_smooth_empty_rset():
 
 def test_strategy_smooth_rejects_members_at_or_above_n():
     rset = build_rset(5, 25, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^strategy_smooth supports each rset member <= 9$"):
         strategy_smooth(10, rset, 0.5)
     with pytest.raises(ValueError):
         strategy_smooth(100, rset, 1.5)
@@ -747,19 +747,38 @@ def search(n, **knobs):
     return smooth_search(n, config.alpha, config.gamma, config.c0)
 
 
-# alpha = 0.99 leaves every n below 3000 without a witness, so every window is visited
+# alpha = 0.99 leaves every n below 3000 without a witness, so every window is visited;
+# a segment of 8 caps the windows at 8 numbers, and many hits lie past the cap
 @pytest.mark.parametrize(
-    "alpha,c0,some_hit",
-    [(0.677, 0.05, True), (0.99, 0.05, False), (0.677, 0.2499, True)],
-    ids=["default", "alpha", "c0"],
+    "alpha,c0,some_hit,segment",
+    [(0.677, 0.05, True, None), (0.99, 0.05, False, None), (0.677, 0.2499, True, None),
+     (0.677, 0.05, True, 8)],
+    ids=["default", "alpha", "c0", "capped"],
 )
-def test_smooth_search_equals_the_full_rset_below_3000(alpha, c0, some_hit):
-    found = 0
+def test_smooth_search_equals_the_full_rset_below_3000(monkeypatch, alpha, c0, some_hit, segment):
+    if segment is not None:
+        monkeypatch.setattr(sieve, "SEGMENT_LENGTH", segment)
+    found = past_cap = 0
     for n in range(1, 3000):
         want = full_rset_witness(n, alpha=alpha, c0=c0)
         assert search(n, alpha=alpha, c0=c0) == want, n
         found += want is not None
+        # windows of 1, 2, 4 and 8 numbers cover the first 15; later ones stay at 8
+        past_cap += want is not None and want.r - math.ceil(c0 * n) >= 15
     assert (found > 0) == some_hit and found < 2999
+    assert segment is None or past_cap > 0
+
+
+@pytest.mark.parametrize("segment", [None, 8])
+def test_rset_windows_partition_the_full_rset(monkeypatch, segment):
+    if segment is not None:
+        monkeypatch.setattr(sieve, "SEGMENT_LENGTH", segment)
+    for lo, hi in ((1, 1), (1, 100), (37, 1000)):
+        full = build_rset(lo, hi, 0.677)
+        windows = list(witness._rset_windows(lo, hi, 0.677))
+        assert [m for w in windows for m in w.members.tolist()] == full.members.tolist(), (lo, hi)
+        assert [q for w in windows for q in w.q.tolist()] == full.q.tolist(), (lo, hi)
+    assert list(witness._rset_windows(5, 4, 0.677)) == []
 
 
 def test_smooth_search_equals_the_full_rset_on_seeded_n():
@@ -807,6 +826,19 @@ def test_smooth_search_holds_a_window_not_the_interval():
         tracemalloc.stop()
     assert validate(10**9 + 7, w)
     assert peak < 4 << 20
+
+
+def test_smooth_search_without_a_witness_holds_one_window():
+    # alpha = 1 admits no member, so the search visits every window of [5000001, 25000001];
+    # windows doubling without a cap would reach 2**24 numbers here, a peak of about 92 MiB
+    tracemalloc.start()
+    try:
+        w = smooth_search(10**8 + 7, 1.0, 0.5, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w is None
+    assert peak < 16 << 20, peak
 
 
 def test_smooth_search_certifies_up_to_the_top_of_the_range():
