@@ -180,12 +180,13 @@ def lpf_table(lo: int, hi: int, *, floor: int = 0) -> np.ndarray:
     entries below floor are then zeroed.
 
     Raises:
-        TypeError: if lo, hi or floor is not an integer, or is a bool.
-        ValueError: if lo < 1, lo > hi or hi >= 2**63 (``sieve.check_window``),
-            before anything is allocated.
+        TypeError: if lo, hi or floor is not an integer, or is a bool (``sieve.check_int``).
+        ValueError: if lo < 1, hi < lo or hi >= 2**63, the int64 limit (``sieve.check_int``,
+            lo first), before anything is allocated.
     """
     floor = sieve.check_int(floor)
-    lo, hi = sieve.check_window(lo, hi)
+    lo = sieve.check_int(lo, "lpf_table", "lo", 1, 2**63 - 1)
+    hi = sieve.check_int(hi, "lpf_table", "hi", lo, 2**63 - 1)
     if floor > hi:
         return np.zeros(hi - lo + 1, dtype=np.int64)
     root = math.isqrt(hi)

@@ -24,7 +24,6 @@ import numpy as np
 SEGMENT_LENGTH = 1 << 20
 
 _U64_LIMIT = 1 << 64
-_INT64_LIMIT = 1 << 63  # the array kernels hold window values as int64
 
 _SMALL_PRIMES = frozenset(
     (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
@@ -132,23 +131,6 @@ def check_int(value, fn: str = "", name: str = "", lo: float = -math.inf,
     return value
 
 
-def check_window(lo: int, hi: int) -> tuple[int, int]:
-    """Refuse a window [lo, hi] that the int64 array kernels cannot hold; return its ends as ints.
-
-    Raises:
-        TypeError, ValueError: if lo or hi is a bool or not an integer, or lo < 1, lo > hi
-            or hi >= 2**63.
-    """
-    lo, hi = check_int(lo), check_int(hi)
-    if lo < 1:
-        raise ValueError("interval endpoints must be positive")
-    if lo > hi:
-        raise ValueError(f"empty interval: lo={lo} > hi={hi}")
-    if hi >= _INT64_LIMIT:
-        raise ValueError(f"interval must end below 2**63, the int64 limit: hi={hi}")
-    return lo, hi
-
-
 def iter_primes(lo: int, hi: int):
     """The primes of [lo, hi] in ascending order, each tested by ``is_prime`` when asked for.
 
@@ -189,9 +171,12 @@ def primes_in(lo: int, hi: int) -> np.ndarray:
     10**17 takes milliseconds, with no base primes at all.
 
     Raises:
-        TypeError, ValueError: as ``check_window``, before anything is allocated.
+        TypeError: if lo or hi is not an integer, or is a bool (``check_int``).
+        ValueError: if lo < 1, hi < lo or hi >= 2**63, the int64 limit (``check_int``,
+            lo first), before anything is allocated.
     """
-    lo, hi = check_window(lo, hi)
+    lo = check_int(lo, "primes_in", "lo", 1, 2**63 - 1)
+    hi = check_int(hi, "primes_in", "hi", lo, 2**63 - 1)
     if is_narrow(lo, hi):
         return np.fromiter(iter_primes(lo, hi), dtype=np.int64)
     chunks = [np.array([2] if lo <= 2 <= hi else [], dtype=np.int64)]  # never empty, for concatenate

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import factor, sieve
-from .util import check_ranges, exact_int, fmt9, log_each, power_threshold, round9
+from .util import check_ranges, fmt9, log_each, power_threshold, round9
 from .witness import RSet, _rset_interval, _rset_windows, build_rset, strategy_bv
 
 # the largest x whose scores, all below x**2, int64 holds exactly
@@ -500,16 +500,15 @@ def bs_max_pdiff(a_set, b_set) -> tuple[int, tuple[int, int]]:
     [1, max |a - b|], 9 bytes per unit of spread.
 
     Raises:
-        ValueError: if either set is empty, holds a bool or a non-integral value
-            (``util.exact_int``), or a value outside [1, 2**63), the int64 limit
-            (``sieve.check_int`` of the least and the greatest), or every pair has a = b.
+        TypeError: if an element is not an integer, or is a bool (``sieve.check_int``).
+        ValueError: if an element is outside [1, 2**63), the int64 limit (``sieve.check_int``),
+            either set is empty, or every pair has a = b.
     """
-    a_sorted = sorted(set(map(exact_int, a_set)))
-    b_sorted = sorted(set(map(exact_int, b_set)))
+    a_sorted, b_sorted = (
+        sorted({sieve.check_int(v, "bs_max_pdiff", "each element", 1, 2**63 - 1) for v in values})
+        for values in (a_set, b_set))
     if not a_sorted or not b_sorted:
         raise ValueError("both sets must be nonempty")
-    for end in (min(a_sorted[0], b_sorted[0]), max(a_sorted[-1], b_sorted[-1])):
-        sieve.check_int(end, "bs_max_pdiff", "each element", 1, 2**63 - 1)
     a_vals = np.asarray(a_sorted, dtype=np.int64)
     b_vals = np.asarray(b_sorted, dtype=np.int64)
     # the largest |a - b|, attained by (a_max, b_min) or (b_max, a_min)

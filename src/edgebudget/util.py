@@ -1,27 +1,10 @@
-"""Shared numeric plumbing: exact integer inputs, the strategy parameters' ranges, exact integer
+"""Shared numeric plumbing: the strategy parameters' ranges, exact integer
 thresholds of real powers, per-element ``math.log`` and 9-significant-digit serialization."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
-
-def exact_int(value) -> int:
-    """value as an int, when it is an integer or an exactly integral float.
-
-    Raises:
-        TypeError: if int() cannot convert value.
-        ValueError: if value is a bool (int(True) is 1, but a flag is not a
-            count), or not integral.
-        OverflowError: if value is an infinite float.
-    """
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{value!r} is a bool, not an integer")
-    out = int(value)
-    if out != value:
-        raise ValueError(f"{value!r} is not an integer")
-    return out
-
 
 # each strategy parameter's interval, as its message prints it, and a test that is False for NaN
 _RANGES = {"alpha": ("(0, 1]", lambda v: 0 < v <= 1),

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import factor, sieve
-from .util import check_ranges, exact_int, power_threshold
+from .util import check_ranges, power_threshold
 
 
 @dataclass(frozen=True)
@@ -68,20 +68,20 @@ def validate(n: int, w: Witness) -> bool:
     """True iff w certifies n.
 
     Checks n = k*p + r, q | r - 1, primality of p, q, r, k >= 1, and that the
-    stored score matches recomputation. Every field must be an integer or an
-    exactly integral float; a bool is neither, as in ``edgebudget verify``.
-    Never raises: malformed input is simply not a valid witness, and neither
-    is a prime beyond the 2**64 range of ``sieve.is_prime``.
+    stored score matches recomputation. n and every field pass ``sieve.check_int``:
+    a numpy integer is taken, and a float (even 4.0), a Fraction, a Decimal or a
+    bool is refused, as in ``edgebudget verify``. Never raises: malformed input is
+    simply not a valid witness, and neither is a prime beyond the 2**64 range of
+    ``sieve.is_prime``.
     """
     try:
-        k, p, q, r, s = (exact_int(v) for v in (w.k, w.p, w.q, w.r, w.score))
-        # bool(): with a numpy n the chain could end in a numpy bool
-        return bool(k >= 1 and p >= 2 and q >= 2 and r >= 3
-                    and n == k * p + r and (r - 1) % q == 0
-                    and sieve.is_prime(p) and sieve.is_prime(q) and sieve.is_prime(r)
-                    and s == unchecked_score(k, p, q, r))
-    # a non-number, int(inf), or a prime outside is_prime's range: not a certificate
-    except (AttributeError, TypeError, ValueError, OverflowError):
+        n, k, p, q, r, s = map(sieve.check_int, (n, w.k, w.p, w.q, w.r, w.score))
+        return (k >= 1 and p >= 2 and q >= 2 and r >= 3
+                and n == k * p + r and (r - 1) % q == 0
+                and sieve.is_prime(p) and sieve.is_prime(q) and sieve.is_prime(r)
+                and s == unchecked_score(k, p, q, r))
+    # a missing field, a non-integer, or a prime outside is_prime's range: not a certificate
+    except (AttributeError, TypeError, ValueError):
         return False
 
 
@@ -349,8 +349,9 @@ def build_rset(lo: int, hi: int, alpha: float) -> RSet:
     ``factor.largest_prime_factor``. Either way the members are the same.
 
     Raises:
-        TypeError: if lo or hi is not an integer, or is a bool (``sieve.check_window``).
-        ValueError: if alpha is outside (0, 1], or lo < 1, lo > hi or hi >= 2**63.
+        TypeError: if lo or hi is not an integer, or is a bool (``sieve.check_int``).
+        ValueError: if alpha is outside (0, 1], or lo < 1, hi < lo or hi >= 2**63, as
+            ``sieve.primes_in`` words it.
     """
     check_ranges(alpha=alpha)
     primes = sieve.primes_in(lo, hi)

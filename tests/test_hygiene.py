@@ -11,11 +11,13 @@ some module of the package, the tests or the demos reads it the same way; the
 package's own re-export in ``__init__`` and a listing in ``__all__`` do not
 count, so an exported name that nothing tests is flagged. A message that two
 ``raise`` statements of the package share is flagged too, and so is one raised
-outside the input checks (``sieve.check_int``, ``sieve.check_window``,
-``util.check_ranges``) that writes out one of their messages or states an integer
-bound by hand, save the few bounds of ``REAL_BOUNDS``; and so is a ``functools.cache``
-or ``lru_cache`` on a function that takes a parameter: each cache of the package
-holds one value.
+outside the input checks (``sieve.check_int``, ``util.check_ranges``) that writes
+out one of their messages or states an integer bound by hand, save the few bounds
+of ``REAL_BOUNDS``; so is a function other than ``sieve.check_int`` that names
+``np.bool_`` or, ``sieve.is_prime`` aside, calls ``operator.index``: a second
+integer door; and so is a ``functools.cache`` or ``lru_cache`` on a function that
+takes a parameter: each cache of the package holds one value. Every module parses
+as Python 3.10, the least version ``pyproject.toml`` allows.
 """
 
 import ast
@@ -178,8 +180,8 @@ DOOR_MESSAGE = re.compile(r"[a-z_]\w* (must lie in|requires [a-z_]\w* >=|support
 HAND_BOUND = re.compile(r"[<>]=? *[\d{]|[\d}] *[<>]"
                         r"|must (be (at least|at most|below|positive|nonnegative)|satisfy"
                         r"|lie (in|below)|end below)")
-# the functions whose messages word the bounds: the integer, window and strategy doors
-DOORS = {"check_int", "check_window", "check_ranges"}
+# the functions whose messages word the bounds: the integer and strategy doors
+DOORS = {"check_int", "check_ranges"}
 # the bounds stated outside the doors: is_prime's, inline on its hot path, and dirichlet's
 # on the real z and y, which a float or NaN reaches, where the integer door refuses a float
 REAL_BOUNDS = {
@@ -284,6 +286,64 @@ def test_no_raise_repeats_a_message():
     # each allowed bound is still raised, and would be flagged without its allowance
     stale = [m for m in REAL_BOUNDS if m not in seen or not HAND_BOUND.search(m)]
     assert not stale, stale
+
+
+# what only the integer door reads, and the functions allowed to read it: is_prime converts
+# its n inline, on its hot path, with its own bound
+INTEGER_READS = {"np.bool_": {"check_int"}, "operator.index": {"check_int", "is_prime"}}
+
+
+def integer_reads(tree: ast.Module) -> list[tuple[str, int, str]]:
+    """Each ``np.bool_`` or ``operator.index`` of ``INTEGER_READS`` read outside the functions
+    it allows, with its line and the innermost function around it ("" at module level)."""
+    out = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
+                name = f"{child.value.id}.{child.attr}"
+                if name in INTEGER_READS and function not in INTEGER_READS[name]:
+                    out.append((name, child.lineno, function))
+            visit(child, function)
+
+    visit(tree, "")
+    return sorted(out, key=lambda triple: triple[1])
+
+
+def test_the_check_catches_a_second_integer_door():
+    tree = ast.parse(
+        "def exact_int(v):\n    if isinstance(v, (bool, np.bool_)):\n        raise ValueError\n"
+        "    return int(v)\n"
+        "def check_int(v):\n    if isinstance(v, (bool, np.bool_)):\n        raise TypeError\n"
+        "    return operator.index(v)\n"
+        "def is_prime(n):\n    return operator.index(n)\n"
+        "def f(v):\n    return operator.index(v)\n"
+        "def _cell(value):\n    return isinstance(value, bool)\n"
+    )
+    assert integer_reads(tree) == [("np.bool_", 2, "exact_int"), ("operator.index", 12, "f")]
+
+
+def test_one_integer_door():
+    reads = [
+        f"{path.name}:{line}: {name} in {function or 'the module'}"
+        for path in SOURCES
+        for name, line, function in integer_reads(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not reads, reads
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_parses_as_python_3_10(path):
+    # requires-python is >= 3.10: syntax of a later version fails to parse here
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_the_version_check_catches_later_syntax():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
 
 
 def cached_with_parameters(tree: ast.Module) -> list[tuple[str, int]]:

@@ -6,6 +6,8 @@ import math
 import random
 import tracemalloc
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -76,10 +78,13 @@ def test_validate_examples():
     assert validate(10, Witness(1, 5, 2, 5, 11)) is False  # wrong stored score
     assert validate(11, Witness(1, 5, 2, 5, 10)) is False  # n mismatch
     assert validate(10, Witness(1.5, 5, 2, 2.5, 10)) is False  # non-integral
-    assert validate(10, Witness(1.0, 5.0, 2.0, 5.0, 10.0)) is True  # exact floats coerce
+    # an exactly integral float, Fraction or Decimal is not an integer either, as in verify
+    assert validate(10.0, Witness(1, 5, 2, 5, 10)) is False
+    assert validate(10, Witness(1.0, 5.0, 2.0, 5.0, 10.0)) is False
+    assert validate(10, Witness(Fraction(1), Decimal(5), 2, 5, 10)) is False
     # p beyond is_prime's 2**64 range: not certifiable, and validate never raises
     assert validate(2**64 + 16, Witness(1, 2**64 + 13, 2, 3, 6)) is False
-    assert validate(10, Witness(1, float("inf"), 2, 5, 10)) is False  # int(inf) overflows
+    assert validate(10, Witness(1, float("inf"), 2, 5, 10)) is False
     # a bool is not an integer here, as in ``edgebudget verify``: True would pass as k = 1
     assert validate(7, Witness(True, 2, 2, 5, 4)) is False
     assert validate(7, Witness(np.bool_(True), 2, 2, 5, 4)) is False
@@ -358,7 +363,7 @@ def test_non_integers_are_type_errors():
 
 
 def test_a_bool_is_not_an_integer_input():
-    # both doors, sieve.check_int and sieve.check_window, refuse a flag as a count:
+    # the one door, sieve.check_int, refuses a flag as a count:
     # f_exact(True) used to return (0, None), primes_in(True, 10) to sieve from 1,
     # strategy_bv(True) and smooth_search(True, ...) None, and crt_pair(True, 3, 5) 1
     for call in (
@@ -575,7 +580,7 @@ def test_build_rset_examples():
         build_rset(5, 4, 0.5)
     with pytest.raises(ValueError):
         build_rset(1, 25, 0.0)
-    with pytest.raises(ValueError, match="int64 limit"):
+    with pytest.raises(ValueError, match=f"^primes_in supports lo <= {2**63 - 1}$"):
         build_rset(2**63, 2**63 + 100, 0.5)
     with pytest.raises(TypeError):
         build_rset(1.0, 100, 0.5)
