@@ -13,12 +13,14 @@ Every psi value is an exact sum rounded once to a double. Each weight
 2**-53, so log p * 2**53 is an integer below 2**58. The one kept jump table
 holds it once, as one int64 word per jump. Only the sums split it, into two
 limbs hi * 2**32 + lo with lo < 2**32: ``psi`` sums one class's limbs. Per
-modulus, one kernel sorts the keys class << b | index in place, gathers the
-weights in that order, splits them into the limbs in place, writes at each
-class start the limb minus the previous class's total (``np.add.reduceat``),
-and takes one cumsum per limb in place: every partial sum is then a running
-sum within one class, and rounded once it is a post-jump value, from which
-the left limits and class totals are read off. The kernel allocates nothing
+modulus, one kernel sorts the keys class << b | index in place (uint32
+unless m * 2**b passes 2**32), gathers the weights in that order, casts
+their two uint32 halves into (n, 2) limb pairs, writes at each class start
+each limb minus the previous class's total (``np.add.reduceat``), and sums
+both limbs with one cumsum in place: every partial sum is then a running
+sum within one class, and rounded once it is a post-jump value. A jump's
+left limit is the post-jump value before it in its class, and a class's
+total its last post-jump value. The kernel allocates nothing
 per jump: it writes into a workspace of five int64 words per jump;
 ``max_discrepancy`` makes one for its modulus, and ``bv_sum`` one for all of
 its moduli, whose suprema it adds with ``math.fsum``. Reported values are
@@ -29,6 +31,7 @@ with the low limb's carry, stays below 2**53.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,8 +135,11 @@ def _check_z(z: float, name: str = "z") -> None:
 def _fixed_to_float(hi, lo, out):
     """Write round((hi * 2**32 + lo) * 2**-53) into out, for int64 limb sums hi, lo >= 0.
 
-    hi and lo are int64 arrays of out's shape, and out is a float64 array
-    apart from both; hi and lo are spent. Carrying lo into hi leaves hi < 2**53
+    hi and lo are int64 arrays of out's shape, such as the two columns of one
+    (n, 2) array, and out is a float64 array apart from both; hi and lo are
+    spent. Each product goes into words already spent, out's and then hi's,
+    never into its own operand's words, which numpy would first copy whole.
+    Carrying lo into hi leaves hi < 2**53
     and lo < 2**32 (see MAX_Z), so both scaled terms are exact doubles and the
     one addition is the only rounding.
     """
@@ -199,10 +205,14 @@ def max_discrepancy(z: float, m: int) -> DiscrepancyRecord:
 
 
 def _workspace(jumps: PrimePowerJumps) -> np.ndarray:
-    """``_discrepancy``'s buffers: five int64 rows, one word per jump, the last holding 0..n-1."""
-    work = np.empty((5, len(jumps)), dtype=np.int64)
-    for lo in range(0, len(jumps), 4096):  # 0..n-1, a block at a time: no temporary of n words
-        work[4, lo : lo + 4096] = np.arange(lo, min(lo + 4096, len(jumps)))
+    """``_discrepancy``'s buffers: five int64 rows, one word per jump. The last row's two
+    uint32 halves hold the indices 0..n-1 and the jumps, each below 2**32 (see MAX_Z)."""
+    n = len(jumps)
+    work = np.empty((5, n), dtype=np.int64)
+    index, j = work[4].view(np.uint32).reshape(2, n)
+    for lo in range(0, n, 4096):  # 0..n-1, a block at a time: no temporary of n words
+        index[lo : lo + 4096] = np.arange(lo, min(lo + 4096, n))
+    j[:] = jumps.j
     return work
 
 
@@ -212,58 +222,73 @@ def _discrepancy(jumps: PrimePowerJumps, z: float, m: int, work: np.ndarray) -> 
     work is ``_workspace(jumps)``. Every jump-sized step writes into its rows
     through ``out=``, and a row whose integers are spent is read again as
     another dtype through a view; only the per-class arrays are allocated, so
-    one workspace serves any number of moduli.
+    one workspace serves any number of moduli. Row 4's uint32 halves feed the
+    class and key passes, which run in uint32 (the keys widen to uint64 only
+    when m * 2**b passes 2**32), and row 0 takes the jumps in class order as
+    uint32. Rows 1-2 hold the limbs as one block of (n, 2) pairs, summed down
+    both columns by one cumsum. Each jump's two candidates are one-sided: its
+    post-jump value minus its target j/phi(m), and its target minus its left
+    limit, read from the post-jump values shifted by one.
     """
     n = len(jumps)
-    j, hi, lo, spare, index = work  # j: the jumps in class order; hi, lo: the limb prefixes
+    index, j32 = work[4].view(np.uint32).reshape(2, n)
+    spare = work[3]
     # the unique keys class << b | index, each class j - (j // m) * m: numpy divides by a
-    # scalar in SIMD, but not remainder; the least key type is uint32 unless m * n is large
+    # scalar in SIMD, but not remainder; the keys are uint32 unless m * 2**b passes 2**32
     b = (n - 1).bit_length()
-    key = spare.view(np.min_scalar_type(((m - 1) << b) | (n - 1)))[:n]
-    np.subtract(jumps.j, np.multiply(np.floor_divide(jumps.j, m, out=hi), m, out=hi), out=hi)
-    np.bitwise_or(np.left_shift(hi, b, out=hi), index, out=key, casting="unsafe")
+    key = spare.view(np.uint64 if (m - 1) << b >= 2**32 else np.uint32)[:n]
+    cls = work[0].view(np.uint32)[:n]
+    np.subtract(j32, np.multiply(np.floor_divide(j32, m, out=cls), m, out=cls), out=cls)
+    np.bitwise_or(np.left_shift(cls, b, out=key, dtype=key.dtype), index, out=key)
     key.sort()  # in place; the keys are unique, so this is the stable class order
-    order = np.bitwise_and(key, (1 << b) - 1, out=lo, casting="unsafe")
+    order = np.bitwise_and(key, (1 << b) - 1, out=work[1], casting="unsafe")
     # mode="clip" lets take write straight into out; every index is in range
-    np.take(jumps.j, order, out=j, mode="clip")
-    sorted_cls = np.right_shift(key, b, out=hi, casting="unsafe")
-    # the classes that hold a jump: residues, first sorted index and size
-    change = spare.view(bool)[:n]  # over the spent keys
+    j = np.take(j32, order, out=cls, mode="clip")  # the jumps in class order
+    sorted_cls = np.right_shift(key, b, out=key)
+    # the first sorted index of each class that holds a jump
+    change = work[2].view(bool)[:n]
     change[:1] = True
     np.not_equal(sorted_cls[1:], sorted_cls[:-1], out=change[1:])
     starts = np.flatnonzero(change)
-    residues = sorted_cls[starts]
-    counts = np.diff(starts, append=n)
-    # the weights in class order, split into limbs; each limb's running sum, restarted at
-    # each class start: a start first takes off the previous class's total, so every
-    # partial sum is one class's
-    np.take(jumps.w, order, out=spare, mode="clip")
-    np.right_shift(spare, _LIMB, out=hi)
-    np.bitwise_and(spare, _MASK, out=lo)
-    for prefix in (hi, lo):
-        if starts.size > 1:
+    # the weights in class order; their uint32 halves, cast to int64 in one pass, are the
+    # limb pairs. Each column's running sum restarts at each class start: a start first
+    # takes off the previous class's total, so every partial sum is one class's
+    w = np.take(jumps.w, order, out=spare, mode="clip")
+    limbs = work[1:3].reshape(n, 2)
+    limbs[...] = w.view(np.uint32).reshape(n, 2)
+    lo, hi = limbs.T if sys.byteorder == "little" else limbs.T[::-1]
+    if starts.size > 1:
+        for prefix in (hi, lo):
             prefix[starts[1:]] -= np.add.reduceat(prefix, starts)[:-1]
-        np.cumsum(prefix, out=prefix)
+    np.cumsum(limbs, axis=0, out=limbs)
     post = _fixed_to_float(hi, lo, spare.view(np.float64))
-    left = lo.view(np.float64)  # the previous post-jump value in the class, 0 at its start
-    left[1:] = post[:-1]
-    left[starts] = 0.0
-
-    primes = np.array(factor._prime_factors(m), dtype=np.int64)
-    coprime = (residues % primes[:, None] != 0).all(axis=0)  # class 0 is coprime when m = 1
     phi = factor.euler_phi(m)
     inv_phi = 1.0 / phi
-    target = np.multiply(j, inv_phi, out=hi.view(np.float64))
-    v_end = np.abs(post[starts + counts - 1] - z * inv_phi)
-    v_left = np.abs(np.subtract(left, target, out=left), out=left)
-    v_post = np.abs(np.subtract(post, target, out=post), out=post)
+    target = np.multiply(j, inv_phi, out=work[1].view(np.float64))
+
+    # each class's residue and end; made after the casts above, so that their buffers
+    # meet no per-class array but starts
+    residues, ends = j[starts] % m, np.append(starts, n)[1:]
+    primes = np.array(factor._prime_factors(m), dtype=np.int64)
+    coprime = (residues % primes[:, None] != 0).all(axis=0)  # class 0 is coprime when m = 1
+    # The one-sided values, with no abs, keep the supremum and the record. Between jumps a
+    # class's psi(y) - y/phi(m) falls, so a post-jump value below its target is beaten by
+    # the class's next left limit (the same psi, a larger target), or tied by the endpoint
+    # when the jump lies at z, with the same record (a, z, not a left limit); a left limit
+    # above its target is beaten by the class's previous post-jump value (the same psi, a
+    # smaller target). A class's first left limit, 0, lies below its target.
+    v_end = np.abs(post[ends - 1] - z * inv_phi)
+    v_post = np.subtract(post, target, out=work[2].view(np.float64))
+    first = target[starts]
+    v_left = target  # minus the post-jump value before it in its class
+    np.subtract(target[1:], post[:-1], out=v_left[1:])
+    v_left[starts] = first  # minus 0 at a class start
     # the few jumps outside coprime classes are powers of primes dividing m
     for c in np.flatnonzero(~coprime).tolist():
-        outside = slice(starts[c], starts[c] + counts[c])
-        v_left[outside] = v_post[outside] = -1.0
-    v_end[~coprime] = -1.0
+        v_left[starts[c] : ends[c]] = v_post[starts[c] : ends[c]] = -math.inf
+    v_end[~coprime] = -math.inf
     # every coprime class without a jump ends at |0 - z/phi(m)|
-    v_empty = z * inv_phi if np.count_nonzero(coprime) < phi else -1.0
+    v_empty = z * inv_phi if np.count_nonzero(coprime) < phi else -math.inf
     # a pick is (-value, a, y, kind), kind 0 a left limit, 1 a post-jump value, 2 the endpoint:
     # from each kind's first maximal entry (argmax), the least pick is the first maximal
     # candidate in the order the docstring gives
