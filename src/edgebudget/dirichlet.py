@@ -27,7 +27,11 @@ its moduli, whose suprema it adds with ``math.fsum``. Reported values are
 therefore bit-reproducible. The limbs stay exact for z <= MAX_Z = 2**31: one
 class holds fewer than 2**31 jumps, so its low-limb sum stays below 2**63,
 and weighs at most psi(z) < 2**32 (psi(z) < 1.04 z), so its high-limb sum,
-with the low limb's carry, stays below 2**53.
+with the low limb's carry, stays below 2**53. The carry runs only where a
+class sums more than 2**21 jumps (z above about 3.5e7): up to 2**21 low limbs,
+each below 2**32, sum to at most 2**53 - 2**21, an exact double, so
+hi * 2**-21 + lo * 2**-53 adds two exact terms and rounds once, to the double
+that the carried limbs give.
 """
 
 import math
@@ -132,21 +136,26 @@ def _check_z(z: float, name: str = "z") -> None:
         raise ValueError(f"{name} must be at most {MAX_Z} for exact fixed-point sums")
 
 
-def _fixed_to_float(hi, lo, out):
+def _fixed_to_float(hi, lo, out, terms):
     """Write round((hi * 2**32 + lo) * 2**-53) into out, for int64 limb sums hi, lo >= 0.
 
     hi and lo are int64 arrays of out's shape, such as the two columns of one
     (n, 2) array, and out is a float64 array apart from both; hi and lo are
-    spent. Each product goes into words already spent, out's and then hi's,
-    never into its own operand's words, which numpy would first copy whole.
-    Carrying lo into hi leaves hi < 2**53
-    and lo < 2**32 (see MAX_Z), so both scaled terms are exact doubles and the
-    one addition is the only rounding.
+    spent. Each entry of lo sums at most terms low limbs, each below 2**32.
+    Each product goes into words already spent, out's and then hi's, never
+    into its own operand's, which numpy would first copy whole.
+
+    Every hi stays below 2**53 (see MAX_Z). Up to 2**21 terms, every lo is at
+    most 2**53 - 2**21, so both scaled terms are exact doubles and the one
+    addition is the only rounding. Beyond that a lo may reach 2**53 and lose
+    bits as a double: only then is lo carried into hi first, which leaves
+    lo < 2**32 and the same exact value.
     """
-    carry = out.view(np.int64)
-    np.right_shift(lo, _LIMB, out=carry)
-    hi += carry
-    lo &= _MASK
+    if terms > 2 ** (53 - _LIMB):
+        carry = out.view(np.int64)
+        np.right_shift(lo, _LIMB, out=carry)
+        hi += carry
+        lo &= _MASK
     np.multiply(hi, 2.0 ** (_LIMB - 53), out=out)
     out += np.multiply(lo, 2.0**-53, out=hi.view(np.float64))
     return out
@@ -172,7 +181,7 @@ def psi(y: float, m: int, a: int) -> float:
     # every j <= MAX_Z, so a larger modulus leaves j as it is and need not fit in int64
     w = jumps.w[jumps.j % min(m, MAX_Z + 1) == a]
     limbs = (w >> _LIMB).sum(keepdims=True), (w & _MASK).sum(keepdims=True)
-    return float(_fixed_to_float(*limbs, np.empty(1))[0])
+    return float(_fixed_to_float(*limbs, np.empty(1), w.size)[0])
 
 
 def max_discrepancy(z: float, m: int) -> DiscrepancyRecord:
@@ -261,7 +270,8 @@ def _discrepancy(jumps: PrimePowerJumps, z: float, m: int, work: np.ndarray) -> 
         for prefix in (hi, lo):
             prefix[starts[1:]] -= np.add.reduceat(prefix, starts)[:-1]
     np.cumsum(limbs, axis=0, out=limbs)
-    post = _fixed_to_float(hi, lo, spare.view(np.float64))
+    # the carry runs only if a class sums more than 2**21 jumps
+    post = _fixed_to_float(hi, lo, spare.view(np.float64), np.diff(starts, append=n).max(initial=0))
     phi = factor.euler_phi(m)
     inv_phi = 1.0 / phi
     target = np.multiply(j, inv_phi, out=work[1].view(np.float64))

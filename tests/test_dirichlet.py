@@ -3,6 +3,7 @@ import json
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 from functools import lru_cache
 from math import fsum, gcd
 
@@ -249,6 +250,40 @@ def test_max_discrepancy_matches_reference_loop_at_both_key_widths(z, m):
 def test_bv_sum_pinned_value():
     # the exact sum at one z: a change to the kernel's arithmetic must not move a bit
     assert bv_sum(Z_BV, 1).hex() == "0x1.891adc9a13995p+14"
+
+
+def test_limb_carry_skipped_at_bv_sum_moduli_moves_no_bit(monkeypatch):
+    # at Z_BV no class sums more than 2**21 jumps, so the kernel converts its limbs without
+    # the carry; forced to carry, every bv_sum modulus gives the same record, bit for bit
+    jumps = prime_power_jumps(Z_BV)
+    work = dirichlet._workspace(jumps)
+    moduli = range(1, bv_cutoff(Z_BV, 1) + 1)
+    skipped = [repr(dirichlet._discrepancy(jumps, Z_BV, m, work)) for m in moduli]
+    convert, terms = dirichlet._fixed_to_float, []
+
+    def carried(hi, lo, out, most):
+        terms.append(most)
+        return convert(hi, lo, out, MAX_Z)
+
+    monkeypatch.setattr(dirichlet, "_fixed_to_float", carried)
+    assert [repr(dirichlet._discrepancy(jumps, Z_BV, m, work)) for m in moduli] == skipped
+    assert len(terms) == len(moduli) == 57 and terms[0] == len(jumps) <= 2**21
+
+
+def test_limb_carry_rounds_a_low_limb_sum_past_2_53_once():
+    # hi * 2**32 = 2**60 puts the result's last bit at 2**8 units of 2**-53, and lo = 2**53 + 129
+    # lies just past half of it, so the exact sum rounds up. As a double, lo itself rounds to
+    # the even 2**53 + 128, a tie that the addition then rounds down: only the carry, which
+    # leaves lo < 2**32, is exact. 2**21 + 1 low limbs below 2**32 can sum to this lo
+    hi, lo = 2**28, 2**53 + 129
+    want = float(Fraction(hi * 2**32 + lo, 2**53))
+    assert hi * 2**-21 + lo * 2**-53 < want  # the conversion without the carry
+    got = dirichlet._fixed_to_float(np.array([hi]), np.array([lo]), np.empty(1), 2**21 + 1)
+    assert got[0] == want
+    # up to 2**21 low limbs the largest sum, 2**53 - 2**21, is exact without the carry
+    lo = 2**21 * (2**32 - 1)
+    want = float(Fraction(hi * 2**32 + lo, 2**53))
+    assert dirichlet._fixed_to_float(np.array([hi]), np.array([lo]), np.empty(1), 2**21)[0] == want
 
 
 def test_kernels_pinned_at_larger_z():
